@@ -1,6 +1,16 @@
 """Numerical laboratory for curvature-dimension bounds with negative
 generalized dimension on one-dimensional metric measure spaces."""
 
+import os
+
+# CDKNLAB_THREADS caps the worker pools of the numeric backends.  It has to be
+# exported before the submodules below import numpy, which reads it once.
+_threads = os.environ.get("CDKNLAB_THREADS")
+if _threads:
+    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                 "MKL_NUM_THREADS", "HIGHS_NUM_THREADS"):
+        os.environ.setdefault(_var, _threads)
+
 from .cdcheck import (
     CdReport,
     CdRow,

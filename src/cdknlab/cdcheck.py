@@ -39,7 +39,7 @@ from .measure import (
     radon_nikodym,
     renyi_entropy,
 )
-from .mmspace import Grid1D, PointedSpace1D
+from .mmspace import PointedSpace1D, carve
 from .transport import Coupling, monotone_map
 
 STATUS_OK = "ok"
@@ -122,16 +122,7 @@ def regular_intervals(space: PointedSpace1D, k: int) -> list[tuple[float, float]
     hi = min(space.grid.b, space.base_point + R)
     if hi <= lo:
         return []
-    pieces = [(lo, hi)]
-    for s in sorted(space.anchors):
-        nxt = []
-        for a, b in pieces:
-            if s - r > a:
-                nxt.append((a, min(b, s - r)))
-            if s + r < b:
-                nxt.append((max(a, s + r), b))
-        pieces = nxt
-    return [(a, b) for a, b in pieces if b - a > 0]
+    return [(a, b) for a, b in carve([(lo, hi)], space.anchors, r) if b - a > 0]
 
 
 def mass_in_intervals(u0: np.ndarray, u1: np.ndarray, w: np.ndarray,
@@ -181,8 +172,8 @@ class CdReport:
         return out
 
     def min_margin(self) -> float:
-        finite = [r.margin for r in self.rows if math.isfinite(r.margin)]
-        return min(finite) if finite else INF
+        w = self.worst()
+        return w.margin if w is not None else INF
 
     def worst(self) -> Optional[CdRow]:
         finite = [r for r in self.rows if math.isfinite(r.margin)]
@@ -204,21 +195,6 @@ class CdReport:
             else:
                 out = max(out, -r.margin / margin_scale(r.s_value, r.t_value))
         return out
-
-
-def _pc_refined(space: PointedSpace1D, factor: int):
-    """Grid and reference masses refined with piecewise-constant density.
-
-    Splitting every cell keeps per-cell densities literally unchanged, which
-    makes the t=0/1 slices reproduce the endpoint entropies exactly instead
-    of to discretization order.
-    """
-    e = space.grid.edges
-    sub = np.linspace(e[:-1], e[1:], factor + 1, axis=1)[:, :-1]
-    grid = Grid1D(np.append(sub.ravel(), e[-1]))
-    with np.errstate(invalid="ignore"):
-        masses = np.repeat(space.density, factor) * grid.widths
-    return grid, masses
 
 
 def verify_cd(space: PointedSpace1D, mu0: DiscreteMeasure,
@@ -252,7 +228,12 @@ def verify_cd(space: PointedSpace1D, mu0: DiscreteMeasure,
 
     tmap = monotone_map(mu0, mu1)
     coup = tmap.as_coupling()
-    rgrid, rmass = _pc_refined(space, refine_factor)
+    # the refined reference keeps every cell's density unchanged, so the
+    # t=0/1 slices reproduce the endpoint entropies exactly instead of to
+    # discretization order
+    rgrid = space.grid.refined(refine_factor)
+    with np.errstate(invalid="ignore"):
+        rmass = np.repeat(space.density, refine_factor) * rgrid.widths
 
     s_end = {}
     for nprime in nps:
@@ -294,15 +275,8 @@ def sampling_intervals(space: PointedSpace1D,
     g = space.grid
     span = g.b - g.a
     pad = max(3.0 * float(np.max(g.widths)), 0.02 * span)
-    pieces = list(base) if base is not None else [(g.a + pad, g.b - pad)]
-    for s in space.anchors:
-        nxt = []
-        for a, b in pieces:
-            if s - pad > a:
-                nxt.append((a, min(b, s - pad)))
-            if s + pad < b:
-                nxt.append((max(a, s + pad), b))
-        pieces = nxt
+    pieces = carve(base if base is not None else [(g.a + pad, g.b - pad)],
+                   space.anchors, pad)
     min_len = 10.0 * float(np.median(g.widths))
     out = [(a, b) for a, b in pieces if b - a > min_len]
     if not out:

@@ -20,26 +20,14 @@ import tempfile
 from dataclasses import dataclass, field
 from typing import Optional
 
+from . import cdcheck as cdc
+from .errors import CdknLabError
+from .ikrw import convergence_experiment, ikrw_fm
+from .mmspace import detect_singular_set, space_from_dict, space_summary
+
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VIOLATION = 2
-
-
-def _limit_threads():
-    """CDKNLAB_THREADS caps the worker pools of the numeric backends."""
-    n = os.environ.get("CDKNLAB_THREADS")
-    if n:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS", "HIGHS_NUM_THREADS"):
-            os.environ.setdefault(var, n)
-
-
-_limit_threads()
-
-from . import cdcheck as cdc  # noqa: E402
-from .ikrw import convergence_experiment, ikrw_fm  # noqa: E402
-from .errors import CdknLabError  # noqa: E402
-from .mmspace import detect_singular_set, space_from_dict, space_summary  # noqa: E402
 
 
 class UsageError(Exception):

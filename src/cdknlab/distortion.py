@@ -37,17 +37,7 @@ def _check_t_theta(t: float, theta: float):
 def sigma_kappa(kappa: float, t: float, theta: float) -> float:
     """sigma_kappa^(t)(theta), scalar form."""
     _check_t_theta(t, theta)
-    x = kappa * theta * theta
-    if x >= _PI2 - _THRESHOLD_TOL:
-        return math.inf
-    if x == 0.0:
-        return t
-    if x > 0.0:
-        r = math.sqrt(x)
-        return math.sin(t * r) / math.sin(r)
-    r = math.sqrt(-x)
-    # sinh(t r)/sinh(r) written to stay finite for large r
-    return math.exp((t - 1.0) * r) * (-math.expm1(-2.0 * t * r)) / (-math.expm1(-2.0 * r))
+    return float(sigma_kappa_vec(kappa, t, np.array([theta]))[0])
 
 
 def sigma_kappa_vec(kappa: float, t: float, theta) -> np.ndarray:
@@ -81,20 +71,7 @@ def sigma_KN(K: float, N: float, t: float, theta: float) -> float:
 def tau_KN(K: float, N: float, t: float, theta: float) -> float:
     """tau_{K,N}^(t)(theta) = t^(1/N) sigma_{K/(N-1)}^(t)(theta)^((N-1)/N)."""
     _check_t_theta(t, theta)
-    if N >= 0:
-        raise DomainError("tau_KN requires N < 0")
-    if theta == 0.0:
-        return t
-    s = sigma_kappa(K / (N - 1.0), t, theta)
-    if math.isinf(s):
-        return math.inf
-    if t == 0.0:
-        return 0.0
-    if t == 1.0:
-        return 1.0
-    if K == 0.0:
-        return t
-    return math.exp(math.log(t) / N + (1.0 - 1.0 / N) * math.log(s))
+    return float(tau_KN_vec(K, N, t, np.array([theta]))[0])
 
 
 def tau_KN_vec(K: float, N: float, t: float, theta) -> np.ndarray:

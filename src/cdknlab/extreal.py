@@ -15,10 +15,6 @@ import numpy as np
 INF = math.inf
 
 
-def is_finite(x: float) -> bool:
-    return math.isfinite(x)
-
-
 def mul0(a, b):
     """Elementwise a*b with the convention 0 * inf = 0."""
     a = np.asarray(a, dtype=float)
@@ -31,12 +27,3 @@ def mul0(a, b):
     out = np.where(zero, 0.0, out)
     return out
 
-
-def xlogy_sum(w, x):
-    """sum(w * log(x)) over w > 0 with 0 * log(anything) = 0."""
-    w = np.asarray(w, dtype=float)
-    x = np.asarray(x, dtype=float)
-    mask = w > 0
-    with np.errstate(divide="ignore"):
-        lx = np.log(x[mask])
-    return float(np.sum(w[mask] * lx))

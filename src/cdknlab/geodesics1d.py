@@ -15,7 +15,7 @@ import numpy as np
 from .errors import DegenerateJacobian, GridTooCoarse, InvalidParams
 from .measure import DensityWrtM, DiscreteMeasure, radon_nikodym
 from .mmspace import Grid1D, PointedSpace1D
-from .transport import MonotoneMap, monotone_map  # noqa: F401  (re-export)
+from .transport import MonotoneMap, monotone_map
 
 _SEG_CHUNK = 512
 
@@ -50,18 +50,11 @@ def bin_blocks(u0: np.ndarray, u1: np.ndarray, w: np.ndarray,
     return DiscreteMeasure(grid, np.maximum(np.diff(cdf), 0.0))
 
 
-def _refine_edges(edges: np.ndarray, factor: int) -> np.ndarray:
-    sub = np.linspace(edges[:-1], edges[1:], factor + 1, axis=1)[:, :-1]
-    return np.append(sub.ravel(), edges[-1])
-
-
 def union_refined_grid(g0: Grid1D, g1: Grid1D, factor: int = 4) -> Grid1D:
     """Default output grid: the union of both edge sets, each cell split."""
     if g0.n == g1.n and np.array_equal(g0.edges, g1.edges):
-        edges = g0.edges
-    else:
-        edges = np.union1d(g0.edges, g1.edges)
-    return Grid1D(_refine_edges(edges, factor))
+        return g0.refined(factor)
+    return Grid1D(np.union1d(g0.edges, g1.edges)).refined(factor)
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,7 @@ from .mmspace import (
     PointedSpace1D,
     _singular_adjacent_cells,
     build_model_space,
+    carve,
     k_cut,
     space_from_dict,
     total_mass,
@@ -63,9 +64,7 @@ def hausdorff_distance(A: Sequence[float], B: Sequence[float]) -> float:
 
 
 def _normalized_cut_measure(space: PointedSpace1D) -> DiscreteMeasure:
-    masses = space.cell_masses
-    tot = float(np.sum(masses))
-    return DiscreteMeasure(space.grid, masses / tot)
+    return DiscreteMeasure(space.grid, space.cell_masses).normalized()
 
 
 def _wc_between(muA: DiscreteMeasure, muB: DiscreteMeasure, cost: CostSpec,
@@ -134,13 +133,9 @@ def ikrw(spaceA: PointedSpace1D, spaceB: PointedSpace1D, k_bar: int,
 def extrinsic_gap(spaceA: PointedSpace1D, spaceB: PointedSpace1D, k: int,
                   c_kind="tanh", wc_grid_n: int = DEFAULT_WC_GRID) -> float:
     """Like the fm distance of the k-cuts but without the singular-set term."""
-    cutA, cutB = k_cut(spaceA, k), k_cut(spaceB, k)
-    mA, mB = total_mass(cutA), total_mass(cutB)
-    return (abs(math.log(mA / mB))
-            + abs(spaceA.base_point - spaceB.base_point)
-            + _wc_between(_normalized_cut_measure(cutA),
-                          _normalized_cut_measure(cutB),
-                          _cost(c_kind), wc_grid_n))
+    _, terms = ikrw_fm(k_cut(spaceA, k), k_cut(spaceB, k), c_kind=c_kind,
+                       wc_grid_n=wc_grid_n, return_terms=True)
+    return terms["log_mass"] + terms["base_point"] + terms["wc"]
 
 
 # ---------------------------------------------------------------------------
@@ -173,16 +168,8 @@ def make_test_family(lo: float, hi: float, singular_points: Sequence[float] = ()
     if not lo < hi:
         raise InvalidParams("need lo < hi")
     guard = 0.02 * (hi - lo) if guard is None else guard
-    pieces = [(lo, hi)]
-    for s in sorted(singular_points):
-        nxt = []
-        for a, b in pieces:
-            if s - guard > a:
-                nxt.append((a, min(b, s - guard)))
-            if s + guard < b:
-                nxt.append((max(a, s + guard), b))
-        pieces = nxt
-    pieces = [(a, b) for a, b in pieces if b - a > 4 * guard]
+    pieces = [(a, b) for a, b in carve([(lo, hi)], singular_points, guard)
+              if b - a > 4 * guard]
     if not pieces:
         raise InvalidParams("no room for test functions")
     fam = []
@@ -378,16 +365,14 @@ def convergence_experiment(sequence_spec: dict, limit_spec=None,
     if min(k_range) < limit.regularity_k:
         raise RegularityMismatch("k range starts below the shared parameter")
 
+    limit_cuts = {k: k_cut(limit, k) for k in k_range}
     rows = []
     series: dict = {}
     for n, sp in zip(ns, spaces):
         acc = 0.0
         for k in k_range:
-            cut_n, cut_l = k_cut(sp, k), k_cut(limit, k)
-            _, terms = ikrw_fm(cut_n, cut_l, c_kind=c_kind,
-                               wc_grid_n=wc_grid_n, return_terms=True)
-            total = (INF if math.isinf(terms["hausdorff"])
-                     else float(sum(terms.values())))
+            total, terms = ikrw_fm(k_cut(sp, k), limit_cuts[k], c_kind=c_kind,
+                                   wc_grid_n=wc_grid_n, return_terms=True)
             rows.append(ConvergenceRow(
                 n=int(n), k=int(k), log_mass_gap=terms["log_mass"],
                 base_point_gap=terms["base_point"],

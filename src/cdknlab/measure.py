@@ -114,14 +114,7 @@ def renyi_entropy(mu: DiscreteMeasure, space: PointedSpace1D, N: float) -> float
     """S_N(mu | m) for N < 0; +inf when mu is not absolutely continuous."""
     if N >= 0:
         raise DomainError("renyi_entropy requires N < 0")
-    w = mu.masses
-    m = space.cell_masses
-    mask = w > 0
-    if not np.any(mask):
-        return 0.0
-    terms = _entropy_terms(w[mask], m[mask], N)
-    with np.errstate(over="ignore"):
-        return float(np.sum(terms))
+    return entropy_from_masses(mu.masses, space.cell_masses, N)
 
 
 def entropy_from_masses(w: np.ndarray, m: np.ndarray, N: float) -> float:

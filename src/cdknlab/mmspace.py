@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -84,6 +84,12 @@ class Grid1D:
         """Cell index containing x (right-open cells, last cell closed)."""
         idx = np.searchsorted(self.edges, np.asarray(x, dtype=float), side="right") - 1
         return np.clip(idx, 0, self.n - 1)
+
+    def refined(self, factor: int) -> "Grid1D":
+        """The grid with every cell split into `factor` equal parts."""
+        e = self.edges
+        sub = np.linspace(e[:-1], e[1:], factor + 1, axis=1)[:, :-1]
+        return Grid1D(np.append(sub.ravel(), e[-1]))
 
 
 MODEL_KINDS = (
@@ -386,6 +392,20 @@ def detect_singular_set(space: PointedSpace1D, refinement_levels: int = 4,
     return tuple(float(e) for e in edges[hit])
 
 
+def carve(pieces: Sequence[tuple[float, float]], points: Sequence[float],
+          r: float) -> list[tuple[float, float]]:
+    """Cut the open r-neighbourhood of every point out of a list of intervals."""
+    for s in sorted(points):
+        nxt = []
+        for a, b in pieces:
+            if s - r > a:
+                nxt.append((a, min(b, s - r)))
+            if s + r < b:
+                nxt.append((max(a, s + r), b))
+        pieces = nxt
+    return list(pieces)
+
+
 def regular_set(space: PointedSpace1D, k: int) -> np.ndarray:
     """Indices of cells whose centers lie in the k-th regular region."""
     c = space.grid.centers
@@ -449,9 +469,7 @@ def normalize_cut(space: PointedSpace1D, k: int):
     """The k-cut renormalized to a probability measure on the same grid."""
     from .measure import DiscreteMeasure
 
-    cut = k_cut(space, k)
-    m = cut.cell_masses
-    return DiscreteMeasure(grid=space.grid, masses=m / float(np.sum(m)))
+    return DiscreteMeasure(space.grid, k_cut(space, k).cell_masses).normalized()
 
 
 def refine(space: PointedSpace1D, factor: int) -> PointedSpace1D:
@@ -460,11 +478,7 @@ def refine(space: PointedSpace1D, factor: int) -> PointedSpace1D:
         raise InvalidParams("factor must be >= 1")
     if factor == 1:
         return space
-    g = space.grid
-    sub = np.linspace(0.0, 1.0, factor + 1)[:-1]
-    edges = (g.edges[:-1, None] + np.outer(g.widths, sub)).ravel()
-    edges = np.append(edges, g.b)
-    grid = Grid1D(edges)
+    grid = space.grid.refined(factor)
     if space.density_fn is not None:
         with np.errstate(divide="ignore", over="ignore"):
             density = np.asarray(space.density_fn(grid.centers), dtype=float)
@@ -484,18 +498,22 @@ def space_from_dict(d: dict) -> PointedSpace1D:
     if not isinstance(d, dict) or "kind" not in d:
         raise InvalidParams("space descriptor must be an object with a 'kind'")
     params = d.get("params", {})
-    spec = ModelSpec(
-        kind=d["kind"],
-        K=float(params.get("K", 0.0)),
-        N=float(params.get("N", -2.0)),
-        alpha=float(params.get("alpha", 1.0)),
-        J=int(params.get("J", 2)),
-        domain=tuple(d["domain"]) if "domain" in d else _default_domain(d),
-        grid_n=int(d.get("grid_n", 512)),
-        base_point=d.get("base_point"),
-        regularity_k=int(d.get("regularity_k", 0)),
-        psi_samples=d.get("psi_samples"),
-    )
+    try:
+        spec = ModelSpec(
+            kind=d["kind"],
+            K=float(params.get("K", 0.0)),
+            N=float(params.get("N", -2.0)),
+            alpha=float(params.get("alpha", 1.0)),
+            J=int(params.get("J", 2)),
+            domain=tuple(d["domain"]) if "domain" in d else _default_domain(d),
+            grid_n=int(d.get("grid_n", 512)),
+            base_point=(float(d["base_point"]) if d.get("base_point") is not None
+                        else None),
+            regularity_k=int(d.get("regularity_k", 0)),
+            psi_samples=d.get("psi_samples"),
+        )
+    except (TypeError, ValueError) as e:
+        raise InvalidParams(f"bad descriptor field: {e}") from e
     return build_model_space(spec)
 
 

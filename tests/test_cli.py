@@ -3,10 +3,15 @@ writes, and the report schemas."""
 
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
+import cdknlab
 from cdknlab.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, RunConfig, main, run
 
 
@@ -203,11 +208,40 @@ def test_malformed_space_file(tmp_path):
     assert not out.exists()
 
 
-def test_bad_model_params_are_usage_errors(tmp_path):
+@pytest.mark.parametrize("desc", [
     # power_n on an unbounded domain needs an explicit truncation
+    {"kind": "power_n", "params": {"N": -2.0}},
+    # fields that do not convert to numbers
+    {"kind": "cos_n", "params": {"K": -2.0, "N": -2.0}, "grid_n": "abc"},
+    {"kind": "cos_n", "params": {"K": "x", "N": -2.0}},
+    {"kind": "cos_n", "params": {"K": -2.0, "N": -2.0}, "base_point": "q"},
+], ids=["unbounded_power_n", "grid_n_abc", "K_x", "base_point_q"])
+def test_bad_model_params_are_usage_errors(tmp_path, desc):
     p = tmp_path / "p.json"
-    p.write_text(json.dumps({"kind": "power_n", "params": {"N": -2.0}}))
+    p.write_text(json.dumps(desc))
     assert main(["model", "--space", str(p)]) == EXIT_USAGE
+
+
+def test_threads_variable_is_exported_before_numpy_loads():
+    # numpy's BLAS reads OPENBLAS_NUM_THREADS once, when numpy is imported
+    spy = textwrap.dedent("""
+        import os, sys
+        seen = []
+        class Spy:
+            def find_spec(self, name, path=None, target=None):
+                if name == "numpy" and not seen:
+                    seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+                return None
+        sys.meta_path.insert(0, Spy())
+        import cdknlab.cli
+        print(seen[0])
+    """)
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    env["CDKNLAB_THREADS"] = "1"
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cdknlab.__file__))
+    out = subprocess.run([sys.executable, "-c", spy], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "1"
 
 
 def test_failed_run_leaves_existing_report_intact(tmp_path):

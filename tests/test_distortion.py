@@ -157,7 +157,7 @@ def test_tau_infinite_iff_sigma_infinite():
 def test_tau_vec_matches_scalar():
     thetas = np.linspace(0.0, 2.5, 33)
     for K, N, t in ((3.0, -2.0, 0.31), (-5.0, -0.7, 0.77), (0.0, -4.0, 0.5),
-                    (2.0, -1.5, 0.0), (2.0, -1.5, 1.0)):
+                    (2.0, -1.5, 0.0), (2.0, -1.5, 1.0), (-2.0, -0.001, 0.3)):
         vec = tau_KN_vec(K, N, t, thetas)
         ref = np.array([tau_KN(K, N, t, th) for th in thetas])
         np.testing.assert_allclose(vec, ref, rtol=5e-15)
