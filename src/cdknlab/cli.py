@@ -179,6 +179,8 @@ def _cmd_convexity(args) -> int:
 
 
 def _cmd_ikrw(args) -> int:
+    if args.k_bar > args.k_max:
+        raise UsageError(f"--k-bar {args.k_bar} exceeds --k-max {args.k_max}")
     a = _load_space(args.space_a)
     b = _load_space(args.space_b)
     from .mmspace import k_cut
@@ -224,6 +226,8 @@ def _cmd_converge(args) -> int:
 
 
 def _cmd_omega(args) -> int:
+    if args.k > args.h_max:
+        raise UsageError(f"--k {args.k} exceeds --h-max {args.h_max}")
     space = _load_space(args.space)
     table = cdc.OmegaTable()
     header = ["k", "h", "M", "omega", "n_samples", "Omega"]
@@ -246,6 +250,16 @@ def _cmd_omega(args) -> int:
 
 # ---------------------------------------------------------------------------
 # Parser
+
+
+def _positive_int(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return n
 
 
 class _Parser(argparse.ArgumentParser):
@@ -271,9 +285,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--space", required=True)
     sp.add_argument("--K", type=float, required=True)
     sp.add_argument("--N", type=float, required=True)
-    sp.add_argument("--t-grid", type=int, default=11, dest="t_grid")
-    sp.add_argument("--nprime-grid", type=int, default=9, dest="nprime_grid")
-    sp.add_argument("--samples", type=int, default=20)
+    sp.add_argument("--t-grid", type=_positive_int, default=11, dest="t_grid")
+    sp.add_argument("--nprime-grid", type=_positive_int, default=9, dest="nprime_grid")
+    sp.add_argument("--samples", type=_positive_int, default=20)
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--tol", type=float, default=cdc.DEFAULT_TOL)
     sp.add_argument("--restrict-k", type=int, default=None, dest="restrict_k")
@@ -285,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--psi", required=True, help="JSON file with x / psi arrays")
     sp.add_argument("--K", type=float, required=True)
     sp.add_argument("--N", type=float, required=True)
-    sp.add_argument("--triples", type=int, default=400)
+    sp.add_argument("--triples", type=_positive_int, default=400)
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--tol", type=float, default=1e-9)
     sp.add_argument("--out")
@@ -304,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("converge", help="gap table for a converging family")
     sp.add_argument("--seq", required=True)
     sp.add_argument("--no-cd", action="store_true", dest="no_cd")
-    sp.add_argument("--cd-samples", type=int, default=4, dest="cd_samples")
+    sp.add_argument("--cd-samples", type=_positive_int, default=4, dest="cd_samples")
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--tol", type=float, default=cdc.DEFAULT_TOL)
     sp.add_argument("--out", required=True)
@@ -318,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--M", type=float, required=True)
     sp.add_argument("--N", type=float, default=-2.0)
     sp.add_argument("--delta", type=float, default=0.1)
-    sp.add_argument("--samples", type=int, default=20)
+    sp.add_argument("--samples", type=_positive_int, default=20)
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--out", required=True)
     sp.add_argument("--format", choices=("csv", "json"), default="csv")

@@ -28,6 +28,7 @@ from .extreal import INF
 from .geodesics1d import bin_blocks
 from .measure import DiscreteMeasure
 from .mmspace import (
+    MAX_GRID_N,
     Grid1D,
     ModelSpec,
     PointedSpace1D,
@@ -256,6 +257,8 @@ def glued_drift_space(n: Optional[int], K: float = -2.0, N: float = -2.0,
     """
     if not (K < 0 and N < 0):
         raise InvalidParams("glued_drift_space needs K < 0 and N < 0")
+    if grid_n < 16:
+        raise InvalidParams("glued_drift_space needs grid_n >= 16")
     L = 2.0 * math.pi * math.sqrt(N / K)
     s = L / 2.0 + (delta * 2.0 ** (-n) if n is not None else 0.0)
     if not 0.0 < s < L:
@@ -314,26 +317,31 @@ class ConvergenceTable:
 
 def _family_members(sequence_spec: dict, n_range, limit_spec):
     family = sequence_spec.get("family")
-    N = float(sequence_spec.get("N", -2.0))
-    grid_n = int(sequence_spec.get("grid_n", 1024))
+    try:
+        N = float(sequence_spec.get("N", -2.0))
+        K = float(sequence_spec.get("K", -2.0 if family == "glued_drift" else 0.0))
+        grid_n = int(sequence_spec.get("grid_n", 1024))
+        R = float(sequence_spec.get("R", 2.0))
+        delta = float(sequence_spec.get("delta", 0.5))
+        if family == "custom_list":
+            space_dicts = list(sequence_spec["spaces"])
+            limit_d = limit_spec if limit_spec is not None else sequence_spec["limit"]
+    except (KeyError, TypeError, ValueError) as e:
+        raise InvalidParams(f"bad sequence field: {e}") from e
+    if grid_n > MAX_GRID_N:
+        raise InvalidParams(f"grid_n {grid_n} exceeds {MAX_GRID_N}")
     if family == "truncated_power":
-        make = lambda n: truncated_power_space(
-            N, n, R=float(sequence_spec.get("R", 2.0)), grid_n=grid_n)
+        make = lambda n: truncated_power_space(N, n, R=R, grid_n=grid_n)
         spaces = [make(n) for n in n_range]
         limit = make(None)
-        K = float(sequence_spec.get("K", 0.0))
     elif family == "glued_drift":
-        K = float(sequence_spec.get("K", -2.0))
-        make = lambda n: glued_drift_space(
-            n, K=K, N=N, delta=float(sequence_spec.get("delta", 0.5)),
-            grid_n=grid_n)
+        make = lambda n: glued_drift_space(n, K=K, N=N, delta=delta,
+                                           grid_n=grid_n)
         spaces = [make(n) for n in n_range]
         limit = make(None)
     elif family == "custom_list":
-        spaces = [space_from_dict(d) for d in sequence_spec["spaces"]]
-        limit_d = limit_spec if limit_spec is not None else sequence_spec["limit"]
+        spaces = [space_from_dict(d) for d in space_dicts]
         limit = limit_d if isinstance(limit_d, PointedSpace1D) else space_from_dict(limit_d)
-        K = float(sequence_spec.get("K", 0.0))
         n_range = list(range(len(spaces)))
     else:
         raise InvalidParams(f"unknown family {family!r}")
@@ -351,12 +359,17 @@ def convergence_experiment(sequence_spec: dict, limit_spec=None,
     The CD hook verifies the limit space against the family's claimed
     (K, N+1) on sampled marginal pairs.
     """
-    if n_range is None:
-        a, b = sequence_spec["n_range"]
-        n_range = range(int(a), int(b) + 1)
-    if k_range is None:
-        a, b = sequence_spec.get("k_range", (0, 2))
-        k_range = range(int(a), int(b) + 1)
+    if not isinstance(sequence_spec, dict):
+        raise InvalidParams("sequence spec must be an object")
+    try:
+        if n_range is None:
+            a, b = sequence_spec["n_range"]
+            n_range = range(int(a), int(b) + 1)
+        if k_range is None:
+            a, b = sequence_spec.get("k_range", (0, 2))
+            k_range = range(int(a), int(b) + 1)
+    except (KeyError, TypeError, ValueError) as e:
+        raise InvalidParams(f"bad sequence field: {e}") from e
     spaces, limit, K, N, ns = _family_members(sequence_spec, n_range, limit_spec)
 
     kbars = {s.regularity_k for s in spaces} | {limit.regularity_k}

@@ -29,6 +29,10 @@ from .errors import (
 )
 
 _EDGE_TOL = 1e-9
+# Largest grid_n an input file may ask for.  `cdknlab model` on a cos_n
+# space of this size takes about 1.5 s and 150 MB; every test and benchmark
+# stays at or below 2048.
+MAX_GRID_N = 2 ** 20
 
 
 def f_cut(x):
@@ -414,14 +418,18 @@ def regular_set(space: PointedSpace1D, k: int) -> np.ndarray:
     return np.nonzero(mask)[0]
 
 
+def _cut_factor(x: np.ndarray, base_point: float, anchors: Sequence[float],
+                k: int) -> np.ndarray:
+    """The k-cut multiplier f^k at the points x."""
+    w = f_cut(np.abs(x - base_point) * 2.0 ** (-k))
+    if len(anchors) > 0:
+        w = w * (1.0 - f_cut(_dist_to_set(x, anchors) * 2.0 ** k))
+    return w
+
+
 def cut_weights(space: PointedSpace1D, k: int) -> np.ndarray:
     """The k-cut multiplier f^k evaluated at cell centers."""
-    c = space.grid.centers
-    w = f_cut(np.abs(c - space.base_point) * 2.0 ** (-k))
-    anchors = space.anchors
-    if len(anchors) > 0:
-        w = w * (1.0 - f_cut(_dist_to_set(c, anchors) * 2.0 ** k))
-    return w
+    return _cut_factor(space.grid.centers, space.base_point, space.anchors, k)
 
 
 def k_cut(space: PointedSpace1D, k: int) -> PointedSpace1D:
@@ -442,12 +450,9 @@ def k_cut(space: PointedSpace1D, k: int) -> PointedSpace1D:
     fn = space.density_fn
     new_fn = None
     if fn is not None:
-        p, anchors, kk = space.base_point, space.anchors, k
-        def new_fn(x, _f=fn, _p=p, _anch=anchors, _k=kk):
+        def new_fn(x, _f=fn, _p=space.base_point, _anch=space.anchors, _k=k):
             x = np.asarray(x, dtype=float)
-            w = f_cut(np.abs(x - _p) * 2.0 ** (-_k))
-            if len(_anch) > 0:
-                w = w * (1.0 - f_cut(_dist_to_set(x, _anch) * 2.0 ** _k))
+            w = _cut_factor(x, _p, _anch, _k)
             with np.errstate(over="ignore"):
                 v = np.asarray(_f(x), dtype=float)
             return np.where(w > 0, v * w, 0.0)
@@ -498,6 +503,8 @@ def space_from_dict(d: dict) -> PointedSpace1D:
     if not isinstance(d, dict) or "kind" not in d:
         raise InvalidParams("space descriptor must be an object with a 'kind'")
     params = d.get("params", {})
+    if not isinstance(params, dict):
+        raise InvalidParams("descriptor 'params' must be an object")
     try:
         spec = ModelSpec(
             kind=d["kind"],
@@ -510,10 +517,13 @@ def space_from_dict(d: dict) -> PointedSpace1D:
             base_point=(float(d["base_point"]) if d.get("base_point") is not None
                         else None),
             regularity_k=int(d.get("regularity_k", 0)),
-            psi_samples=d.get("psi_samples"),
+            psi_samples=(tuple(float(v) for v in d["psi_samples"])
+                         if d.get("psi_samples") is not None else None),
         )
     except (TypeError, ValueError) as e:
         raise InvalidParams(f"bad descriptor field: {e}") from e
+    if spec.grid_n > MAX_GRID_N:
+        raise InvalidParams(f"grid_n {spec.grid_n} exceeds {MAX_GRID_N}")
     return build_model_space(spec)
 
 

@@ -215,11 +215,75 @@ def test_malformed_space_file(tmp_path):
     {"kind": "cos_n", "params": {"K": -2.0, "N": -2.0}, "grid_n": "abc"},
     {"kind": "cos_n", "params": {"K": "x", "N": -2.0}},
     {"kind": "cos_n", "params": {"K": -2.0, "N": -2.0}, "base_point": "q"},
-], ids=["unbounded_power_n", "grid_n_abc", "K_x", "base_point_q"])
+    {"kind": "cos_n", "params": [1]},
+    {"kind": "custom_psi", "domain": [0.0, 1.0], "psi_samples": ["a", "b", "c"]},
+    # a grid too large to build
+    {"kind": "cos_n", "params": {"K": -2.0, "N": -2.0}, "grid_n": 2 ** 20 + 1},
+], ids=["unbounded_power_n", "grid_n_abc", "K_x", "base_point_q",
+        "params_list", "psi_samples_abc", "grid_n_over_cap"])
 def test_bad_model_params_are_usage_errors(tmp_path, desc):
     p = tmp_path / "p.json"
     p.write_text(json.dumps(desc))
     assert main(["model", "--space", str(p)]) == EXIT_USAGE
+
+
+_SEQ = {"family": "glued_drift", "K": -2.0, "N": -2.0, "grid_n": 64,
+        "n_range": [1, 2]}
+
+
+@pytest.mark.parametrize("seq", [
+    {k: v for k, v in _SEQ.items() if k != "n_range"},
+    {**_SEQ, "N": "x"},
+    [_SEQ],
+    {**_SEQ, "grid_n": 2 ** 20 + 1},
+    {**_SEQ, "grid_n": 4},
+], ids=["no_n_range", "N_x", "json_list", "grid_n_over_cap", "grid_n_4"])
+def test_bad_sequence_files_are_usage_errors(tmp_path, seq):
+    p = tmp_path / "seq.json"
+    p.write_text(json.dumps(seq))
+    out = tmp_path / "conv.csv"
+    rc = main(["converge", "--seq", str(p), "--no-cd", "--seed", "0",
+               "--out", str(out)])
+    assert rc == EXIT_USAGE
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["cdcheck", "--space", "{space}", "--K", "-2", "--N", "-2", "--seed", "0",
+     "--samples", "0"],
+    ["cdcheck", "--space", "{space}", "--K", "-2", "--N", "-2", "--seed", "0",
+     "--samples", "-3"],
+    ["cdcheck", "--space", "{space}", "--K", "-2", "--N", "-2", "--seed", "0",
+     "--t-grid", "0"],
+    ["cdcheck", "--space", "{space}", "--K", "-2", "--N", "-2", "--seed", "0",
+     "--nprime-grid", "0"],
+    ["convexity", "--psi", "{psi}", "--K", "0", "--N", "-2", "--seed", "0",
+     "--triples", "0"],
+    ["converge", "--seq", "{seq}", "--seed", "0", "--cd-samples", "0"],
+    ["omega", "--space", "{space}", "--k", "2", "--h-max", "3", "--M", "5",
+     "--seed", "0", "--samples", "0"],
+    ["omega", "--space", "{space}", "--k", "5", "--h-max", "3", "--M", "5",
+     "--seed", "0"],
+    ["ikrw", "--space-a", "{space}", "--space-b", "{space}", "--k-bar", "5",
+     "--k-max", "2"],
+], ids=["samples_0", "samples_neg", "t_grid_0", "nprime_grid_0", "triples_0",
+        "cd_samples_0", "omega_samples_0", "k_above_h_max",
+        "k_bar_above_k_max"])
+def test_runs_that_check_nothing_are_usage_errors(tmp_path, argv):
+    psi = tmp_path / "psi.json"
+    psi.write_text(json.dumps({"x": [0.0, 0.5, 1.0], "psi": [0.0, 0.0, 0.0]}))
+    seq = tmp_path / "seq.json"
+    seq.write_text(json.dumps(_SEQ))
+    files = {"space": _space_file(tmp_path), "psi": str(psi), "seq": str(seq)}
+    out = tmp_path / "out.json"
+    argv = [a.format(**files) for a in argv] + ["--out", str(out)]
+    try:
+        rc = main(argv)
+    except SystemExit as e:  # argparse rejects the flag value
+        rc = e.code
+    assert rc == EXIT_USAGE
+    assert not out.exists()
+    assert not (tmp_path / "out.json.summary.json").exists()
 
 
 def test_threads_variable_is_exported_before_numpy_loads():

@@ -37,9 +37,55 @@ def test_blocks_cdf_zero_width_is_a_step():
     np.testing.assert_allclose(cdf, [0.0, 2.0, 2.0])
 
 
+def _dense_cdf(u0, u1, w, pts):
+    """Brute-force block CDF: sum of w clip((x - a) / (b - a), 0, 1)."""
+    out = np.zeros(pts.size)
+    for a, b, m in zip(u0, u1, w):
+        out += m * (np.clip((pts - a) / (b - a), 0.0, 1.0) if b > a
+                    else (pts >= a) * 1.0)
+    return out
+
+
+def test_blocks_cdf_matches_dense_sum_on_geodesic_slices(rng):
+    g = Grid1D.uniform(0.0, 1.0, 64)
+    edges = union_refined_grid(g, g, 4).edges
+    for _ in range(5):
+        tmap = monotone_map(random_measure(g, rng, sparsity=0.4),
+                            random_measure(g, rng, sparsity=0.4))
+        for t in (0.0, 0.3, 0.7, 1.0):
+            u0, u1, w = slice_blocks(tmap, t)
+            np.testing.assert_allclose(blocks_cdf(u0, u1, w, edges),
+                                       _dense_cdf(u0, u1, w, edges),
+                                       rtol=0.0, atol=1e-15 * w.sum())
+
+
+def test_blocks_cdf_accepts_a_rounding_crossing():
+    # a block end one ulp past the next block's start, as rounding leaves it
+    x = 0.0275
+    u0 = np.array([0.0, np.nextafter(x, 0.0)])
+    u1 = np.array([x, 1.0])
+    w = np.array([1.0, 2.0])
+    cdf = blocks_cdf(u0, u1, w, np.array([-1.0, x, 2.0]))
+    np.testing.assert_allclose(cdf, [0.0, 1.0, 3.0], atol=1e-15)
+    mu = bin_blocks(u0, u1, w, Grid1D.uniform(0.0, 1.0, 7))
+    assert mu.total_mass == pytest.approx(3.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("u0, u1", [
+    ([0.0, 0.4], [0.5, 1.0]),  # the second block starts inside the first
+    ([0.0, 0.6], [0.5, 0.55]),  # the second block has negative width
+], ids=["overlap", "reversed"])
+def test_unordered_blocks_are_rejected(u0, u1):
+    u0, u1, w = np.array(u0), np.array(u1), np.ones(2)
+    with pytest.raises(InvalidParams, match="ordered and disjoint"):
+        blocks_cdf(u0, u1, w, np.linspace(0.0, 1.0, 5))
+    with pytest.raises(InvalidParams, match="ordered and disjoint"):
+        bin_blocks(u0, u1, w, Grid1D.uniform(0.0, 1.0, 4))
+
+
 def test_bin_blocks_conserves_mass(rng):
-    u0 = np.sort(rng.uniform(0.0, 1.0, 300))
-    u1 = u0 + rng.uniform(0.0, 0.03, 300)
+    ends = np.sort(rng.uniform(0.0, 1.0, 600))
+    u0, u1 = ends[0::2], ends[1::2]
     w = rng.uniform(0.0, 1.0, 300)
     g = Grid1D.uniform(-0.5, 1.6, 37)
     mu = bin_blocks(u0, u1, w, g)
