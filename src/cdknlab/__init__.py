@@ -31,7 +31,6 @@ from .cdcheck import (
 )
 from .distortion import sigma_kappa, sigma_KN, tau_KN, tau_KN_vec
 from .errors import *  # noqa: F401,F403
-from .extreal import INF
 from .geodesics1d import (
     GeodesicSlice,
     displacement_interpolate,

@@ -29,7 +29,6 @@ from .errors import (
     SamplerEntropyViolation,
     SupportViolation,
 )
-from .extreal import INF, mul0
 from .geodesics1d import bin_blocks, blocks_cdf
 from .measure import (
     DensityWrtM,
@@ -48,6 +47,16 @@ STATUS_VACUOUS = "vacuous_inf"
 STATUS_SKIPPED = "skipped_entropy_inf"
 
 DEFAULT_TOL = 5e-2
+# Entropies of intermediate slices are taken on this refinement of the grid.
+REFINE_FACTOR = 4
+# Richardson rule: the fine grid's worst deficit must be at most the coarse
+# one's divided by RICHARDSON_SHRINK, plus RICHARDSON_SLACK.
+RICHARDSON_SHRINK = 1.5
+RICHARDSON_SLACK = 1e-4
+# Draws per accepted marginal pair, in both samplers, and the shapes drawn.
+MAX_TRIES = 60
+SPEC_KINDS = ("uniform_block", "bump", "mixture")
+OMEGA_T_GRID = 9
 
 
 def margin_scale(s_value: float, t_value: float) -> float:
@@ -60,12 +69,6 @@ def margin_scale(s_value: float, t_value: float) -> float:
     """
     vals = [abs(v) for v in (s_value, t_value) if math.isfinite(v)]
     return max([1.0] + vals)
-
-
-def _row_ok(row: "CdRow", tol: float) -> bool:
-    if not math.isfinite(row.margin):
-        return row.margin > 0
-    return row.margin >= -tol * margin_scale(row.s_value, row.t_value)
 
 
 def default_nprime_grid(N: float, count: int = 9) -> np.ndarray:
@@ -101,12 +104,13 @@ def t_functional(coupling: Coupling, rho0: DensityWrtM, rho1: DensityWrtM,
     tau0 = tau_KN_vec(K, N, 1.0 - t, d)
     tau1 = tau_KN_vec(K, N, t, d)
     if np.any(np.isinf(tau0) | np.isinf(tau1)):
-        return INF
+        return math.inf
     expo = -1.0 / N
-    with np.errstate(over="ignore"):
-        terms = mul0(tau0, r0 ** expo) + mul0(tau1, r1 ** expo)
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = (np.where(tau0 == 0, 0, tau0 * r0 ** expo)
+                 + np.where(tau1 == 0, 0, tau1 * r1 ** expo))
         if np.any(np.isinf(terms)):
-            return INF
+            return math.inf
         return float(np.sum(w * terms))
 
 
@@ -173,16 +177,15 @@ class CdReport:
 
     def min_margin(self) -> float:
         w = self.worst()
-        return w.margin if w is not None else INF
+        return w.margin if w is not None else math.inf
 
     def worst(self) -> Optional[CdRow]:
         finite = [r for r in self.rows if math.isfinite(r.margin)]
         return min(finite, key=lambda r: r.margin) if finite else None
 
-    def passes(self, tol: Optional[float] = None) -> bool:
-        tol = self.tol if tol is None else tol
-        return all(_row_ok(r, tol) for r in self.rows
-                   if r.status in (STATUS_OK, STATUS_VIOLATED))
+    def passes(self) -> bool:
+        """No row violated; each status was decided at this report's tol."""
+        return all(r.status != STATUS_VIOLATED for r in self.rows)
 
     def worst_deficit(self) -> float:
         """Largest scaled violation max(0, -margin / scale) over rows."""
@@ -191,7 +194,7 @@ class CdReport:
             if r.status not in (STATUS_OK, STATUS_VIOLATED):
                 continue
             if not math.isfinite(r.margin):
-                out = max(out, INF if r.margin < 0 else 0.0)
+                out = max(out, math.inf if r.margin < 0 else 0.0)
             else:
                 out = max(out, -r.margin / margin_scale(r.s_value, r.t_value))
         return out
@@ -201,7 +204,7 @@ def verify_cd(space: PointedSpace1D, mu0: DiscreteMeasure,
               mu1: DiscreteMeasure, K: float, N: float,
               t_grid=11, nprime_grid=9,
               restrict_to_regular_k: Optional[int] = None,
-              tol: float = DEFAULT_TOL, refine_factor: int = 4) -> CdReport:
+              tol: float = DEFAULT_TOL) -> CdReport:
     """Check the CD(K, N) inequality along the monotone geodesic.
 
     Entropies of intermediate slices are taken against a 4x refined copy
@@ -231,9 +234,9 @@ def verify_cd(space: PointedSpace1D, mu0: DiscreteMeasure,
     # the refined reference keeps every cell's density unchanged, so the
     # t=0/1 slices reproduce the endpoint entropies exactly instead of to
     # discretization order
-    rgrid = space.grid.refined(refine_factor)
+    rgrid = space.grid.refined(REFINE_FACTOR)
     with np.errstate(invalid="ignore"):
-        rmass = np.repeat(space.density, refine_factor) * rgrid.widths
+        rmass = np.repeat(space.density, REFINE_FACTOR) * rgrid.widths
 
     s_end = {}
     for nprime in nps:
@@ -250,11 +253,11 @@ def verify_cd(space: PointedSpace1D, mu0: DiscreteMeasure,
             s_t = entropy_from_masses(wslice, rmass, nprime)
             t_val = t_functional(coup, rho0, rho1, K, nprime, float(t))
             if not (math.isfinite(s0) and math.isfinite(s1)):
-                status, margin = STATUS_SKIPPED, INF
+                status, margin = STATUS_SKIPPED, math.inf
             elif not math.isfinite(t_val):
-                status, margin = STATUS_VACUOUS, INF
+                status, margin = STATUS_VACUOUS, math.inf
             elif not math.isfinite(s_t):
-                status, margin = STATUS_VIOLATED, -INF
+                status, margin = STATUS_VIOLATED, -math.inf
             else:
                 margin = t_val - s_t
                 scale = margin_scale(s_t, t_val)
@@ -300,24 +303,22 @@ def _one_spec(rng: np.random.Generator, intervals, kind: str) -> dict:
 
 
 def sample_pair_specs(space: PointedSpace1D, N: float, n_pairs: int,
-                      seed: int, entropy_cap: Optional[float] = None,
-                      kinds=("uniform_block", "bump", "mixture"),
-                      intervals: Optional[Sequence[tuple[float, float]]] = None,
-                      max_tries: int = 60) -> list[tuple[dict, dict]]:
+                      seed: int, entropy_cap: Optional[float] = None
+                      ) -> list[tuple[dict, dict]]:
     """Draw marginal pairs as grid-free descriptors with finite entropy."""
     rng = np.random.default_rng(seed)
-    ivs = sampling_intervals(space, intervals)
+    ivs = sampling_intervals(space)
     pairs = []
     for _ in range(n_pairs):
-        for attempt in range(max_tries):
-            spec = (_one_spec(rng, ivs, str(rng.choice(kinds))),
-                    _one_spec(rng, ivs, str(rng.choice(kinds))))
+        for attempt in range(MAX_TRIES):
+            spec = (_one_spec(rng, ivs, str(rng.choice(SPEC_KINDS))),
+                    _one_spec(rng, ivs, str(rng.choice(SPEC_KINDS))))
             try:
                 mus = [measure_from_dict(space.grid, s) for s in spec]
                 ents = [renyi_entropy(mu, space, N) for mu in mus]
             except InvalidParams:
                 continue
-            cap = entropy_cap if entropy_cap is not None else INF
+            cap = entropy_cap if entropy_cap is not None else math.inf
             if all(math.isfinite(e) and e <= cap for e in ents):
                 pairs.append(spec)
                 break
@@ -338,7 +339,7 @@ class SuiteReport:
     grid_n: int
 
     def min_margin(self) -> float:
-        return min((r.min_margin() for r in self.reports), default=INF)
+        return min((r.min_margin() for r in self.reports), default=math.inf)
 
     def worst_deficit(self) -> float:
         return max((r.worst_deficit() for r in self.reports), default=0.0)
@@ -350,19 +351,17 @@ class SuiteReport:
                 out[k] = out.get(k, 0) + v
         return out
 
-    def passes(self, tol: Optional[float] = None) -> bool:
-        return all(r.passes(tol) for r in self.reports)
+    def passes(self) -> bool:
+        return all(r.passes() for r in self.reports)
 
 
 def cd_suite(space: PointedSpace1D, K: float, N: float, n_samples: int,
              seed: int, t_grid=11, nprime_grid=9, tol: float = DEFAULT_TOL,
              pair_specs: Optional[Sequence[tuple[dict, dict]]] = None,
-             entropy_cap: Optional[float] = None,
              restrict_to_regular_k: Optional[int] = None) -> SuiteReport:
     """verify_cd over sampled marginal pairs; specs reusable across grids."""
     if pair_specs is None:
-        pair_specs = sample_pair_specs(space, N, n_samples, seed,
-                                       entropy_cap=entropy_cap)
+        pair_specs = sample_pair_specs(space, N, n_samples, seed)
     reports = []
     for spec0, spec1 in pair_specs:
         mu0 = measure_from_dict(space.grid, spec0)
@@ -377,16 +376,16 @@ def cd_suite(space: PointedSpace1D, K: float, N: float, n_samples: int,
 def richardson_check(make_space: Callable[[int], PointedSpace1D], K: float,
                      N: float, n_samples: int, seed: int,
                      grids: tuple[int, int] = (512, 1024),
-                     shrink: float = 1.5, slack: float = 1e-4,
                      **suite_kw) -> dict:
-    """Scaled negative margins must shrink by `shrink` when the grid doubles."""
+    """Scaled negative margins must shrink by RICHARDSON_SHRINK, up to
+    RICHARDSON_SLACK, when the grid doubles."""
     coarse = cd_suite(make_space(grids[0]), K, N, n_samples, seed, **suite_kw)
     fine = cd_suite(make_space(grids[1]), K, N, n_samples, seed,
                     pair_specs=coarse.pair_specs, **suite_kw)
     neg_c = coarse.worst_deficit()
     neg_f = fine.worst_deficit()
     return {"neg_coarse": neg_c, "neg_fine": neg_f,
-            "ok": neg_f <= neg_c / shrink + slack}
+            "ok": neg_f <= neg_c / RICHARDSON_SHRINK + RICHARDSON_SLACK}
 
 
 # ---------------------------------------------------------------------------
@@ -397,24 +396,22 @@ def _row_key(r: CdRow) -> tuple:
     return (round(r.t, 12), round(r.nprime, 12))
 
 
-def hierarchy_check(report_strong: CdReport, report_weak: CdReport,
-                    tol: Optional[float] = None) -> bool:
+def hierarchy_check(report_strong: CdReport, report_weak: CdReport) -> bool:
     """No (t, N') row passing under the stronger condition may fail under
-    the weaker one; rows are matched on shared (t, N') keys."""
+    the weaker one; rows are matched on shared (t, N') keys.  Both reports
+    must share a grid and a tolerance, since the statuses compared were
+    decided at it."""
     if report_strong.grid_n != report_weak.grid_n:
         raise MismatchedInputs("reports computed on different grids")
-    tol = max(report_strong.tol, report_weak.tol) if tol is None else tol
+    if report_strong.tol != report_weak.tol:
+        raise MismatchedInputs("reports computed at different tolerances")
     weak = {_row_key(r): r for r in report_weak.rows}
     shared = [r for r in report_strong.rows if _row_key(r) in weak]
     if not shared:
         raise MismatchedInputs("reports share no (t, nprime) rows")
-    for r in shared:
-        if r.status == STATUS_SKIPPED or not _row_ok(r, tol):
-            continue
-        other = weak[_row_key(r)]
-        if other.status != STATUS_SKIPPED and not _row_ok(other, tol):
-            return False
-    return True
+    return not any(r.status in (STATUS_OK, STATUS_VACUOUS)
+                   and weak[_row_key(r)].status == STATUS_VIOLATED
+                   for r in shared)
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +446,7 @@ def kn_convexity_check(psi_samples, K: float, N: float,
     with np.errstate(over="ignore"):
         fN = np.exp(-psi / N)
     kappa = K / N
-    d_max = math.pi / math.sqrt(kappa) if kappa > 0 else INF
+    d_max = math.pi / math.sqrt(kappa) if kappa > 0 else math.inf
 
     rng = np.random.default_rng(seed)
 
@@ -465,7 +462,7 @@ def kn_convexity_check(psi_samples, K: float, N: float,
         raise InvalidParams("could not sample an admissible triple")
 
     worst = None
-    min_margin = INF
+    min_margin = math.inf
     for _ in range(n_triples):
         if triple_sampler is not None:
             i0, im, i1 = triple_sampler(rng)
@@ -497,19 +494,18 @@ class OmegaTable:
     def add(self, k: int, h: int, M: float, value: float, n: int):
         self.entries[(int(k), int(h), float(M))] = (float(value), int(n))
 
-    def value(self, k: int, h: int, M: float, rtol: float = 1e-9) -> float:
+    def value(self, k: int, h: int, M: float) -> float:
         for (kk, hh, mm), (v, _) in self.entries.items():
-            if kk == k and hh == h and math.isclose(mm, M, rel_tol=rtol):
+            if kk == k and hh == h and math.isclose(mm, M, rel_tol=1e-9):
                 return v
         raise InvalidParams(f"no omega entry for (k={k}, h={h}, M={M})")
 
 
-def _default_block_sampler(space: PointedSpace1D, k: int, N: float,
-                           M: float, max_tries: int = 60):
+def _default_block_sampler(space: PointedSpace1D, k: int, N: float, M: float):
     ivs = sampling_intervals(space, base=regular_intervals(space, k))
 
     def sampler(rng: np.random.Generator):
-        for _ in range(max_tries):
+        for _ in range(MAX_TRIES):
             specs = (_one_spec(rng, ivs, "uniform_block"),
                      _one_spec(rng, ivs, "uniform_block"))
             mus = [measure_from_dict(space.grid, s) for s in specs]
@@ -523,7 +519,7 @@ def _default_block_sampler(space: PointedSpace1D, k: int, N: float,
 
 def estimate_omega(space: PointedSpace1D, k: int, h: int, M: float,
                    sampler: Optional[Callable] = None, n_samples: int = 40,
-                   N: float = -2.0, seed: int = 0, t_grid: int = 9,
+                   N: float = -2.0, seed: int = 0,
                    table: Optional[OmegaTable] = None) -> float:
     """Estimated sup over sampled pairs of max_t mu_t(complement of R^h).
 
@@ -539,7 +535,7 @@ def estimate_omega(space: PointedSpace1D, k: int, h: int, M: float,
         sampler = _default_block_sampler(space, k, N, M)
     ivs_k = regular_intervals(space, k)
     ivs_h = regular_intervals(space, h)
-    ts = np.linspace(0.0, 1.0, t_grid)
+    ts = np.linspace(0.0, 1.0, OMEGA_T_GRID)
     worst = 0.0
     for _ in range(n_samples):
         mu0, mu1 = sampler(rng)

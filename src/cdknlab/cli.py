@@ -21,9 +21,10 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import cdcheck as cdc
-from .errors import CdknLabError
+from .errors import CdknLabError, InvalidParams
 from .ikrw import convergence_experiment, ikrw_fm
-from .mmspace import detect_singular_set, space_from_dict, space_summary
+from .mmspace import (check_level, detect_singular_set, space_from_dict,
+                      space_summary)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -228,6 +229,8 @@ def _cmd_converge(args) -> int:
 def _cmd_omega(args) -> int:
     if args.k > args.h_max:
         raise UsageError(f"--k {args.k} exceeds --h-max {args.h_max}")
+    if args.N >= 0:
+        raise UsageError(f"--N {args.N} must be negative")
     space = _load_space(args.space)
     table = cdc.OmegaTable()
     header = ["k", "h", "M", "omega", "n_samples", "Omega"]
@@ -262,6 +265,31 @@ def _positive_int(text: str) -> int:
     return n
 
 
+def _finite_float(text: str) -> float:
+    try:
+        x = float(text)
+    except ValueError:
+        x = math.nan
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return x
+
+
+def _tolerance(text: str) -> float:
+    x = _finite_float(text)
+    if x < 0:
+        raise argparse.ArgumentTypeError(f"expected a tolerance >= 0, got {text!r}")
+    return x
+
+
+def _level(text: str) -> int:
+    """A cut level k or h within mmspace.MAX_LEVEL."""
+    try:
+        return check_level("level", int(text))
+    except (ValueError, InvalidParams) as e:
+        raise argparse.ArgumentTypeError(str(e))
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -283,33 +311,33 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("cdcheck", help="verify CD(K, N) on sampled marginal pairs")
     sp.add_argument("--space", required=True)
-    sp.add_argument("--K", type=float, required=True)
-    sp.add_argument("--N", type=float, required=True)
+    sp.add_argument("--K", type=_finite_float, required=True)
+    sp.add_argument("--N", type=_finite_float, required=True)
     sp.add_argument("--t-grid", type=_positive_int, default=11, dest="t_grid")
     sp.add_argument("--nprime-grid", type=_positive_int, default=9, dest="nprime_grid")
     sp.add_argument("--samples", type=_positive_int, default=20)
     sp.add_argument("--seed", type=int, required=True)
-    sp.add_argument("--tol", type=float, default=cdc.DEFAULT_TOL)
-    sp.add_argument("--restrict-k", type=int, default=None, dest="restrict_k")
+    sp.add_argument("--tol", type=_tolerance, default=cdc.DEFAULT_TOL)
+    sp.add_argument("--restrict-k", type=_level, default=None, dest="restrict_k")
     sp.add_argument("--out", required=True)
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.set_defaults(fn=_cmd_cdcheck)
 
     sp = sub.add_parser("convexity", help="sampled (K, N)-convexity check of a weight")
     sp.add_argument("--psi", required=True, help="JSON file with x / psi arrays")
-    sp.add_argument("--K", type=float, required=True)
-    sp.add_argument("--N", type=float, required=True)
+    sp.add_argument("--K", type=_finite_float, required=True)
+    sp.add_argument("--N", type=_finite_float, required=True)
     sp.add_argument("--triples", type=_positive_int, default=400)
     sp.add_argument("--seed", type=int, required=True)
-    sp.add_argument("--tol", type=float, default=1e-9)
+    sp.add_argument("--tol", type=_tolerance, default=1e-9)
     sp.add_argument("--out")
     sp.set_defaults(fn=_cmd_convexity)
 
     sp = sub.add_parser("ikrw", help="truncated iKRW series between two spaces")
     sp.add_argument("--space-a", required=True, dest="space_a")
     sp.add_argument("--space-b", required=True, dest="space_b")
-    sp.add_argument("--k-bar", type=int, default=0, dest="k_bar")
-    sp.add_argument("--k-max", type=int, default=12, dest="k_max")
+    sp.add_argument("--k-bar", type=_level, default=0, dest="k_bar")
+    sp.add_argument("--k-max", type=_level, default=12, dest="k_max")
     sp.add_argument("--c-kind", choices=("tanh", "cap1"), default="tanh", dest="c_kind")
     sp.add_argument("--out", required=True)
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -320,18 +348,18 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--no-cd", action="store_true", dest="no_cd")
     sp.add_argument("--cd-samples", type=_positive_int, default=4, dest="cd_samples")
     sp.add_argument("--seed", type=int, required=True)
-    sp.add_argument("--tol", type=float, default=cdc.DEFAULT_TOL)
+    sp.add_argument("--tol", type=_tolerance, default=cdc.DEFAULT_TOL)
     sp.add_argument("--out", required=True)
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.set_defaults(fn=_cmd_converge)
 
     sp = sub.add_parser("omega", help="estimate geodesic mass escaping the regular sets")
     sp.add_argument("--space", required=True)
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--h-max", type=int, required=True, dest="h_max")
-    sp.add_argument("--M", type=float, required=True)
-    sp.add_argument("--N", type=float, default=-2.0)
-    sp.add_argument("--delta", type=float, default=0.1)
+    sp.add_argument("--k", type=_level, required=True)
+    sp.add_argument("--h-max", type=_level, required=True, dest="h_max")
+    sp.add_argument("--M", type=_finite_float, required=True)
+    sp.add_argument("--N", type=_finite_float, default=-2.0)
+    sp.add_argument("--delta", type=_finite_float, default=0.1)
     sp.add_argument("--samples", type=_positive_int, default=20)
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--out", required=True)

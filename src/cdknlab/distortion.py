@@ -1,6 +1,6 @@
 """Distortion coefficients for curvature K and negative generalized dimension N.
 
-All values live in [0, +inf]; +inf is IEEE inf (see extreal).  The kappa-form
+All values live in [0, +inf]; +inf is IEEE inf.  The kappa-form
 coefficient sigma_kappa(t, theta) is
 
     inf                                 if kappa * theta^2 >= pi^2,
@@ -42,6 +42,8 @@ def sigma_kappa(kappa: float, t: float, theta: float) -> float:
 
 def sigma_kappa_vec(kappa: float, t: float, theta) -> np.ndarray:
     """sigma_kappa^(t) over an array of angles theta >= 0."""
+    if not math.isfinite(kappa):
+        raise DomainError(f"kappa={kappa} must be finite")
     theta = np.asarray(theta, dtype=float)
     x = kappa * theta * theta
     out = np.empty_like(x)

@@ -50,8 +50,6 @@ def bin_blocks(u0: np.ndarray, u1: np.ndarray, w: np.ndarray,
 
 def union_refined_grid(g0: Grid1D, g1: Grid1D, factor: int = 4) -> Grid1D:
     """Default output grid: the union of both edge sets, each cell split."""
-    if g0.n == g1.n and np.array_equal(g0.edges, g1.edges):
-        return g0.refined(factor)
     return Grid1D(np.union1d(g0.edges, g1.edges)).refined(factor)
 
 

@@ -5,8 +5,9 @@ the line, which realizes (and upper-bounds) the intrinsic infimum over
 isometric embeddings; for subsets of R with the inherited metric this is the
 canonical realization, so convergence verdicts are unaffected.  The
 transport term between normalized cuts is solved exactly by LP after
-rebinning both measures onto a common grid of `wc_grid_n` cells (aggregation
-to a shared coarse grid, so the term vanishes when the cuts agree).
+rebinning both measures onto a common grid of DEFAULT_WC_GRID cells
+(aggregation to a shared coarse grid, so the term vanishes when the cuts
+agree).
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .errors import (
     InvalidTestFunction,
     RegularityMismatch,
 )
-from .extreal import INF
 from .geodesics1d import bin_blocks
 from .measure import DiscreteMeasure
 from .mmspace import (
@@ -35,6 +35,7 @@ from .mmspace import (
     _singular_adjacent_cells,
     build_model_space,
     carve,
+    check_level,
     k_cut,
     space_from_dict,
     total_mass,
@@ -55,7 +56,7 @@ def hausdorff_distance(A: Sequence[float], B: Sequence[float]) -> float:
     if a.size == 0 and b.size == 0:
         return 0.0
     if a.size == 0 or b.size == 0:
-        return INF
+        return math.inf
     d = np.abs(a[:, None] - b[None, :])
     return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
 
@@ -68,14 +69,14 @@ def _normalized_cut_measure(space: PointedSpace1D) -> DiscreteMeasure:
     return DiscreteMeasure(space.grid, space.cell_masses).normalized()
 
 
-def _wc_between(muA: DiscreteMeasure, muB: DiscreteMeasure, cost: CostSpec,
-                wc_grid_n: int) -> float:
+def _wc_between(muA: DiscreteMeasure, muB: DiscreteMeasure,
+                cost: CostSpec) -> float:
     same = (muA.grid.n == muB.grid.n
             and np.array_equal(muA.grid.edges, muB.grid.edges))
-    if not same or muA.grid.n > wc_grid_n:
+    if not same or muA.grid.n > DEFAULT_WC_GRID:
         lo = min(muA.grid.a, muB.grid.a)
         hi = max(muA.grid.b, muB.grid.b)
-        grid = Grid1D.uniform(lo, hi, wc_grid_n)
+        grid = Grid1D.uniform(lo, hi, DEFAULT_WC_GRID)
 
         def rebin(mu):
             s = mu.support
@@ -86,13 +87,8 @@ def _wc_between(muA: DiscreteMeasure, muB: DiscreteMeasure, cost: CostSpec,
     return wc_distance(muA, muB, cost=cost)
 
 
-def _cost(c_kind) -> CostSpec:
-    return c_kind if isinstance(c_kind, CostSpec) else CostSpec(str(c_kind))
-
-
 def ikrw_fm(spaceA: PointedSpace1D, spaceB: PointedSpace1D,
-            c_kind="tanh", wc_grid_n: int = DEFAULT_WC_GRID,
-            return_terms: bool = False):
+            c_kind="tanh", return_terms: bool = False):
     """Finite-mass distance: log-mass gap + base-point gap + Hausdorff gap
     of the singular sets + transport gap of the normalized measures.
 
@@ -110,32 +106,31 @@ def ikrw_fm(spaceA: PointedSpace1D, spaceB: PointedSpace1D,
                                         spaceB.singular_points),
         "wc": _wc_between(_normalized_cut_measure(spaceA),
                           _normalized_cut_measure(spaceB),
-                          _cost(c_kind), wc_grid_n),
+                          CostSpec(c_kind)),
     }
-    value = INF if math.isinf(terms["hausdorff"]) else float(sum(terms.values()))
+    value = (math.inf if math.isinf(terms["hausdorff"])
+             else float(sum(terms.values())))
     return (value, terms) if return_terms else value
 
 
 def ikrw(spaceA: PointedSpace1D, spaceB: PointedSpace1D, k_bar: int,
-         k_max: int = 12, c_kind="tanh",
-         wc_grid_n: int = DEFAULT_WC_GRID) -> tuple[float, float]:
+         k_max: int = 12, c_kind="tanh") -> tuple[float, float]:
     """Truncated series sum_{k=k_bar}^{k_max} 2^-k min(1, fm distance of the
     k-cuts), with the geometric tail bound 2^-k_max of the dropped terms."""
     if k_bar > k_max:
         raise InvalidParams("need k_bar <= k_max")
     value = 0.0
     for k in range(k_bar, k_max + 1):
-        fm = ikrw_fm(k_cut(spaceA, k), k_cut(spaceB, k), c_kind=c_kind,
-                     wc_grid_n=wc_grid_n)
+        fm = ikrw_fm(k_cut(spaceA, k), k_cut(spaceB, k), c_kind=c_kind)
         value += 2.0 ** (-k) * min(1.0, fm)
     return value, 2.0 ** (-k_max)
 
 
 def extrinsic_gap(spaceA: PointedSpace1D, spaceB: PointedSpace1D, k: int,
-                  c_kind="tanh", wc_grid_n: int = DEFAULT_WC_GRID) -> float:
+                  c_kind="tanh") -> float:
     """Like the fm distance of the k-cuts but without the singular-set term."""
     _, terms = ikrw_fm(k_cut(spaceA, k), k_cut(spaceB, k), c_kind=c_kind,
-                       wc_grid_n=wc_grid_n, return_terms=True)
+                       return_terms=True)
     return terms["log_mass"] + terms["base_point"] + terms["wc"]
 
 
@@ -215,8 +210,8 @@ def weak_convergence_gap(m_n: DiscreteMeasure, m_inf: DiscreteMeasure,
 
 
 def truncated_power_space(N: float, n: Optional[int], R: float = 2.0,
-                          grid_n: int = 2048, base_point: float = 1.0,
-                          regularity_k: int = 0) -> PointedSpace1D:
+                          grid_n: int = 2048, base_point: float = 1.0
+                          ) -> PointedSpace1D:
     """Density x^N on [2^-n, R] inside the ambient interval [0, R].
 
     n = None gives the limit space (density on all of (0, R], blow-up at 0).
@@ -227,7 +222,7 @@ def truncated_power_space(N: float, n: Optional[int], R: float = 2.0,
     grid = Grid1D.uniform(0.0, R, grid_n)
     if n is None:
         spec = ModelSpec(kind="power_n", N=N, domain=(0.0, R), grid_n=grid_n,
-                         base_point=base_point, regularity_k=regularity_k)
+                         base_point=base_point)
         return build_model_space(spec)
     thr = 2.0 ** (-n)
 
@@ -240,14 +235,12 @@ def truncated_power_space(N: float, n: Optional[int], R: float = 2.0,
 
     density = fn(grid.centers)
     return PointedSpace1D(grid=grid, density=density, singular_points=(),
-                          base_point=base_point, regularity_k=regularity_k,
-                          cut_anchors=(thr,), density_fn=fn,
-                          kind="truncated_power")
+                          base_point=base_point, cut_anchors=(thr,),
+                          density_fn=fn, kind="truncated_power")
 
 
 def glued_drift_space(n: Optional[int], K: float = -2.0, N: float = -2.0,
-                      delta: float = 0.5, grid_n: int = 1024,
-                      regularity_k: int = 0) -> PointedSpace1D:
+                      delta: float = 0.5, grid_n: int = 1024) -> PointedSpace1D:
     """Two cos-type arches glued at an interior blow-up point that drifts.
 
     The outer interval is [0, L] with L = 2 pi sqrt(N/K); the gluing point
@@ -281,10 +274,9 @@ def glued_drift_space(n: Optional[int], K: float = -2.0, N: float = -2.0,
         density = fn(grid.centers)
     singular = (0.0, float(s), float(L))
     adj = _singular_adjacent_cells(grid, singular)
-    density[adj] = INF
+    density[adj] = math.inf
     return PointedSpace1D(grid=grid, density=density, singular_points=singular,
-                          base_point=L / 4.0, regularity_k=regularity_k,
-                          density_fn=fn, kind="glued_drift")
+                          base_point=L / 4.0, density_fn=fn, kind="glued_drift")
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +307,7 @@ class ConvergenceTable:
         return all(b <= a + slack for a, b in zip(vals, vals[1:]))
 
 
-def _family_members(sequence_spec: dict, n_range, limit_spec):
+def _family_members(sequence_spec: dict, n_range):
     family = sequence_spec.get("family")
     try:
         N = float(sequence_spec.get("N", -2.0))
@@ -325,7 +317,7 @@ def _family_members(sequence_spec: dict, n_range, limit_spec):
         delta = float(sequence_spec.get("delta", 0.5))
         if family == "custom_list":
             space_dicts = list(sequence_spec["spaces"])
-            limit_d = limit_spec if limit_spec is not None else sequence_spec["limit"]
+            limit_d = sequence_spec["limit"]
     except (KeyError, TypeError, ValueError) as e:
         raise InvalidParams(f"bad sequence field: {e}") from e
     if grid_n > MAX_GRID_N:
@@ -341,18 +333,17 @@ def _family_members(sequence_spec: dict, n_range, limit_spec):
         limit = make(None)
     elif family == "custom_list":
         spaces = [space_from_dict(d) for d in space_dicts]
-        limit = limit_d if isinstance(limit_d, PointedSpace1D) else space_from_dict(limit_d)
+        limit = space_from_dict(limit_d)
         n_range = list(range(len(spaces)))
     else:
         raise InvalidParams(f"unknown family {family!r}")
     return spaces, limit, K, N, list(n_range)
 
 
-def convergence_experiment(sequence_spec: dict, limit_spec=None,
-                           k_range=None, n_range=None, c_kind="tanh",
-                           wc_grid_n: int = DEFAULT_WC_GRID,
-                           run_cd: bool = True, cd_samples: int = 4,
-                           seed: int = 0, tol: float = DEFAULT_TOL,
+def convergence_experiment(sequence_spec: dict, k_range=None, n_range=None,
+                           c_kind="tanh", run_cd: bool = True,
+                           cd_samples: int = 4, seed: int = 0,
+                           tol: float = DEFAULT_TOL,
                            ) -> tuple[ConvergenceTable, Optional[SuiteReport]]:
     """Per-(n, k) gap table for a converging family, plus the limit CD run.
 
@@ -364,13 +355,15 @@ def convergence_experiment(sequence_spec: dict, limit_spec=None,
     try:
         if n_range is None:
             a, b = sequence_spec["n_range"]
-            n_range = range(int(a), int(b) + 1)
+            n_range = range(check_level("n", int(a)),
+                            check_level("n", int(b)) + 1)
         if k_range is None:
             a, b = sequence_spec.get("k_range", (0, 2))
-            k_range = range(int(a), int(b) + 1)
+            k_range = range(check_level("k", int(a)),
+                            check_level("k", int(b)) + 1)
     except (KeyError, TypeError, ValueError) as e:
         raise InvalidParams(f"bad sequence field: {e}") from e
-    spaces, limit, K, N, ns = _family_members(sequence_spec, n_range, limit_spec)
+    spaces, limit, K, N, ns = _family_members(sequence_spec, n_range)
 
     kbars = {s.regularity_k for s in spaces} | {limit.regularity_k}
     if len(kbars) != 1:
@@ -385,7 +378,7 @@ def convergence_experiment(sequence_spec: dict, limit_spec=None,
         acc = 0.0
         for k in k_range:
             total, terms = ikrw_fm(k_cut(sp, k), limit_cuts[k], c_kind=c_kind,
-                                   wc_grid_n=wc_grid_n, return_terms=True)
+                                   return_terms=True)
             rows.append(ConvergenceRow(
                 n=int(n), k=int(k), log_mass_gap=terms["log_mass"],
                 base_point_gap=terms["base_point"],

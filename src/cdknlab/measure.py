@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .errors import (
     InvalidTestFunction,
     NotAbsolutelyContinuous,
 )
-from .mmspace import Grid1D, PointedSpace1D, _dist_to_set, _singular_adjacent_cells
+from .mmspace import Grid1D, PointedSpace1D, _singular_adjacent_cells
 
 
 @dataclass(frozen=True)
@@ -44,8 +44,8 @@ class DiscreteMeasure:
     def total_mass(self) -> float:
         return float(np.sum(self.masses))
 
-    def is_probability(self, tol: float = 1e-9) -> bool:
-        return abs(self.total_mass - 1.0) <= tol
+    def is_probability(self) -> bool:
+        return abs(self.total_mass - 1.0) <= 1e-9
 
     @property
     def support(self) -> np.ndarray:
@@ -156,13 +156,11 @@ def optimal_test_function(rho, N: float):
 
 
 def legendre_entropy(mu: DiscreteMeasure, space: PointedSpace1D, N: float,
-                     test_functions: Sequence[np.ndarray],
-                     guard_radius: Optional[float] = None) -> float:
+                     test_functions: Sequence[np.ndarray]) -> float:
     """max_F [ integral F dmu - integral f*(F) dm ] over the given family.
 
-    Every F must vanish on cells adjacent to singular points (and, when
-    guard_radius is given, on all cells within that distance of the singular
-    set), the discrete version of test functions supported away from S.
+    Every F must vanish on cells adjacent to singular points, the discrete
+    version of test functions supported away from S.
     """
     if N >= 0:
         raise DomainError("legendre_entropy requires N < 0")
@@ -171,8 +169,6 @@ def legendre_entropy(mu: DiscreteMeasure, space: PointedSpace1D, N: float,
     guard = np.zeros(space.grid.n, dtype=bool)
     guard[adj] = True
     guard |= ~np.isfinite(m)
-    if guard_radius is not None:
-        guard |= _dist_to_set(space.grid.centers, space.singular_points) <= guard_radius
     best = -math.inf
     finite = np.isfinite(m)
     for F in test_functions:

@@ -33,6 +33,21 @@ _EDGE_TOL = 1e-9
 # space of this size takes about 1.5 s and 150 MB; every test and benchmark
 # stays at or below 2048.
 MAX_GRID_N = 2 ** 20
+# Largest |k| (cut level) or |n| (family member) an input may ask for.  Scales
+# 2^k overflow a double past k = 1023, and a sequence file builds one space
+# per n; every test and benchmark stays at |k| <= 12 and n <= 10.
+MAX_LEVEL = 64
+# detect_singular_set: neighbourhood radii tried, and the mass growth each
+# halving of the radius must show at a singular point.
+_SINGULAR_LEVELS = 4
+_SINGULAR_GROWTH = 1.5
+
+
+def check_level(name: str, value: int) -> int:
+    """`value` when |value| <= MAX_LEVEL, else InvalidParams."""
+    if abs(value) > MAX_LEVEL:
+        raise InvalidParams(f"{name} {value} outside [-{MAX_LEVEL}, {MAX_LEVEL}]")
+    return value
 
 
 def f_cut(x):
@@ -259,6 +274,9 @@ def _model_density(spec: ModelSpec) -> tuple:
     if kind == "glued_cos_n":
         if not (K < 0 and N < -1 and spec.J >= 1):
             raise InvalidParams("glued_cos_n needs K < 0, N < -1, J >= 1")
+        if spec.J > spec.grid_n:
+            # each of the J + 1 gluing points must be a cell edge
+            raise InvalidParams(f"glued_cos_n needs J <= grid_n, got J={spec.J}")
         b = math.sqrt(K / N)
         half = 0.5 * math.pi * math.sqrt(N / K)
         J = spec.J
@@ -357,13 +375,12 @@ def build_model_space(spec: ModelSpec) -> PointedSpace1D:
 # singular-set machinery
 
 
-def detect_singular_set(space: PointedSpace1D, refinement_levels: int = 4,
-                        growth_factor: float = 1.5, strict: bool = False) -> tuple:
+def detect_singular_set(space: PointedSpace1D, strict: bool = False) -> tuple:
     """Points whose shrinking neighborhoods keep gaining mass under refinement.
 
     Every grid edge is a candidate; a candidate is singular when the midpoint
     mass of its radius-r neighborhood (fixed 128 subcells) grows by at least
-    ``growth_factor`` each time r is halved, across all refinement levels.
+    1.5x each time r is halved, across four radii.
     Custom sampled spaces are not refinable: they raise ``NotRefinable`` under
     ``strict=True`` and otherwise fall back to the declared singular set.
     """
@@ -371,15 +388,13 @@ def detect_singular_set(space: PointedSpace1D, refinement_levels: int = 4,
         if strict:
             raise NotRefinable("no analytic density attached")
         return space.singular_points
-    if refinement_levels < 2:
-        raise InvalidParams("need at least 2 refinement levels")
     edges = space.grid.edges
     a, b = space.grid.a, space.grid.b
     r0 = 4.0 * float(np.max(space.grid.widths))
     nsub = 128
-    masses = np.empty((refinement_levels, edges.size))
+    masses = np.empty((_SINGULAR_LEVELS, edges.size))
     offsets = (np.arange(nsub) + 0.5) / nsub
-    for lev in range(refinement_levels):
+    for lev in range(_SINGULAR_LEVELS):
         r = r0 * 0.5 ** lev
         lo = np.maximum(edges - r, a)
         hi = np.minimum(edges + r, b)
@@ -392,7 +407,7 @@ def detect_singular_set(space: PointedSpace1D, refinement_levels: int = 4,
         masses[lev] = np.sum(vals, axis=1) * w
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = masses[1:] / masses[:-1]
-    hit = np.all(ratios >= growth_factor, axis=0) & np.all(masses > 0, axis=0)
+    hit = np.all(ratios >= _SINGULAR_GROWTH, axis=0) & np.all(masses > 0, axis=0)
     return tuple(float(e) for e in edges[hit])
 
 
@@ -506,13 +521,18 @@ def space_from_dict(d: dict) -> PointedSpace1D:
     if not isinstance(params, dict):
         raise InvalidParams("descriptor 'params' must be an object")
     try:
+        if "domain" in d:
+            a, b = d["domain"]
+            domain = (float(a), float(b))
+        else:
+            domain = _default_domain(d)
         spec = ModelSpec(
             kind=d["kind"],
             K=float(params.get("K", 0.0)),
             N=float(params.get("N", -2.0)),
             alpha=float(params.get("alpha", 1.0)),
             J=int(params.get("J", 2)),
-            domain=tuple(d["domain"]) if "domain" in d else _default_domain(d),
+            domain=domain,
             grid_n=int(d.get("grid_n", 512)),
             base_point=(float(d["base_point"]) if d.get("base_point") is not None
                         else None),
@@ -524,6 +544,7 @@ def space_from_dict(d: dict) -> PointedSpace1D:
         raise InvalidParams(f"bad descriptor field: {e}") from e
     if spec.grid_n > MAX_GRID_N:
         raise InvalidParams(f"grid_n {spec.grid_n} exceeds {MAX_GRID_N}")
+    check_level("regularity_k", spec.regularity_k)
     return build_model_space(spec)
 
 
@@ -532,6 +553,8 @@ def _default_domain(d: dict):
     R = d.get("truncation_radius")
     if kind in ("cos_n", "glued_cos_n"):
         return None
+    if kind not in _UNBOUNDED:
+        raise InvalidParams(f"{kind} needs a domain")
     if R is None:
         raise InvalidParams(f"{kind} needs a domain or truncation_radius")
     lo, hi = _UNBOUNDED[kind]

@@ -229,8 +229,7 @@ def optimal_coupling_lp(mu: DiscreteMeasure, nu: DiscreteMeasure,
 
 
 def wc_distance(mu: DiscreteMeasure, nu: DiscreteMeasure,
-                cost: CostSpec = CostSpec("tanh"),
-                max_support: int = 2000) -> float:
+                cost: CostSpec = CostSpec("tanh")) -> float:
     """Optimal-transport distance for a bounded concave metric cost.
 
     For metric costs the common mass of mu and nu stays in place, so when
@@ -250,7 +249,7 @@ def wc_distance(mu: DiscreteMeasure, nu: DiscreteMeasure,
         neg *= sp / sn
         mu = DiscreteMeasure(mu.grid, pos)
         nu = DiscreteMeasure(nu.grid, neg)
-    value, _ = optimal_coupling_lp(mu, nu, cost=cost, max_support=max_support)
+    value, _ = optimal_coupling_lp(mu, nu, cost=cost)
     return value
 
 

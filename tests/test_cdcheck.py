@@ -326,6 +326,17 @@ def test_hierarchy_check_mechanics(lebesgue):
         hierarchy_check(strong, disjoint)
 
 
+def test_hierarchy_check_needs_equal_tolerances(lebesgue):
+    # statuses are decided at each report's own tol, so reports made at
+    # different tolerances cannot be compared row by row
+    mu0 = uniform_block(lebesgue.grid, 0.1, 0.4)
+    mu1 = uniform_block(lebesgue.grid, 0.6, 0.9)
+    strong = verify_cd(lebesgue, mu0, mu1, K=0.0, N=-2.0, t_grid=3)
+    weak = verify_cd(lebesgue, mu0, mu1, K=-1.0, N=-2.0, t_grid=3, tol=1e-3)
+    with pytest.raises(MismatchedInputs):
+        hierarchy_check(strong, weak)
+
+
 # ---------------------------------------------------------------------------
 # (K, N)-convexity of weights
 

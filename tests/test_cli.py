@@ -219,8 +219,19 @@ def test_malformed_space_file(tmp_path):
     {"kind": "custom_psi", "domain": [0.0, 1.0], "psi_samples": ["a", "b", "c"]},
     # a grid too large to build
     {"kind": "cos_n", "params": {"K": -2.0, "N": -2.0}, "grid_n": 2 ** 20 + 1},
+    # a domain that is not two numbers
+    {"kind": "cos_n", "params": {"K": -2.0, "N": -2.0}, "domain": [1]},
+    {"kind": "cos_n", "params": {"K": -2.0, "N": -2.0}, "domain": ["a", "b"]},
+    # more gluing points than cell edges
+    {"kind": "glued_cos_n", "params": {"K": -2.0, "N": -2.0, "J": 10 ** 8}},
+    # a cut level whose scale 2^k overflows
+    {"kind": "cos_n", "params": {"K": -2.0, "N": -2.0}, "regularity_k": 2000},
+    # a truncation radius for a kind without an unbounded domain
+    {"kind": "custom_psi", "psi_samples": [0.0, 0.0, 0.0], "truncation_radius": 2},
 ], ids=["unbounded_power_n", "grid_n_abc", "K_x", "base_point_q",
-        "params_list", "psi_samples_abc", "grid_n_over_cap"])
+        "params_list", "psi_samples_abc", "grid_n_over_cap", "domain_one",
+        "domain_ab", "J_over_grid_n", "regularity_k_2000",
+        "truncation_radius_custom_psi"])
 def test_bad_model_params_are_usage_errors(tmp_path, desc):
     p = tmp_path / "p.json"
     p.write_text(json.dumps(desc))
@@ -237,7 +248,11 @@ _SEQ = {"family": "glued_drift", "K": -2.0, "N": -2.0, "grid_n": 64,
     [_SEQ],
     {**_SEQ, "grid_n": 2 ** 20 + 1},
     {**_SEQ, "grid_n": 4},
-], ids=["no_n_range", "N_x", "json_list", "grid_n_over_cap", "grid_n_4"])
+    {**_SEQ, "n_range": [1, 10 ** 8]},
+    {**_SEQ, "k_range": [0, 2000]},
+    {**_SEQ, "family": "truncated_power", "n_range": [-2000, -1999]},
+], ids=["no_n_range", "N_x", "json_list", "grid_n_over_cap", "grid_n_4",
+        "n_range_long", "k_range_2000", "n_negative_2000"])
 def test_bad_sequence_files_are_usage_errors(tmp_path, seq):
     p = tmp_path / "seq.json"
     p.write_text(json.dumps(seq))
@@ -284,6 +299,68 @@ def test_runs_that_check_nothing_are_usage_errors(tmp_path, argv):
     assert rc == EXIT_USAGE
     assert not out.exists()
     assert not (tmp_path / "out.json.summary.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["cdcheck", "--space", "{space}", "--K", "nan", "--N", "-1", "--seed", "0"],
+    ["cdcheck", "--space", "{space}", "--K", "-2", "--N=-inf", "--seed", "0"],
+    ["cdcheck", "--space", "{space}", "--K", "-2", "--N", "-1", "--seed", "0",
+     "--tol", "-1"],
+    ["cdcheck", "--space", "{space}", "--K", "-2", "--N", "-1", "--seed", "0",
+     "--tol", "nan"],
+    ["cdcheck", "--space", "{space}", "--K", "-2", "--N", "-1", "--seed", "0",
+     "--restrict-k", "2000"],
+    ["convexity", "--psi", "{psi}", "--K", "inf", "--N", "-2", "--seed", "0"],
+    ["converge", "--seq", "{seq}", "--seed", "0", "--tol", "inf"],
+    ["omega", "--space", "{space}", "--k", "2", "--h-max", "3", "--seed", "0",
+     "--M", "nan"],
+    ["omega", "--space", "{space}", "--k", "2", "--h-max", "3", "--seed", "0",
+     "--M", "5", "--N", "0"],
+    ["omega", "--space", "{space}", "--k", "2", "--h-max", "3", "--seed", "0",
+     "--M", "5", "--delta", "inf"],
+    ["omega", "--space", "{space}", "--k", "1100", "--h-max", "1100",
+     "--seed", "0", "--M", "5"],
+    ["ikrw", "--space-a", "{space}", "--space-b", "{space}",
+     "--k-bar", "1024", "--k-max", "1024"],
+], ids=["K_nan", "N_neg_inf", "tol_neg", "tol_nan", "restrict_k_2000",
+        "convexity_K_inf", "converge_tol_inf", "omega_M_nan", "omega_N_0",
+        "omega_delta_inf", "omega_k_1100", "ikrw_k_1024"])
+def test_non_finite_or_out_of_range_numbers_are_usage_errors(tmp_path, argv):
+    psi = tmp_path / "psi.json"
+    psi.write_text(json.dumps({"x": [0.0, 0.5, 1.0], "psi": [0.0, 0.0, 0.0]}))
+    seq = tmp_path / "seq.json"
+    seq.write_text(json.dumps(_SEQ))
+    files = {"space": _space_file(tmp_path), "psi": str(psi), "seq": str(seq)}
+    out = tmp_path / "out.csv"
+    argv = [a.format(**files) for a in argv] + ["--out", str(out)]
+    try:
+        rc = main(argv)
+    except SystemExit as e:  # argparse rejects the flag value
+        rc = e.code
+    assert rc == EXIT_USAGE
+    assert not out.exists()
+    assert not (tmp_path / "out.csv.summary.json").exists()
+
+
+def test_reports_do_not_depend_on_the_hash_seed(tmp_path):
+    seq = tmp_path / "seq.json"
+    seq.write_text(json.dumps(_SEQ))
+    runs = {"cd": ["cdcheck", "--space", _space_file(tmp_path), "--K", "-2.0",
+                   "--N", "-2.0", "--samples", "2", "--seed", "11"],
+            "conv": ["converge", "--seq", str(seq), "--no-cd", "--seed", "0"]}
+    reports = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(cdknlab.__file__)))
+        out_dir = tmp_path / hash_seed
+        out_dir.mkdir()
+        for name, argv in runs.items():
+            subprocess.run([sys.executable, "-m", "cdknlab.cli", *argv,
+                            "--out", str(out_dir / f"{name}.csv")],
+                           env=env, check=True, capture_output=True)
+        reports.append({p.name: p.read_bytes() for p in out_dir.iterdir()})
+    assert len(reports[0]) == 4
+    assert reports[0] == reports[1]
 
 
 def test_threads_variable_is_exported_before_numpy_loads():

@@ -115,6 +115,19 @@ def test_sigma_domain_checks():
         sigma_KN(1.0, 2.0, 0.5, 1.0)
 
 
+@pytest.mark.parametrize("K, N", [(math.nan, -2.0), (math.inf, -2.0),
+                                  (-math.inf, -2.0), (-2.0, math.nan)],
+                         ids=["K_nan", "K_inf", "K_neg_inf", "N_nan"])
+def test_non_finite_curvature_is_a_domain_error(K, N):
+    # a NaN kappa matches no branch of sigma, and a NaN coefficient read as
+    # +inf would make every row of a CD check vacuously true
+    thetas = np.array([0.0, 0.5, 1.0])
+    with pytest.raises(DomainError):
+        sigma_kappa_vec(K / N, 0.5, thetas)
+    with pytest.raises(DomainError):
+        tau_KN_vec(K, N, 0.5, thetas)
+
+
 def test_tau_matches_oracle():
     rng = np.random.default_rng(2)
     for _ in range(120):
