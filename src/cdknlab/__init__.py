@@ -76,7 +76,6 @@ from .mmspace import (
     detect_singular_set,
     f_cut,
     k_cut,
-    load_space,
     normalize_cut,
     refine,
     regular_set,

@@ -15,6 +15,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 from dataclasses import dataclass, field
@@ -291,6 +292,12 @@ def _level(text: str) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # read -1e-3 and -2.5E+1 as values too, not only -123 and -1.5
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
     def error(self, message):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"error: {message}\n")

@@ -32,6 +32,7 @@ from .mmspace import (
     Grid1D,
     ModelSpec,
     PointedSpace1D,
+    _dist_to_set,
     _singular_adjacent_cells,
     build_model_space,
     carve,
@@ -51,14 +52,9 @@ DEFAULT_WC_GRID = 256
 
 def hausdorff_distance(A: Sequence[float], B: Sequence[float]) -> float:
     """Two-sided Hausdorff distance; d_H(empty, empty) = 0, else empty -> inf."""
-    a = np.asarray(sorted(A), dtype=float)
-    b = np.asarray(sorted(B), dtype=float)
-    if a.size == 0 and b.size == 0:
-        return 0.0
-    if a.size == 0 or b.size == 0:
-        return math.inf
-    d = np.abs(a[:, None] - b[None, :])
-    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
+    if len(A) == 0 or len(B) == 0:
+        return 0.0 if len(A) == len(B) else math.inf
+    return float(max(_dist_to_set(A, B).max(), _dist_to_set(B, A).max()))
 
 
 # ---------------------------------------------------------------------------

@@ -51,9 +51,6 @@ class DiscreteMeasure:
     def support(self) -> np.ndarray:
         return np.nonzero(self.masses > 0)[0]
 
-    def second_moment(self, x0: float) -> float:
-        return float(np.sum(self.masses * (self.grid.centers - x0) ** 2))
-
     def mean(self) -> float:
         return float(np.sum(self.masses * self.grid.centers) / self.total_mass)
 

@@ -13,7 +13,6 @@ mass is infinite, and every k-cut annihilates them exactly.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
@@ -177,10 +176,12 @@ class PointedSpace1D:
         a, b = self.grid.a, self.grid.b
         if not (a - _EDGE_TOL <= self.base_point <= b + _EDGE_TOL):
             raise InvalidParams("base point outside the domain")
-        for s in self.singular_points:
-            if not (a - _EDGE_TOL <= s <= b + _EDGE_TOL):
-                raise InvalidParams(f"singular point {s} outside the domain")
-            _require_on_edge(self.grid, s)
+        pts = np.asarray(self.singular_points, dtype=float)
+        outside = ~((a - _EDGE_TOL <= pts) & (pts <= b + _EDGE_TOL))
+        if outside.any():
+            s = self.singular_points[int(np.argmax(outside))]
+            raise InvalidParams(f"singular point {s} outside the domain")
+        _require_on_edge(self.grid, self.singular_points)
 
     @property
     def anchors(self) -> tuple:
@@ -201,32 +202,30 @@ class PointedSpace1D:
         return replace(self, density=self.density * c, density_fn=new_fn)
 
 
-def _require_on_edge(grid: Grid1D, s: float):
-    tol = _EDGE_TOL * max(1.0, abs(grid.b - grid.a))
-    if np.min(np.abs(grid.edges - s)) > tol:
+def _require_on_edge(grid: Grid1D, points: Sequence[float]):
+    off = _dist_to_set(points, grid.edges) > _EDGE_TOL * max(1.0, grid.b - grid.a)
+    if off.any():
+        s = points[int(np.argmax(off))]
         raise SingularPointOffGrid(f"point {s} is not a cell edge")
 
 
 def _singular_adjacent_cells(grid: Grid1D, points: Sequence[float]) -> np.ndarray:
     """Indices of cells having a singular point on one of their edges."""
-    idx = []
-    tol = _EDGE_TOL * max(1.0, abs(grid.b - grid.a))
-    for s in points:
-        hits = np.nonzero(np.abs(grid.edges - s) <= tol)[0]
-        for e in hits:
-            if e > 0:
-                idx.append(e - 1)
-            if e < grid.n:
-                idx.append(e)
-    return np.unique(np.asarray(idx, dtype=int))
+    tol = _EDGE_TOL * max(1.0, grid.b - grid.a)
+    e = np.nonzero(_dist_to_set(grid.edges, points) <= tol)[0]
+    return np.unique(np.concatenate([e[e > 0] - 1, e[e < grid.n]]))
 
 
-def _dist_to_set(x: np.ndarray, points: Sequence[float]) -> np.ndarray:
+def _dist_to_set(x, points: Sequence[float]) -> np.ndarray:
+    """Distance from each x to the nearest of `points` (+inf if none): exactly
+    the dense min, since a rounded |x - p| is least at a sorted neighbour of x."""
     x = np.asarray(x, dtype=float)
     if len(points) == 0:
         return np.full(x.shape, np.inf)
-    pts = np.asarray(points, dtype=float)
-    return np.min(np.abs(x[..., None] - pts[None, :]), axis=-1)
+    pts = np.sort(np.asarray(points, dtype=float))
+    i = np.searchsorted(pts, x)
+    return np.minimum(np.abs(x - pts[np.maximum(i - 1, 0)]),
+                      np.abs(x - pts[np.minimum(i, pts.size - 1)]))
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +341,6 @@ def build_model_space(spec: ModelSpec) -> PointedSpace1D:
 
     grid = Grid1D.uniform(a, b, spec.grid_n)
     sing = tuple(s for s in sing if a - _EDGE_TOL <= s <= b + _EDGE_TOL)
-    for s in sing:
-        _require_on_edge(grid, s)
 
     with np.errstate(divide="ignore", over="ignore"):
         density = np.asarray(fn(grid.centers), dtype=float)
@@ -413,16 +410,23 @@ def detect_singular_set(space: PointedSpace1D, strict: bool = False) -> tuple:
 
 def carve(pieces: Sequence[tuple[float, float]], points: Sequence[float],
           r: float) -> list[tuple[float, float]]:
-    """Cut the open r-neighbourhood of every point out of a list of intervals."""
-    for s in sorted(points):
-        nxt = []
-        for a, b in pieces:
+    """Cut the open r-neighbourhood (r >= 0) of every point out of a list of
+    intervals, dropping pieces with a >= b.  Each piece sweeps only the points
+    whose neighbourhood meets it (s + r > a and s - r < b)."""
+    srt = sorted(points)
+    pts = np.asarray(srt, dtype=float)
+    right, left = pts + r, pts - r
+    out = []
+    for a, b in pieces:
+        lo = int(np.searchsorted(right, a, side="right"))
+        hi = int(np.searchsorted(left, b, side="left"))
+        for s in srt[lo:hi]:
             if s - r > a:
-                nxt.append((a, min(b, s - r)))
-            if s + r < b:
-                nxt.append((max(a, s + r), b))
-        pieces = nxt
-    return list(pieces)
+                out.append((a, s - r))
+            a = max(a, s + r)
+        if a < b:
+            out.append((a, b))
+    return out
 
 
 def regular_set(space: PointedSpace1D, k: int) -> np.ndarray:
@@ -436,10 +440,8 @@ def regular_set(space: PointedSpace1D, k: int) -> np.ndarray:
 def _cut_factor(x: np.ndarray, base_point: float, anchors: Sequence[float],
                 k: int) -> np.ndarray:
     """The k-cut multiplier f^k at the points x."""
-    w = f_cut(np.abs(x - base_point) * 2.0 ** (-k))
-    if len(anchors) > 0:
-        w = w * (1.0 - f_cut(_dist_to_set(x, anchors) * 2.0 ** k))
-    return w
+    return (f_cut(np.abs(x - base_point) * 2.0 ** (-k))
+            * (1.0 - f_cut(_dist_to_set(x, anchors) * 2.0 ** k)))
 
 
 def cut_weights(space: PointedSpace1D, k: int) -> np.ndarray:
@@ -560,11 +562,6 @@ def _default_domain(d: dict):
     lo, hi = _UNBOUNDED[kind]
     a = -float(R) if lo == -math.inf else lo
     return (a, float(R))
-
-
-def load_space(path: str) -> PointedSpace1D:
-    with open(path, "r", encoding="utf-8") as fh:
-        return space_from_dict(json.load(fh))
 
 
 def space_summary(space: PointedSpace1D) -> dict:

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 import cdknlab
-from cdknlab.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, RunConfig, main, run
+from cdknlab.cli import (EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, RunConfig,
+                         build_parser, main, run)
 
 
 def _space_file(tmp_path, name="space.json", **kw):
@@ -340,6 +341,38 @@ def test_non_finite_or_out_of_range_numbers_are_usage_errors(tmp_path, argv):
     assert rc == EXIT_USAGE
     assert not out.exists()
     assert not (tmp_path / "out.csv.summary.json").exists()
+
+
+@pytest.mark.parametrize("flags, want", [
+    (["--N", "-1e-3"], {"N": -1e-3}),
+    (["--K", "-1e308"], {"K": -1e308}),
+    (["--M", "-2.5E+1"], {"M": -25.0}),
+    (["--N=-1e-3"], {"N": -1e-3}),
+], ids=["N_exp", "K_exp", "M_exp_upper", "N_equals"])
+def test_negative_flag_values_in_exponent_form(flags, want):
+    argv = {"N": ["cdcheck", "--space", "s.json", "--K", "-2", "--seed", "0",
+                  "--out", "o.csv"],
+            "K": ["cdcheck", "--space", "s.json", "--N", "-1", "--seed", "0",
+                  "--out", "o.csv"],
+            "M": ["omega", "--space", "s.json", "--k", "2", "--h-max", "3",
+                  "--seed", "0", "--out", "o.csv"]}[next(iter(want))]
+    args = build_parser().parse_args(argv + flags)
+    for name, value in want.items():
+        assert type(getattr(args, name)) is float
+        assert getattr(args, name) == value
+
+
+def test_model_with_a_joint_on_every_cell_is_an_empty_cut(tmp_path, capsys):
+    # 65536 arches on 131072 cells: every cell touches a joint, so the
+    # k = 0 cut has no mass
+    p = tmp_path / "many.json"
+    p.write_text(json.dumps({"kind": "glued_cos_n",
+                             "params": {"K": -2, "N": -2, "J": 65536},
+                             "grid_n": 131072}))
+    assert main(["model", "--space", str(p)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "cut has no mass" in err
+    assert "Traceback" not in err
 
 
 def test_reports_do_not_depend_on_the_hash_seed(tmp_path):

@@ -47,6 +47,17 @@ def test_hausdorff_known_value_and_symmetry():
     assert hausdorff_distance(A, A) == 0.0
 
 
+def test_hausdorff_matches_dense_formula_on_random_sets():
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        A = tuple(rng.normal(size=rng.integers(1, 30)))
+        B = tuple(rng.normal(size=rng.integers(1, 30)) * 1.5 + 0.3)
+        d = np.abs(np.subtract.outer(A, B))
+        want = float(max(d.min(axis=1).max(), d.min(axis=0).max()))
+        assert hausdorff_distance(A, B) == want
+        assert hausdorff_distance(B, A) == want
+
+
 # ---------------------------------------------------------------------------
 # Finite-mass distance on cuts
 

@@ -1,6 +1,7 @@
 """Grids, model spaces, singular sets, and the k-cut machinery."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -12,11 +13,15 @@ from cdknlab.errors import (
     NotRefinable,
     SingularPointOffGrid,
 )
+from cdknlab.ikrw import ikrw_fm
 from cdknlab.mmspace import (
     Grid1D,
     ModelSpec,
     PointedSpace1D,
+    _dist_to_set,
+    _singular_adjacent_cells,
     build_model_space,
+    carve,
     cut_weights,
     detect_singular_set,
     f_cut,
@@ -239,6 +244,99 @@ def test_cut_anchors_override_kill_factor():
     left = g.centers < 0.27
     assert np.all(w_marked[left] < 1.0)
     np.testing.assert_allclose(w_plain[left], 1.0)
+
+
+# ---------------------------------------------------------------------------
+# nearest-point lookup: oracles and scale
+
+
+def _carve_reference(pieces, points, r):
+    """Sequential reference: cut each point's neighbourhood from every piece."""
+    for s in sorted(points):
+        nxt = []
+        for a, b in pieces:
+            if s - r > a:
+                nxt.append((a, min(b, s - r)))
+            if s + r < b:
+                nxt.append((max(a, s + r), b))
+        pieces = nxt
+    return list(pieces)
+
+
+@pytest.mark.parametrize("x, points", [
+    (np.linspace(-1.0, 2.0, 7), ()),
+    (np.linspace(-1.0, 2.0, 31), (0.5, 0.5, 1.0, 1.0, 1.0)),
+    (np.array([3.0, -2.0, 0.1, 0.7, 0.1]), (1.5, -0.25, 0.7, 0.0, 1.2)),
+    (np.array(0.3), (1.0, 0.2, 0.5)),
+    (np.array(-4.0), (7.0,)),
+], ids=["empty_set", "duplicates", "unsorted", "scalar_x", "one_point"])
+def test_dist_to_set_matches_dense_min(x, points):
+    got = _dist_to_set(x, points)
+    if len(points) == 0:
+        want = np.full(x.shape, np.inf)
+    else:
+        want = np.min(np.abs(np.subtract.outer(x, points)), axis=-1)
+    assert np.shape(got) == want.shape
+    np.testing.assert_array_equal(got, want)
+
+
+def test_dist_to_set_matches_dense_min_on_random_sets():
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        pts = rng.normal(size=rng.integers(1, 40))
+        x = rng.normal(size=rng.integers(1, 60)) * 2.0
+        want = np.min(np.abs(x[:, None] - pts[None, :]), axis=1)
+        np.testing.assert_array_equal(_dist_to_set(x, tuple(pts)), want)
+
+
+def test_singular_adjacent_cells_match_dense_scan():
+    g = Grid1D.uniform(0.0, 3.0, 48)
+    tol = 1e-9 * 3.0
+    for pts in [(), (0.0,), (3.0,), (1.0, 0.0, 1.0), (0.5, 0.51, 2.0 + 1e-10)]:
+        want = set()
+        for s in pts:
+            for e in np.nonzero(np.abs(g.edges - s) <= tol)[0]:
+                want |= {c for c in (e - 1, e) if 0 <= c < g.n}
+        got = _singular_adjacent_cells(g, pts)
+        assert got.dtype.kind == "i"
+        assert got.tolist() == sorted(want)
+
+
+def test_carve_matches_sequential_reference():
+    rng = np.random.default_rng(2024)
+    for case in range(2500):
+        # ends and points on a coarse lattice, so that points hit piece ends
+        # and neighbourhoods touch exactly
+        lattice = case % 2 == 0
+        def draw(n):
+            v = rng.integers(-16, 17, size=n) / 8.0 if lattice else rng.uniform(-2, 2, n)
+            return [float(t) if rng.random() < 0.5 else np.float64(t) for t in v]
+        pieces = []
+        for _ in range(rng.integers(0, 5)):
+            a, b = sorted(draw(2))
+            if a < b:
+                pieces.append((a, b))
+        rng.shuffle(pieces)  # unordered, possibly overlapping pieces
+        points = draw(rng.integers(0, 9))
+        if points and rng.random() < 0.3:
+            points += points[: rng.integers(1, len(points) + 1)]  # duplicates
+        r = [0.0, 0.125, 0.25, float(rng.uniform(0, 0.5))][case % 4]
+        got = carve(pieces, points, r)
+        want = _carve_reference(pieces, points, r)
+        assert got == want, (pieces, points, r)
+        assert [tuple(map(type, p)) for p in got] == [tuple(map(type, p)) for p in want]
+
+
+def test_many_singular_points_build_cut_and_compare_quickly():
+    t0 = time.perf_counter()
+    sp = build_model_space(ModelSpec(kind="glued_cos_n", K=-2.0, N=-2.0,
+                                     J=65536, grid_n=262144))
+    assert len(sp.singular_points) == 65537
+    cut = k_cut(sp, 3)
+    assert ikrw_fm(cut, cut) == 0.0
+    pieces = carve([(sp.grid.a, sp.grid.b)], sp.singular_points, 0.25)
+    assert len(pieces) == 65536
+    assert time.perf_counter() - t0 < 30.0
 
 
 # ---------------------------------------------------------------------------
