@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -130,12 +130,18 @@ def regular_intervals(space: PointedSpace1D, k: int) -> list[tuple[float, float]
 
 
 def mass_in_intervals(u0: np.ndarray, u1: np.ndarray, w: np.ndarray,
-                      intervals: Sequence[tuple[float, float]]) -> float:
-    if not intervals:
-        return 0.0
-    pts = np.array([e for iv in intervals for e in iv])
+                      interval_sets: Sequence[Sequence[tuple[float, float]]]
+                      ) -> np.ndarray:
+    """Block mass in each set of disjoint intervals, from one CDF call.
+
+    Each set's mass is the sum over its own slice of the per-interval masses,
+    so it does not depend on which other sets are passed with it.
+    """
+    pts = np.array([e for ivs in interval_sets for iv in ivs for e in iv], dtype=float)
     cdf = blocks_cdf(u0, u1, w, pts)
-    return float(np.sum(cdf[1::2] - cdf[0::2]))
+    per_iv = cdf[1::2] - cdf[0::2]
+    ends = np.cumsum([0] + [len(ivs) for ivs in interval_sets])
+    return np.array([np.sum(per_iv[a:b]) for a, b in zip(ends[:-1], ends[1:])])
 
 
 def _support_in_intervals(mu: DiscreteMeasure,
@@ -517,26 +523,32 @@ def _default_block_sampler(space: PointedSpace1D, k: int, N: float, M: float):
     return sampler
 
 
-def estimate_omega(space: PointedSpace1D, k: int, h: int, M: float,
-                   sampler: Optional[Callable] = None, n_samples: int = 40,
-                   N: float = -2.0, seed: int = 0,
-                   table: Optional[OmegaTable] = None) -> float:
+def estimate_omega(space: PointedSpace1D, k: int, h: Union[int, Sequence[int]],
+                   M: float, sampler: Optional[Callable] = None,
+                   n_samples: int = 40, N: float = -2.0, seed: int = 0,
+                   table: Optional[OmegaTable] = None
+                   ) -> Union[float, list[float]]:
     """Estimated sup over sampled pairs of max_t mu_t(complement of R^h).
 
+    `h` is one level (a float is returned) or a sequence of levels (a list in
+    the order of `h`, and `table` gets one entry per level).  Every level is
+    estimated on the one sample set the seed draws, so the h-monotonicity of
+    the regular regions transfers exactly to the estimates, and a level's
+    value does not depend on which other levels are asked for.
     The sampler must emit probability pairs supported in R^k with entropy
-    at most M; violations raise.  Passing the same seed for different h
-    reuses the identical sample set, so the h-monotonicity of the regular
-    regions transfers exactly to the estimates.
+    at most M; violations raise.
     """
-    if h < k:
-        raise InvalidParams("need h >= k")
+    scalar = np.ndim(h) == 0
+    hs = [h] if scalar else list(h)
+    if not hs or min(hs) < k:
+        raise InvalidParams("need at least one h, and h >= k for each")
     rng = np.random.default_rng(seed)
     if sampler is None:
         sampler = _default_block_sampler(space, k, N, M)
     ivs_k = regular_intervals(space, k)
-    ivs_h = regular_intervals(space, h)
+    ivs_h = [regular_intervals(space, hh) for hh in hs]
     ts = np.linspace(0.0, 1.0, OMEGA_T_GRID)
-    worst = 0.0
+    worst = np.zeros(len(hs))
     for _ in range(n_samples):
         mu0, mu1 = sampler(rng)
         for mu in (mu0, mu1):
@@ -549,11 +561,12 @@ def estimate_omega(space: PointedSpace1D, k: int, h: int, M: float,
             u0, u1, w = tmap.interpolate_blocks(float(t))
             total = float(np.sum(w))
             out = 1.0 - mass_in_intervals(u0, u1, w, ivs_h) / total
-            worst = max(worst, out)
-    worst = min(max(worst, 0.0), 1.0)
+            worst = np.fmax(worst, out)
+    worst = np.clip(worst, 0.0, 1.0).tolist()
     if table is not None:
-        table.add(k, h, M, worst, n_samples)
-    return worst
+        for hh, v in zip(hs, worst):
+            table.add(k, hh, M, v, n_samples)
+    return worst[0] if scalar else worst
 
 
 def omega_to_Omega(table: OmegaTable, k: int, h: int, M: float,

@@ -235,16 +235,15 @@ def _cmd_omega(args) -> int:
     space = _load_space(args.space)
     table = cdc.OmegaTable()
     header = ["k", "h", "M", "omega", "n_samples", "Omega"]
-    rows = []
+    hs = list(range(args.k, args.h_max + 1))
     scaled = 2.0 ** (1.0 - 1.0 / args.N) * args.M
-    for h in range(args.k, args.h_max + 1):
-        cdc.estimate_omega(space, args.k, h, scaled, n_samples=args.samples,
-                           N=args.N, seed=args.seed, table=table)
-        omega_plain = cdc.estimate_omega(space, args.k, h, args.M,
-                                         n_samples=args.samples, N=args.N,
-                                         seed=args.seed)
-        Om = cdc.omega_to_Omega(table, args.k, h, args.M, args.delta, N=args.N)
-        rows.append([args.k, h, args.M, omega_plain, args.samples, Om])
+    cdc.estimate_omega(space, args.k, hs, scaled, n_samples=args.samples,
+                       N=args.N, seed=args.seed, table=table)
+    omegas = cdc.estimate_omega(space, args.k, hs, args.M,
+                                n_samples=args.samples, N=args.N, seed=args.seed)
+    rows = [[args.k, h, args.M, om, args.samples,
+             cdc.omega_to_Omega(table, args.k, h, args.M, args.delta, N=args.N)]
+            for h, om in zip(hs, omegas)]
     summary = {"k": args.k, "h_max": args.h_max, "M": args.M,
                "delta": args.delta, "N": args.N, "seed": args.seed,
                "samples": args.samples}

@@ -308,6 +308,15 @@ def _model_density(spec: ModelSpec) -> tuple:
     raise InvalidParams(f"unknown model kind {kind!r}")
 
 
+def _tail_mass(fn, lo: float, hi: float, sing: Sequence[float]) -> float:
+    """Reference mass of a cut-off tail (lo, hi).  It is +inf when the tail
+    reaches a singular point: every model density blows up there like
+    |x - s|^N with N < -1, which is not integrable."""
+    if any(lo - _EDGE_TOL <= s <= hi + _EDGE_TOL for s in sing):
+        return math.inf
+    return integrate.quad(fn, lo, hi)[0]
+
+
 def build_model_space(spec: ModelSpec) -> PointedSpace1D:
     """Discretize an analytic model onto a uniform grid (midpoint sampling)."""
     if spec.kind == "custom_psi":
@@ -321,7 +330,7 @@ def build_model_space(spec: ModelSpec) -> PointedSpace1D:
                               base_point=float(p), regularity_k=spec.regularity_k,
                               kind="custom_psi")
 
-    fn, analytic_dom, sing, default_p = _model_density(spec)
+    fn, analytic_dom, model_sing, default_p = _model_density(spec)
     fn = _quiet(fn)
     if spec.domain is not None:
         a, b = float(spec.domain[0]), float(spec.domain[1])
@@ -340,7 +349,7 @@ def build_model_space(spec: ModelSpec) -> PointedSpace1D:
             raise InvalidParams("cos-type domains must span the full arches")
 
     grid = Grid1D.uniform(a, b, spec.grid_n)
-    sing = tuple(s for s in sing if a - _EDGE_TOL <= s <= b + _EDGE_TOL)
+    sing = tuple(s for s in model_sing if a - _EDGE_TOL <= s <= b + _EDGE_TOL)
 
     with np.errstate(divide="ignore", over="ignore"):
         density = np.asarray(fn(grid.centers), dtype=float)
@@ -349,13 +358,10 @@ def build_model_space(spec: ModelSpec) -> PointedSpace1D:
 
     truncated = a > lo + _EDGE_TOL or b < hi - _EDGE_TOL
     tail = 0.0
-    if truncated:
-        if a > lo + _EDGE_TOL and math.isfinite(lo):
-            tail += integrate.quad(fn, lo, a)[0]
-        elif a > lo + _EDGE_TOL:
-            tail += integrate.quad(fn, -math.inf, a)[0]
-        if b < hi - _EDGE_TOL:
-            tail += integrate.quad(fn, b, hi if math.isfinite(hi) else math.inf)[0]
+    if a > lo + _EDGE_TOL:
+        tail += _tail_mass(fn, lo, a, model_sing)
+    if b < hi - _EDGE_TOL:
+        tail += _tail_mass(fn, b, hi, model_sing)
 
     p = float(spec.base_point) if spec.base_point is not None else float(default_p)
     if _dist_to_set(np.asarray(p), sing) <= 0.5 * float(np.max(grid.widths)):

@@ -40,6 +40,7 @@ from cdknlab.measure import (
     renyi_entropy,
     uniform_block,
 )
+from cdknlab.geodesics1d import blocks_cdf
 from cdknlab.mmspace import Grid1D, ModelSpec, PointedSpace1D, build_model_space
 from cdknlab.transport import monotone_map
 
@@ -414,8 +415,23 @@ def test_mass_in_intervals_exact():
     u1 = np.array([0.2, 0.9])
     w = np.array([1.0, 4.0])
     ivs = [(0.1, 0.6)]
-    got = mass_in_intervals(u0, u1, w, ivs)
-    assert got == pytest.approx(0.5 + 1.0, rel=1e-12)
+    got = mass_in_intervals(u0, u1, w, [ivs])
+    assert got[0] == pytest.approx(0.5 + 1.0, rel=1e-12)
+
+
+def test_mass_in_intervals_sets_equal_their_own_sums():
+    rng = np.random.default_rng(4)
+    ends = np.sort(rng.uniform(0.0, 1.0, 24))
+    u0, u1, w = ends[0::2], ends[1::2], rng.uniform(0.1, 1.0, 12)
+    sets = [[], [(0.1, 0.6)], [(0.3, 0.7), (0.8, 0.95)], [(0.0, 0.2)],
+            [(1.5, 2.0)], [(-0.5, 0.05), (0.12, 0.13), (0.2, 0.4), (0.41, 0.9)]]
+    got = mass_in_intervals(u0, u1, w, sets)
+    assert got.shape == (len(sets),)
+    for ivs, m in zip(sets, got):
+        cdf = blocks_cdf(u0, u1, w, np.array([e for iv in ivs for e in iv], float))
+        assert m == np.sum(cdf[1::2] - cdf[0::2])
+        assert m == mass_in_intervals(u0, u1, w, [ivs])[0]
+    assert got[0] == 0.0 and got[4] == 0.0
 
 
 def test_omega_zero_on_single_arch():
@@ -431,6 +447,23 @@ def test_omega_monotone_in_h_same_seed():
             for h in (2, 3, 4, 5)]
     assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
     assert vals[0] > 0  # blocks straddling a joint do cross the hole
+
+
+def test_omega_over_levels_equals_one_level_at_a_time():
+    sp = build_model_space(ModelSpec(kind="glued_cos_n", K=-2.0, N=-2.0, J=2,
+                                     grid_n=256))
+    hs = [4, 2, 5, 3]
+    kw = dict(n_samples=6, N=-2.0, seed=3)
+    t_vec, t_one = OmegaTable(), OmegaTable()
+    got = estimate_omega(sp, 2, hs, 10.0, table=t_vec, **kw)
+    want = [estimate_omega(sp, 2, h, 10.0, table=t_one, **kw) for h in hs]
+    assert got == want
+    assert all(type(v) is float for v in got + want)
+    assert t_vec.entries == t_one.entries and len(t_vec.entries) == len(hs)
+    assert got[1] > 0  # h = k still loses mass across the joints
+    for bad in ([], [3, 1, 4], (2, 1)):
+        with pytest.raises(InvalidParams):
+            estimate_omega(sp, 2, bad, 10.0, **kw)
 
 
 def test_omega_guards():

@@ -1,6 +1,7 @@
 """Command-line front end: exit codes, deterministic reports, atomic
 writes, and the report schemas."""
 
+import csv
 import json
 import math
 import os
@@ -12,8 +13,9 @@ import numpy as np
 import pytest
 
 import cdknlab
+from cdknlab.cdcheck import OmegaTable, estimate_omega, omega_to_Omega
 from cdknlab.cli import (EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, RunConfig,
-                         build_parser, main, run)
+                         _fmt, _load_space, build_parser, main, run)
 
 
 def _space_file(tmp_path, name="space.json", **kw):
@@ -45,6 +47,21 @@ def test_model_writes_file_and_detects_singular(tmp_path):
     summary = json.loads(out.read_text())
     det = summary["detected_singular_points"]
     assert det == pytest.approx(summary["singular_points"], abs=0.1)
+
+
+def test_model_divergent_tail_is_inf_and_quiet(tmp_path):
+    # the cut-off tail of x^-2 over (0, 0.5) reaches the blow-up point at 0
+    p = tmp_path / "power.json"
+    p.write_text(json.dumps({"kind": "power_n", "params": {"N": -2},
+                             "domain": [0.5, 4], "grid_n": 256}))
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(cdknlab.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "cdknlab.cli", "model",
+                           "--space", str(p)], env=env, capture_output=True,
+                          text=True)
+    assert proc.returncode == EXIT_OK
+    assert json.loads(proc.stdout)["truncated_tail_mass"] == "inf"
+    assert proc.stderr == ""
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +204,25 @@ def test_omega_table(tmp_path):
     last = lines[-1].split(",")
     assert 0.0 <= float(last[3]) <= 1.0
     assert 0.0 <= float(last[5]) <= 1.0
+
+
+def test_omega_cells_equal_one_level_at_a_time(tmp_path):
+    sp = _space_file(tmp_path, kind="glued_cos_n",
+                     params={"K": -2.0, "N": -2.0, "J": 2}, grid_n=256)
+    out = tmp_path / "om.csv"
+    assert main(["omega", "--space", sp, "--k", "2", "--h-max", "5",
+                 "--M", "10", "--samples", "6", "--seed", "9",
+                 "--out", str(out)]) == EXIT_OK
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    assert [r["h"] for r in rows] == ["2", "3", "4", "5"]
+    space = _load_space(sp)
+    scaled = 2.0 ** 1.5 * 10.0
+    kw = dict(n_samples=6, N=-2.0, seed=9)
+    for r in rows:
+        h, table = int(r["h"]), OmegaTable()
+        estimate_omega(space, 2, h, scaled, table=table, **kw)
+        assert r["omega"] == _fmt(estimate_omega(space, 2, h, 10.0, **kw))
+        assert r["Omega"] == _fmt(omega_to_Omega(table, 2, h, 10.0, 0.1, N=-2.0))
 
 
 # ---------------------------------------------------------------------------

@@ -137,6 +137,22 @@ def test_cauchy_truncation_bookkeeping():
     assert total_mass(sp) + sp.truncated_tail_mass == pytest.approx(1.0, rel=1e-3)
 
 
+def test_tail_reaching_a_singular_point_is_inf():
+    specs = [
+        ModelSpec(kind="power_n", N=-2.0, domain=(0.5, 4.0)),
+        ModelSpec(kind="sinh_n", K=1.0, N=-2.0, domain=(0.5, 4.0)),
+        ModelSpec(kind="glued_power_n", N=-2.0, domain=(0.5, 4.0)),
+        ModelSpec(kind="glued_sinh_n", K=1.0, N=-2.0, domain=(-4.0, -0.5),
+                  base_point=-2.0),
+    ]
+    for spec in specs:
+        assert build_model_space(spec).truncated_tail_mass == math.inf
+    # tails away from the blow-up point stay finite: 2 * int_4^inf x^-2
+    sp = build_model_space(ModelSpec(kind="glued_power_n", N=-2.0,
+                                     domain=(-4.0, 4.0), grid_n=256))
+    assert sp.truncated_tail_mass == pytest.approx(0.5, rel=1e-9)
+
+
 def test_model_parameter_guards():
     with pytest.raises(InvalidParams):
         build_model_space(ModelSpec(kind="cosh_n", K=-1.0, N=-2.0,
