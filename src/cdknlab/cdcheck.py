@@ -90,8 +90,12 @@ def default_t_grid(count: int = 11) -> np.ndarray:
 
 
 def t_functional(coupling: Coupling, rho0: DensityWrtM, rho1: DensityWrtM,
-                 K: float, N: float, t: float) -> float:
-    """Right-hand side of the CD inequality for one coupling; may be +inf."""
+                 K: float, N: float, t):
+    """Right-hand side of the CD inequality for one coupling; may be +inf.
+
+    t is one time (a float is returned) or a 1-D array of times (an array
+    with one value per time, each equal to the call with that time alone).
+    """
     if N >= 0:
         raise DomainError("t_functional requires N < 0")
     w = coupling.w
@@ -100,18 +104,18 @@ def t_functional(coupling: Coupling, rho0: DensityWrtM, rho1: DensityWrtM,
     if np.any((w > 0) & ((r0 <= 0) | (r1 <= 0))):
         raise MarginalMismatch(
             "coupling carries mass where a marginal density vanishes")
+    ts = np.asarray(t, dtype=float).reshape(-1)
     d = np.abs(coupling.x - coupling.y)
-    tau0 = tau_KN_vec(K, N, 1.0 - t, d)
-    tau1 = tau_KN_vec(K, N, t, d)
-    if np.any(np.isinf(tau0) | np.isinf(tau1)):
-        return math.inf
+    tau = tau_KN_vec(K, N, np.concatenate([1.0 - ts, ts]), d)
+    tau0, tau1 = tau[:ts.size], tau[ts.size:]
     expo = -1.0 / N
     with np.errstate(over="ignore", invalid="ignore"):
         terms = (np.where(tau0 == 0, 0, tau0 * r0 ** expo)
                  + np.where(tau1 == 0, 0, tau1 * r1 ** expo))
-        if np.any(np.isinf(terms)):
-            return math.inf
-        return float(np.sum(w * terms))
+        out = np.sum(w * terms, axis=-1)
+    out[np.isinf(tau0).any(axis=-1) | np.isinf(tau1).any(axis=-1)
+        | np.isinf(terms).any(axis=-1)] = math.inf
+    return out if np.ndim(t) else float(out[0])
 
 
 # ---------------------------------------------------------------------------
@@ -146,11 +150,14 @@ def mass_in_intervals(u0: np.ndarray, u1: np.ndarray, w: np.ndarray,
 
 def _support_in_intervals(mu: DiscreteMeasure,
                           intervals: Sequence[tuple[float, float]]) -> bool:
+    """Whether every charged cell's centre lies in one of the closed
+    intervals, which must be sorted and disjoint (as regular_intervals
+    returns them): a centre's interval is the last one starting at or
+    before it."""
+    ivs = np.asarray(intervals, dtype=float).reshape(-1, 2)
     c = mu.grid.centers[mu.support]
-    ok = np.zeros(c.size, dtype=bool)
-    for a, b in intervals:
-        ok |= (c >= a) & (c <= b)
-    return bool(np.all(ok))
+    i = np.searchsorted(ivs[:, 0], c, side="right")
+    return bool((i > 0).all() and (c <= ivs[i - 1, 1]).all())
 
 
 # ---------------------------------------------------------------------------
@@ -244,21 +251,20 @@ def verify_cd(space: PointedSpace1D, mu0: DiscreteMeasure,
     with np.errstate(invalid="ignore"):
         rmass = np.repeat(space.density, REFINE_FACTOR) * rgrid.widths
 
-    s_end = {}
-    for nprime in nps:
-        s_end[float(nprime)] = (renyi_entropy(mu0, space, nprime),
-                                renyi_entropy(mu1, space, nprime))
+    # one array pass per N' over every time, and per time over every N'
+    s0 = renyi_entropy(mu0, space, nps)
+    s1 = renyi_entropy(mu1, space, nps)
+    t_vals = [t_functional(coup, rho0, rho1, K, float(nprime), ts) for nprime in nps]
 
     rows = []
-    for t in ts:
+    for i, t in enumerate(ts):
         u0, u1, w = tmap.interpolate_blocks(float(t))
         wslice = bin_blocks(u0, u1, w, rgrid).masses
-        for nprime in nps:
-            nprime = float(nprime)
-            s0, s1 = s_end[nprime]
-            s_t = entropy_from_masses(wslice, rmass, nprime)
-            t_val = t_functional(coup, rho0, rho1, K, nprime, float(t))
-            if not (math.isfinite(s0) and math.isfinite(s1)):
+        s_ts = entropy_from_masses(wslice, rmass, nps)
+        for j, nprime in enumerate(nps):
+            s_t = float(s_ts[j])
+            t_val = float(t_vals[j][i])
+            if not (math.isfinite(s0[j]) and math.isfinite(s1[j])):
                 status, margin = STATUS_SKIPPED, math.inf
             elif not math.isfinite(t_val):
                 status, margin = STATUS_VACUOUS, math.inf
@@ -268,7 +274,7 @@ def verify_cd(space: PointedSpace1D, mu0: DiscreteMeasure,
                 margin = t_val - s_t
                 scale = margin_scale(s_t, t_val)
                 status = STATUS_OK if margin >= -tol * scale else STATUS_VIOLATED
-            rows.append(CdRow(t=float(t), nprime=nprime, s_value=s_t,
+            rows.append(CdRow(t=float(t), nprime=float(nprime), s_value=s_t,
                               t_value=t_val, margin=margin, status=status))
     return CdReport(rows=tuple(rows), K=K, N=N, grid_n=space.grid.n, tol=tol)
 
@@ -508,14 +514,18 @@ class OmegaTable:
 
 
 def _default_block_sampler(space: PointedSpace1D, k: int, N: float, M: float):
-    ivs = sampling_intervals(space, base=regular_intervals(space, k))
+    ivs_k = regular_intervals(space, k)
+    ivs = sampling_intervals(space, base=ivs_k)
 
     def sampler(rng: np.random.Generator):
+        # a block near an end of R^k can charge a cell whose centre lies
+        # outside it, so such a pair is drawn again, as one over the cap is
         for _ in range(MAX_TRIES):
             specs = (_one_spec(rng, ivs, "uniform_block"),
                      _one_spec(rng, ivs, "uniform_block"))
             mus = [measure_from_dict(space.grid, s) for s in specs]
-            if all(renyi_entropy(mu, space, N) <= M for mu in mus):
+            if all(_support_in_intervals(mu, ivs_k)
+                   and renyi_entropy(mu, space, N) <= M for mu in mus):
                 return mus[0], mus[1]
         raise SamplerEntropyViolation(
             f"default sampler cannot satisfy S_N <= {M} on this space")
@@ -543,7 +553,9 @@ def estimate_omega(space: PointedSpace1D, k: int, h: Union[int, Sequence[int]],
     if not hs or min(hs) < k:
         raise InvalidParams("need at least one h, and h >= k for each")
     rng = np.random.default_rng(seed)
-    if sampler is None:
+    # the default sampler returns only pairs that pass the checks below
+    custom = sampler is not None
+    if not custom:
         sampler = _default_block_sampler(space, k, N, M)
     ivs_k = regular_intervals(space, k)
     ivs_h = [regular_intervals(space, hh) for hh in hs]
@@ -552,9 +564,9 @@ def estimate_omega(space: PointedSpace1D, k: int, h: Union[int, Sequence[int]],
     for _ in range(n_samples):
         mu0, mu1 = sampler(rng)
         for mu in (mu0, mu1):
-            if not _support_in_intervals(mu, ivs_k):
+            if custom and not _support_in_intervals(mu, ivs_k):
                 raise SupportViolation("sampled marginal leaves R^k")
-            if renyi_entropy(mu, space, N) > M * (1 + 1e-12):
+            if custom and renyi_entropy(mu, space, N) > M * (1 + 1e-12):
                 raise SamplerEntropyViolation("sampled marginal exceeds the entropy cap")
         tmap = monotone_map(mu0, mu1)
         for t in ts:

@@ -31,6 +31,14 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VIOLATION = 2
 
+# Largest value of each count flag.  --t-grid sizes (2 x t-grid x segments)
+# arrays, a cdcheck report has samples x t-grid x nprime-grid rows, and each
+# triple costs two Python-level coefficient calls; every test and benchmark
+# stays at or below 500.
+MAX_GRID_COUNT = 1000      # --t-grid, --nprime-grid
+MAX_SAMPLES = 10_000       # --samples, --cd-samples
+MAX_TRIPLES = 1_000_000    # --triples
+
 
 class UsageError(Exception):
     pass
@@ -255,14 +263,19 @@ def _cmd_omega(args) -> int:
 # Parser
 
 
-def _positive_int(text: str) -> int:
-    try:
-        n = int(text)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return n
+def _count(cap: int):
+    """Argument type for a count flag: an integer in [1, cap]."""
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            n = 0
+        if not 1 <= n <= cap:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer in [1, {cap}], got {text!r}")
+        return n
+
+    return parse
 
 
 def _finite_float(text: str) -> float:
@@ -319,9 +332,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--space", required=True)
     sp.add_argument("--K", type=_finite_float, required=True)
     sp.add_argument("--N", type=_finite_float, required=True)
-    sp.add_argument("--t-grid", type=_positive_int, default=11, dest="t_grid")
-    sp.add_argument("--nprime-grid", type=_positive_int, default=9, dest="nprime_grid")
-    sp.add_argument("--samples", type=_positive_int, default=20)
+    sp.add_argument("--t-grid", type=_count(MAX_GRID_COUNT), default=11, dest="t_grid")
+    sp.add_argument("--nprime-grid", type=_count(MAX_GRID_COUNT), default=9, dest="nprime_grid")
+    sp.add_argument("--samples", type=_count(MAX_SAMPLES), default=20)
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--tol", type=_tolerance, default=cdc.DEFAULT_TOL)
     sp.add_argument("--restrict-k", type=_level, default=None, dest="restrict_k")
@@ -333,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--psi", required=True, help="JSON file with x / psi arrays")
     sp.add_argument("--K", type=_finite_float, required=True)
     sp.add_argument("--N", type=_finite_float, required=True)
-    sp.add_argument("--triples", type=_positive_int, default=400)
+    sp.add_argument("--triples", type=_count(MAX_TRIPLES), default=400)
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--tol", type=_tolerance, default=1e-9)
     sp.add_argument("--out")
@@ -352,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("converge", help="gap table for a converging family")
     sp.add_argument("--seq", required=True)
     sp.add_argument("--no-cd", action="store_true", dest="no_cd")
-    sp.add_argument("--cd-samples", type=_positive_int, default=4, dest="cd_samples")
+    sp.add_argument("--cd-samples", type=_count(MAX_SAMPLES), default=4, dest="cd_samples")
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--tol", type=_tolerance, default=cdc.DEFAULT_TOL)
     sp.add_argument("--out", required=True)
@@ -366,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--M", type=_finite_float, required=True)
     sp.add_argument("--N", type=_finite_float, default=-2.0)
     sp.add_argument("--delta", type=_finite_float, default=0.1)
-    sp.add_argument("--samples", type=_positive_int, default=20)
+    sp.add_argument("--samples", type=_count(MAX_SAMPLES), default=20)
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--out", required=True)
     sp.add_argument("--format", choices=("csv", "json"), default="csv")

@@ -40,26 +40,31 @@ def sigma_kappa(kappa: float, t: float, theta: float) -> float:
     return float(sigma_kappa_vec(kappa, t, np.array([theta]))[0])
 
 
-def sigma_kappa_vec(kappa: float, t: float, theta) -> np.ndarray:
-    """sigma_kappa^(t) over an array of angles theta >= 0."""
+def sigma_kappa_vec(kappa: float, t, theta) -> np.ndarray:
+    """sigma_kappa^(t) over an array of angles theta >= 0.  A 1-D array of
+    times t gives one row per time."""
     if not math.isfinite(kappa):
         raise DomainError(f"kappa={kappa} must be finite")
+    ts = np.asarray(t, dtype=float)
     theta = np.asarray(theta, dtype=float)
     x = kappa * theta * theta
-    out = np.empty_like(x)
+    tc = ts[..., None]  # the times as a column against the angles
+    rows = (slice(None),) * ts.ndim  # every row, ahead of an angle mask
+    out = np.empty(ts.shape + x.shape)
     inf_mask = x >= _PI2 - _THRESHOLD_TOL
     zero = x == 0.0
     pos = (x > 0.0) & ~inf_mask
     neg = x < 0.0
-    out[inf_mask] = np.inf
-    out[zero] = t
-    if np.any(pos):
+    out[rows + (inf_mask,)] = np.inf
+    out[rows + (zero,)] = tc
+    if pos.any():
         r = np.sqrt(x[pos])
-        out[pos] = np.sin(t * r) / np.sin(r)
-    if np.any(neg):
+        out[rows + (pos,)] = np.sin(tc * r) / np.sin(r)
+    if neg.any():
         r = np.sqrt(-x[neg])
         # sinh ratio in a form stable for large arguments
-        out[neg] = np.exp((t - 1.0) * r) * (-np.expm1(-2.0 * t * r)) / (-np.expm1(-2.0 * r))
+        out[rows + (neg,)] = (np.exp((tc - 1.0) * r) * (-np.expm1(-2.0 * tc * r))
+                              / (-np.expm1(-2.0 * r)))
     return out
 
 
@@ -76,30 +81,27 @@ def tau_KN(K: float, N: float, t: float, theta: float) -> float:
     return float(tau_KN_vec(K, N, t, np.array([theta]))[0])
 
 
-def tau_KN_vec(K: float, N: float, t: float, theta) -> np.ndarray:
-    """tau_{K,N}^(t) over an array of angles."""
-    if N >= 0:
+def tau_KN_vec(K: float, N: float, t, theta) -> np.ndarray:
+    """tau_{K,N}^(t) over an array of angles.  A 1-D array of times t gives
+    one row per time, each equal to the call with that time alone."""
+    if not N < 0:  # NaN too: with K = 0 nothing below would see it
         raise DomainError("tau_KN requires N < 0")
-    if not (0.0 <= t <= 1.0):
-        raise DomainError(f"t={t} outside [0, 1]")
+    ts = np.asarray(t, dtype=float)
+    ok = (ts >= 0.0) & (ts <= 1.0)
+    if not ok.all():
+        raise DomainError(f"t={ts[~ok].flat[0]} outside [0, 1]")
     theta = np.asarray(theta, dtype=float)
-    out = np.full(theta.shape, t, dtype=float)
+    # tau = t at theta = 0, and everywhere when K = 0 (sigma is then t)
+    out = np.empty(ts.shape + theta.shape)
+    out[...] = ts.reshape(ts.shape + (1,) * theta.ndim)
     pos = theta > 0.0
-    if not np.any(pos):
-        return out
-    s = sigma_kappa_vec(K / (N - 1.0), t, theta[pos])
-    vals = np.empty_like(s)
-    inf_mask = np.isinf(s)
-    vals[inf_mask] = np.inf
-    fin = ~inf_mask
-    if t == 0.0:
-        vals[fin] = 0.0
-    elif t == 1.0:
-        vals[fin] = 1.0
-    elif K == 0.0:
-        vals[fin] = t
-    else:
+    if K != 0.0 and pos.any():
+        s = sigma_kappa_vec(K / (N - 1.0), ts, theta[pos])
+        # libm's log of each time; at t = 0 the -inf of log sigma gives 0,
+        # and at t = 1 sigma is 1, so both ends come out exact
+        lt = np.array([math.log(v) / N if v > 0.0 else 0.0 for v in ts.flat])
+        rows = (slice(None),) * ts.ndim
         with np.errstate(over="ignore", divide="ignore"):
-            vals[fin] = np.exp(math.log(t) / N + (1.0 - 1.0 / N) * np.log(s[fin]))
-    out[pos] = vals
+            out[rows + (pos,)] = np.exp(lt.reshape(ts.shape + (1,))
+                                        + (1.0 - 1.0 / N) * np.log(s))
     return out

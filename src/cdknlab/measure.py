@@ -96,8 +96,9 @@ def radon_nikodym(mu: DiscreteMeasure, space: PointedSpace1D) -> DensityWrtM:
     return DensityWrtM(grid=mu.grid, values=rho)
 
 
-def _entropy_terms(w: np.ndarray, m: np.ndarray, N: float) -> np.ndarray:
-    """Cell contributions w^(1-1/N) m^(1/N), in log space, for w > 0 cells."""
+def _entropy_terms(w: np.ndarray, m: np.ndarray, N) -> np.ndarray:
+    """Cell contributions w^(1-1/N) m^(1/N), in log space, for w > 0 cells;
+    one row per N' when N is a column of them."""
     with np.errstate(divide="ignore"):
         lw = np.log(w)
         lm = np.log(m)
@@ -107,21 +108,28 @@ def _entropy_terms(w: np.ndarray, m: np.ndarray, N: float) -> np.ndarray:
         return np.exp(expo)
 
 
-def renyi_entropy(mu: DiscreteMeasure, space: PointedSpace1D, N: float) -> float:
-    """S_N(mu | m) for N < 0; +inf when mu is not absolutely continuous."""
-    if N >= 0:
+def renyi_entropy(mu: DiscreteMeasure, space: PointedSpace1D, N):
+    """S_N(mu | m) for N < 0; +inf when mu is not absolutely continuous.
+    N may be a 1-D array of N' (see entropy_from_masses)."""
+    if (N >= 0).any() if isinstance(N, np.ndarray) else N >= 0:
         raise DomainError("renyi_entropy requires N < 0")
     return entropy_from_masses(mu.masses, space.cell_masses, N)
 
 
-def entropy_from_masses(w: np.ndarray, m: np.ndarray, N: float) -> float:
-    """Entropy from raw mass vectors (same convention as renyi_entropy)."""
+def entropy_from_masses(w: np.ndarray, m: np.ndarray, N):
+    """Entropy from raw mass vectors (same convention as renyi_entropy).
+
+    N is one N' (a float is returned) or a 1-D array of them (an array with
+    one entropy per N', each equal to the call with that N' alone).
+    """
+    many = isinstance(N, np.ndarray) and N.ndim == 1
     mask = np.asarray(w) > 0
-    if not np.any(mask):
-        return 0.0
+    if not mask.any():
+        return np.zeros(N.shape) if many else 0.0
     with np.errstate(over="ignore"):
-        return float(np.sum(_entropy_terms(np.asarray(w, float)[mask],
-                                           np.asarray(m, float)[mask], N)))
+        terms = _entropy_terms(np.asarray(w, float)[mask], np.asarray(m, float)[mask],
+                               N[:, None] if many else N)
+        return np.sum(terms, axis=-1) if many else float(np.sum(terms))
 
 
 # ---------------------------------------------------------------------------

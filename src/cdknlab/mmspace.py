@@ -18,7 +18,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import integrate
 
 from .errors import (
     EmptyCut,
@@ -299,6 +298,8 @@ def _model_density(spec: ModelSpec) -> tuple:
     if kind == "cauchy":
         if not spec.alpha > 0:
             raise InvalidParams("cauchy needs alpha > 0")
+        from scipy import integrate  # here, as only cauchy needs it
+
         expo = 0.5 * (1.0 + spec.alpha)
         norm, _ = integrate.quad(lambda x: (1.0 + x * x) ** (-expo),
                                  -math.inf, math.inf)
@@ -314,6 +315,8 @@ def _tail_mass(fn, lo: float, hi: float, sing: Sequence[float]) -> float:
     |x - s|^N with N < -1, which is not integrable."""
     if any(lo - _EDGE_TOL <= s <= hi + _EDGE_TOL for s in sing):
         return math.inf
+    from scipy import integrate  # here, so that untruncated spaces skip it
+
     return integrate.quad(fn, lo, hi)[0]
 
 

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from .errors import (
     InvalidParams,
@@ -191,6 +189,10 @@ def w2_block_1d(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
 
 
 def _transport_lp(a: np.ndarray, b: np.ndarray, C: np.ndarray):
+    # imported here, so that runs which solve no LP do not load scipy
+    from scipy import sparse
+    from scipy.optimize import linprog
+
     m, n = C.shape
     row_i = np.repeat(np.arange(m), n)
     col_j = np.tile(np.arange(n), m)

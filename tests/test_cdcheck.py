@@ -7,7 +7,15 @@ import numpy as np
 import pytest
 
 from cdknlab.cdcheck import (
+    DEFAULT_TOL,
+    REFINE_FACTOR,
+    STATUS_OK,
+    STATUS_SKIPPED,
+    STATUS_VACUOUS,
+    STATUS_VIOLATED,
+    CdRow,
     OmegaTable,
+    _support_in_intervals,
     cd_suite,
     default_nprime_grid,
     default_t_grid,
@@ -27,12 +35,16 @@ from cdknlab.distortion import tau_KN_vec
 from cdknlab.errors import (
     DomainError,
     InvalidParams,
+    MarginalMismatch,
     MismatchedInputs,
     NotAbsolutelyContinuous,
     SamplerEntropyViolation,
     SupportViolation,
 )
 from cdknlab.measure import (
+    DensityWrtM,
+    DiscreteMeasure,
+    entropy_from_masses,
     measure_from_dict,
     optimal_test_function,
     legendre_entropy,
@@ -40,7 +52,7 @@ from cdknlab.measure import (
     renyi_entropy,
     uniform_block,
 )
-from cdknlab.geodesics1d import blocks_cdf
+from cdknlab.geodesics1d import bin_blocks, blocks_cdf
 from cdknlab.mmspace import Grid1D, ModelSpec, PointedSpace1D, build_model_space
 from cdknlab.transport import monotone_map
 
@@ -94,6 +106,33 @@ def test_t_functional_infinite_tau(lebesgue):
     rho1 = radon_nikodym(mu1, lebesgue)
     val = t_functional(coup, rho0, rho1, -80.0, -1.0, 0.5)
     assert math.isinf(val) and val > 0
+
+
+def test_t_functional_over_times_equals_one_time_at_a_time(lebesgue):
+    # rho0 = 1.25 stays finite under the N' = -1e-3 power and rho1 = 10
+    # does not: the t = 0 row (tau1 = 0) is finite and the others are inf
+    mu0 = uniform_block(lebesgue.grid, 0.1, 0.9)
+    mu1 = uniform_block(lebesgue.grid, 0.45, 0.55)
+    coup = monotone_map(mu0, mu1).as_coupling()
+    rho0 = radon_nikodym(mu0, lebesgue)
+    rho1 = radon_nikodym(mu1, lebesgue)
+    ts = np.array([0.0, 1.0, 0.5, 0.1, 1.0 - 0.1, 1e-9, 0.73])
+    for K, N in ((1.5, -2.0), (-3.0, -0.4), (0.0, -1.0), (-200.0, -1.0),
+                 (2.0, -1e-3)):
+        got = t_functional(coup, rho0, rho1, K, N, ts)
+        assert isinstance(got, np.ndarray) and got.shape == ts.shape
+        want = [t_functional(coup, rho0, rho1, K, N, float(t)) for t in ts]
+        assert got.tolist() == want
+        assert all(type(v) is float for v in want)
+    # K / (N - 1) = 100 puts the distances past 0.31 beyond pi^2 (tau = inf)
+    assert np.isinf(t_functional(coup, rho0, rho1, -200.0, -1.0, ts)).all()
+    mixed = t_functional(coup, rho0, rho1, 2.0, -1e-3, ts)
+    assert math.isfinite(mixed[0]) and np.isinf(mixed[1:]).all()
+    # a density that vanishes under the coupling's mass raises either way
+    empty = DensityWrtM(lebesgue.grid, np.zeros(lebesgue.grid.n))
+    for t in (0.5, ts):
+        with pytest.raises(MarginalMismatch):
+            t_functional(coup, empty, rho1, 1.5, -2.0, t)
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +281,124 @@ def test_verify_cd_input_validation(lebesgue):
     with pytest.raises(InvalidParams):
         verify_cd(lebesgue, mu, mu, K=0.0, N=-1.0,
                   nprime_grid=np.array([0.5]))
+
+
+def _verify_cd_per_row(space, mu0, mu1, K, N, t_grid, nprime_grid,
+                      tol=DEFAULT_TOL):
+    """verify_cd's rows as one call of each entropy and t_functional per
+    (t, N') row, the way they were computed before the array passes."""
+    rho0 = radon_nikodym(mu0, space)
+    rho1 = radon_nikodym(mu1, space)
+    ts = default_t_grid(t_grid) if isinstance(t_grid, int) else t_grid
+    nps = (default_nprime_grid(N, nprime_grid) if isinstance(nprime_grid, int)
+           else nprime_grid)
+    tmap = monotone_map(mu0, mu1)
+    coup = tmap.as_coupling()
+    rgrid = space.grid.refined(REFINE_FACTOR)
+    with np.errstate(invalid="ignore"):
+        rmass = np.repeat(space.density, REFINE_FACTOR) * rgrid.widths
+    rows = []
+    for t in ts:
+        u0, u1, w = tmap.interpolate_blocks(float(t))
+        wslice = bin_blocks(u0, u1, w, rgrid).masses
+        for nprime in nps:
+            nprime = float(nprime)
+            s0 = renyi_entropy(mu0, space, nprime)
+            s1 = renyi_entropy(mu1, space, nprime)
+            s_t = entropy_from_masses(wslice, rmass, nprime)
+            t_val = t_functional(coup, rho0, rho1, K, nprime, float(t))
+            if not (math.isfinite(s0) and math.isfinite(s1)):
+                status, margin = STATUS_SKIPPED, math.inf
+            elif not math.isfinite(t_val):
+                status, margin = STATUS_VACUOUS, math.inf
+            elif not math.isfinite(s_t):
+                status, margin = STATUS_VIOLATED, -math.inf
+            else:
+                margin = t_val - s_t
+                scale = margin_scale(s_t, t_val)
+                status = STATUS_OK if margin >= -tol * scale else STATUS_VIOLATED
+            rows.append(CdRow(t=float(t), nprime=nprime, s_value=s_t,
+                              t_value=t_val, margin=margin, status=status))
+    return rows
+
+
+def _assert_rows_identical(rep, want):
+    assert len(rep.rows) == len(want)
+    for got, ref in zip(rep.rows, want):
+        assert got == ref  # every field, with ==
+        assert all(type(v) is float for v in (got.t, got.nprime, got.s_value,
+                                               got.t_value, got.margin))
+
+
+def test_verify_cd_rows_equal_the_per_row_loop():
+    # cos_n against CD(-2, -1): the pair from end to end gives vacuous rows
+    # (tau = inf), and the narrow block overflows its endpoint entropy near
+    # N' = 0 (skipped rows); t_grid 7 puts 1 - t off the grid
+    sp = build_model_space(ModelSpec(kind="cos_n", K=-2.0, N=-2.0, grid_n=256))
+    a, span = sp.grid.a, sp.grid.b - sp.grid.a
+    left = uniform_block(sp.grid, a + 0.05 * span, a + 0.12 * span)
+    right = uniform_block(sp.grid, a + 0.88 * span, a + 0.95 * span)
+    narrow = uniform_block(sp.grid, a + 0.48 * span, a + 0.5 * span)
+    statuses = set()
+    for mu0, mu1 in ((left, right), (left, narrow)):
+        for t_grid, nprime_grid in ((11, 9), (7, 5),
+                                    (np.array([0.5, 0.0, 0.25]), 3)):
+            rep = verify_cd(sp, mu0, mu1, K=-2.0, N=-1.0, t_grid=t_grid,
+                            nprime_grid=nprime_grid)
+            _assert_rows_identical(rep, _verify_cd_per_row(
+                sp, mu0, mu1, -2.0, -1.0, t_grid, nprime_grid))
+            statuses |= set(rep.counts())
+    assert {STATUS_OK, STATUS_VACUOUS, STATUS_SKIPPED} <= statuses
+
+    # cauchy on [-4, 4] against CD(0, -1), on sampled pairs
+    sp = build_model_space(ModelSpec(kind="cauchy", alpha=1.0,
+                                     domain=(-4.0, 4.0), grid_n=256))
+    for spec0, spec1 in sample_pair_specs(sp, -1.0, 3, seed=2):
+        mu0 = measure_from_dict(sp.grid, spec0)
+        mu1 = measure_from_dict(sp.grid, spec1)
+        rep = verify_cd(sp, mu0, mu1, K=0.0, N=-1.0)
+        _assert_rows_identical(rep, _verify_cd_per_row(sp, mu0, mu1, 0.0, -1.0, 11, 9))
+
+    # a null corridor between the marginals: violated rows with -inf margin
+    g = Grid1D.uniform(0.0, 1.0, 20)
+    dens = np.ones(20)
+    dens[8:12] = 0.0
+    sp = PointedSpace1D(grid=g, density=dens, singular_points=(), base_point=0.1)
+    mu0 = uniform_block(g, 0.05, 0.3)
+    mu1 = uniform_block(g, 0.7, 0.95)
+    rep = verify_cd(sp, mu0, mu1, K=0.0, N=-2.0, t_grid=5, nprime_grid=4)
+    _assert_rows_identical(rep, _verify_cd_per_row(sp, mu0, mu1, 0.0, -2.0, 5, 4))
+    assert rep.counts()[STATUS_VIOLATED] > 0
+
+
+def test_support_in_intervals_matches_the_interval_loop():
+    # the one sorted search equals a scan over every closed interval
+    rng = np.random.default_rng(7)
+    g = Grid1D.uniform(-3.0, 3.0, 60)
+    c = g.centers
+    for case in range(300):
+        ends = np.sort(rng.choice(np.concatenate([c, g.edges]),
+                                  size=2 * int(rng.integers(0, 5)), replace=False))
+        ivs = [(float(a), float(b)) for a, b in zip(ends[0::2], ends[1::2])]
+        if case % 7 == 0 and len(ivs) > 1:  # touching intervals
+            ivs[1] = (ivs[0][1], ivs[1][1])
+        masses = rng.uniform(size=60) * (rng.uniform(size=60) < 0.1)
+        if masses.sum() == 0:
+            masses[int(rng.integers(60))] = 1.0
+        mu = DiscreteMeasure(g, masses)
+        cs = c[mu.support]
+        want = all(any(a <= x <= b for a, b in ivs) for x in cs)
+        assert _support_in_intervals(mu, ivs) is want
+
+
+def test_default_sampler_keeps_marginals_in_the_regular_region():
+    # a block drawn near an end of R^0 used to charge a cell centred outside
+    # it (cos_n, k 0, seed 3), which raised SupportViolation; such a pair is
+    # now drawn again
+    sp = build_model_space(ModelSpec(kind="cos_n", K=-2.0, N=-2.0, grid_n=256))
+    w = estimate_omega(sp, 0, [0, 1, 2, 3, 4], 100.0, n_samples=8, N=-2.0,
+                       seed=3)
+    assert len(w) == 5 and all(0.0 <= v <= 1.0 for v in w)
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,9 @@ import pytest
 
 import cdknlab
 from cdknlab.cdcheck import OmegaTable, estimate_omega, omega_to_Omega
-from cdknlab.cli import (EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, RunConfig,
-                         _fmt, _load_space, build_parser, main, run)
+from cdknlab.cli import (EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, MAX_GRID_COUNT,
+                         MAX_SAMPLES, MAX_TRIPLES, RunConfig, _fmt,
+                         _load_space, build_parser, main, run)
 
 
 def _space_file(tmp_path, name="space.json", **kw):
@@ -206,6 +207,17 @@ def test_omega_table(tmp_path):
     assert 0.0 <= float(last[5]) <= 1.0
 
 
+def test_omega_sampler_stays_in_the_regular_region(tmp_path):
+    # seed 3 draws a block that charges a cell centred just outside R^0;
+    # the default sampler draws that pair again instead of failing the run
+    sp = _space_file(tmp_path, grid_n=256)
+    out = tmp_path / "om.csv"
+    rc = main(["omega", "--space", sp, "--k", "0", "--h-max", "4",
+               "--M", "100", "--samples", "8", "--seed", "3", "--out", str(out)])
+    assert rc == EXIT_OK
+    assert [r["h"] for r in csv.DictReader(out.open())] == ["0", "1", "2", "3", "4"]
+
+
 def test_omega_cells_equal_one_level_at_a_time(tmp_path):
     sp = _space_file(tmp_path, kind="glued_cos_n",
                      params={"K": -2.0, "N": -2.0, "J": 2}, grid_n=256)
@@ -377,6 +389,53 @@ def test_non_finite_or_out_of_range_numbers_are_usage_errors(tmp_path, argv):
     assert rc == EXIT_USAGE
     assert not out.exists()
     assert not (tmp_path / "out.csv.summary.json").exists()
+
+
+_CAPPED = {
+    "t_grid": (["cdcheck", "--space", "{space}", "--K", "-2", "--N", "-2",
+                "--seed", "0"], "--t-grid", MAX_GRID_COUNT),
+    "nprime_grid": (["cdcheck", "--space", "{space}", "--K", "-2", "--N", "-2",
+                     "--seed", "0"], "--nprime-grid", MAX_GRID_COUNT),
+    "samples": (["cdcheck", "--space", "{space}", "--K", "-2", "--N", "-2",
+                 "--seed", "0"], "--samples", MAX_SAMPLES),
+    "omega_samples": (["omega", "--space", "{space}", "--k", "2", "--h-max", "3",
+                       "--M", "5", "--seed", "0"], "--samples", MAX_SAMPLES),
+    "cd_samples": (["converge", "--seq", "{seq}", "--seed", "0"],
+                   "--cd-samples", MAX_SAMPLES),
+    "triples": (["convexity", "--psi", "{psi}", "--K", "0", "--N", "-2",
+                 "--seed", "0"], "--triples", MAX_TRIPLES),
+}
+
+
+@pytest.mark.parametrize("name", list(_CAPPED))
+def test_count_flags_above_their_caps_are_usage_errors(tmp_path, name):
+    argv, flag, cap = _CAPPED[name]
+    psi = tmp_path / "psi.json"
+    psi.write_text(json.dumps({"x": [0.0, 0.5, 1.0], "psi": [0.0, 0.0, 0.0]}))
+    seq = tmp_path / "seq.json"
+    seq.write_text(json.dumps(_SEQ))
+    files = {"space": _space_file(tmp_path), "psi": str(psi), "seq": str(seq)}
+    argv = [a.format(**files) for a in argv] + ["--out", str(tmp_path / "o.csv")]
+    # the cap itself is accepted (parsed only: running it would take long)
+    assert getattr(build_parser().parse_args(argv + [flag, str(cap)]),
+                   flag[2:].replace("-", "_")) == cap
+    with pytest.raises(SystemExit) as e:
+        main(argv + [flag, str(cap + 1)])
+    assert e.value.code == EXIT_USAGE
+    assert not list(tmp_path.glob("o.csv*"))
+
+
+def test_import_loads_no_scipy_solver_or_integrator():
+    # scipy's LP, sparse and quadrature modules are imported where they are
+    # called, so cos-type cdcheck, model and omega runs never load them
+    code = ("import sys, cdknlab, cdknlab.cli; print(sorted(m for m in "
+            "('scipy.optimize', 'scipy.integrate', 'scipy.sparse') "
+            "if m in sys.modules))")
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(cdknlab.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 @pytest.mark.parametrize("flags, want", [

@@ -174,3 +174,54 @@ def test_tau_vec_matches_scalar():
         vec = tau_KN_vec(K, N, t, thetas)
         ref = np.array([tau_KN(K, N, t, th) for th in thetas])
         np.testing.assert_allclose(vec, ref, rtol=5e-15)
+
+
+@pytest.mark.parametrize("K, N", [(-2.0, -1.0), (-7.5, -0.001), (0.0, -2.0),
+                                  (3.0, -0.5), (-40.0, -2.0)],
+                         ids=["K_neg", "K_neg_N_small", "K_zero", "K_pos",
+                              "past_pi2"])
+def test_tau_vec_over_times_equals_one_time_at_a_time(K, N):
+    # one row per time, each bit-identical to the call with that time alone;
+    # K = -40, N = -2 puts kappa theta^2 past pi^2 for theta > 0.86 (inf)
+    thetas = np.concatenate([[0.0, 0.0], np.linspace(0.0, 2.5, 41), [1e-9, 3.0]])
+    ts = np.array([0.0, 1.0, 0.5, 1e-12, 0.1, 1.0 - 0.1, 0.999, 0.0, 0.37])
+    got = tau_KN_vec(K, N, ts, thetas)
+    assert got.shape == (ts.size, thetas.size)
+    for row, t in zip(got, ts):
+        want = tau_KN_vec(K, N, float(t), thetas)
+        assert np.array_equal(row, want)
+    if K == -40.0:
+        assert np.isinf(got).any() and np.isfinite(got).any()
+    # theta all zero, and one time passed as a 1-element array
+    zeros = np.zeros(5)
+    assert np.array_equal(tau_KN_vec(K, N, ts, zeros), np.repeat(ts[:, None], 5, 1))
+    assert np.array_equal(tau_KN_vec(K, N, ts[2:3], thetas)[0],
+                          tau_KN_vec(K, N, ts[2], thetas))
+    with pytest.raises(DomainError):
+        tau_KN_vec(K, N, np.array([0.5, 1.5]), thetas)
+    with pytest.raises(DomainError):
+        tau_KN_vec(K, N, np.array([0.5, math.nan]), thetas)
+    with pytest.raises(DomainError):  # K = 0 skips sigma, which raised for it
+        tau_KN_vec(K, math.nan, ts, thetas)
+
+
+def test_sigma_vec_over_times_equals_one_time_at_a_time():
+    thetas = np.array([0.0, 0.3, 1.0, 2.9, 3.2, 40.0])
+    ts = np.array([0.0, 0.25, 0.5, 1.0])
+    for kappa in (-3.0, 0.0, 1.0):
+        got = sigma_kappa_vec(kappa, ts, thetas)
+        for row, t in zip(got, ts):
+            assert np.array_equal(row, sigma_kappa_vec(kappa, float(t), thetas))
+
+
+def test_tau_vec_keeps_the_one_time_formula():
+    # each interior row is exp(math.log(t) / N + (1 - 1/N) log sigma), with
+    # the libm log of each time (np.log rounds some times differently)
+    rng = np.random.default_rng(5)
+    ts = rng.uniform(0.001, 0.999, 2000)
+    thetas = np.linspace(0.05, 1.0, 7)
+    for K, N in ((-2.0, -0.7), (3.0, -2.5)):
+        s = sigma_kappa_vec(K / (N - 1.0), ts, thetas)
+        want = np.array([np.exp(math.log(t) / N + (1.0 - 1.0 / N) * np.log(row))
+                         for t, row in zip(ts, s)])
+        assert np.array_equal(tau_KN_vec(K, N, ts, thetas), want)

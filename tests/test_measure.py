@@ -114,6 +114,43 @@ def test_entropy_overflow_becomes_inf():
     assert math.isinf(val) and val > 0
 
 
+def test_entropy_over_nprimes_equals_one_nprime_at_a_time(rng):
+    # one value per N', each bit-identical to the call with that N' alone,
+    # including +inf (overflow near N' = 0, a charged zero-mass cell) and 0
+    nps = np.array([-2.0, -1.0, -0.37, -0.05, -1e-3])
+    m = rng.uniform(0.1, 3.0, 64)
+    m[5] = math.inf
+    m[9] = 0.0
+    atom = np.zeros(64)
+    atom[0] = 1e3
+    charges_null = np.zeros(64)
+    charges_null[9] = 0.5
+    spread = rng.uniform(0.0, 1.0, 64) * (rng.uniform(size=64) < 0.6)
+    spread[9] = 0.0
+    for w in (spread, atom, charges_null, np.zeros(64)):
+        got = entropy_from_masses(w, m, nps)
+        assert isinstance(got, np.ndarray) and got.shape == nps.shape
+        assert got.tolist() == [entropy_from_masses(w, m, float(n)) for n in nps]
+    assert np.isinf(entropy_from_masses(atom, m, nps)).tolist() == [False] * 4 + [True]
+    assert entropy_from_masses(charges_null, m, nps).tolist() == [math.inf] * 5
+    assert entropy_from_masses(np.zeros(64), m, nps).tolist() == [0.0] * 5
+    # each value is the sum of exp(lw + (lm - lw) / N') over the charged cells
+    on = spread > 0
+    with np.errstate(divide="ignore", over="ignore"):
+        lw, lm = np.log(spread[on]), np.log(m[on])
+        want = [float(np.sum(np.exp(lw + (lm - lw) / n))) for n in nps]
+    assert entropy_from_masses(spread, m, nps).tolist() == want
+    assert math.isfinite(want[3]) and want[3] > 1e10
+    g = Grid1D.uniform(0.0, 1.0, 64)
+    space = PointedSpace1D(grid=g, density=m / g.widths, singular_points=(),
+                           base_point=0.5)
+    mu = DiscreteMeasure(g, np.where(np.isfinite(m) & (m > 0), spread, 0.0))
+    got = renyi_entropy(mu, space, nps)
+    assert got.tolist() == [renyi_entropy(mu, space, float(n)) for n in nps]
+    with pytest.raises(DomainError):
+        renyi_entropy(mu, space, np.array([-1.0, 0.0]))
+
+
 # ---------------------------------------------------------------------------
 # Legendre-type dual form
 
