@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .distortion import tau_KN_vec
+from .distortion import sigma_kappa, tau_KN_vec
 from .errors import (
     DomainError,
     InvalidParams,
@@ -288,8 +288,10 @@ def sampling_intervals(space: PointedSpace1D,
                        ) -> list[tuple[float, float]]:
     """Intervals safe for marginal supports: away from edges and anchors."""
     g = space.grid
-    span = g.b - g.a
-    pad = max(3.0 * float(np.max(g.widths)), 0.02 * span)
+    # 2 % of the span, but at most a quarter of the closest anchor gap, so
+    # that spaces with many short arches keep room between their pads
+    gap = float(np.min(np.diff(space.anchors), initial=np.inf))
+    pad = max(3.0 * float(np.max(g.widths)), min(0.02 * (g.b - g.a), 0.25 * gap))
     pieces = carve(base if base is not None else [(g.a + pad, g.b - pad)],
                    space.anchors, pad)
     min_len = 10.0 * float(np.median(g.widths))
@@ -448,8 +450,6 @@ def kn_convexity_check(psi_samples, K: float, N: float,
     K < 0 only triples with d < pi sqrt(N/K) are admissible; an explicit
     sampler emitting a longer triple raises DomainError.
     """
-    from .distortion import sigma_kappa
-
     if N >= 0:
         raise DomainError("requires N < 0")
     x, psi = (np.asarray(psi_samples[0], float), np.asarray(psi_samples[1], float))

@@ -24,8 +24,8 @@ from typing import Optional
 from . import cdcheck as cdc
 from .errors import CdknLabError, InvalidParams
 from .ikrw import convergence_experiment, ikrw_fm
-from .mmspace import (check_level, detect_singular_set, space_from_dict,
-                      space_summary)
+from .mmspace import (check_level, detect_singular_set, k_cut,
+                      space_from_dict, space_summary)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -193,7 +193,6 @@ def _cmd_ikrw(args) -> int:
         raise UsageError(f"--k-bar {args.k_bar} exceeds --k-max {args.k_max}")
     a = _load_space(args.space_a)
     b = _load_space(args.space_b)
-    from .mmspace import k_cut
     header = ["k", "fm_value", "log_mass", "base_point", "hausdorff", "wc", "contribution"]
     rows = []
     value = 0.0

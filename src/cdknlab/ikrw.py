@@ -32,8 +32,8 @@ from .mmspace import (
     Grid1D,
     ModelSpec,
     PointedSpace1D,
+    _discretize,
     _dist_to_set,
-    _singular_adjacent_cells,
     build_model_space,
     carve,
     check_level,
@@ -229,10 +229,9 @@ def truncated_power_space(N: float, n: Optional[int], R: float = 2.0,
         out[pos] = x[pos] ** _N
         return out
 
-    density = fn(grid.centers)
-    return PointedSpace1D(grid=grid, density=density, singular_points=(),
-                          base_point=base_point, cut_anchors=(thr,),
-                          density_fn=fn, kind="truncated_power")
+    return PointedSpace1D(grid=grid, density=_discretize(grid, fn, ()),
+                          singular_points=(), base_point=base_point,
+                          cut_anchors=(thr,), density_fn=fn, kind="truncated_power")
 
 
 def glued_drift_space(n: Optional[int], K: float = -2.0, N: float = -2.0,
@@ -266,13 +265,10 @@ def glued_drift_space(n: Optional[int], K: float = -2.0, N: float = -2.0,
         with np.errstate(divide="ignore"):
             return c ** _N
 
-    with np.errstate(divide="ignore"):
-        density = fn(grid.centers)
     singular = (0.0, float(s), float(L))
-    adj = _singular_adjacent_cells(grid, singular)
-    density[adj] = math.inf
-    return PointedSpace1D(grid=grid, density=density, singular_points=singular,
-                          base_point=L / 4.0, density_fn=fn, kind="glued_drift")
+    return PointedSpace1D(grid=grid, density=_discretize(grid, fn, singular),
+                          singular_points=singular, base_point=L / 4.0,
+                          density_fn=fn, kind="glued_drift")
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +310,7 @@ def _family_members(sequence_spec: dict, n_range):
         if family == "custom_list":
             space_dicts = list(sequence_spec["spaces"])
             limit_d = sequence_spec["limit"]
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise InvalidParams(f"bad sequence field: {e}") from e
     if grid_n > MAX_GRID_N:
         raise InvalidParams(f"grid_n {grid_n} exceeds {MAX_GRID_N}")
@@ -357,9 +353,11 @@ def convergence_experiment(sequence_spec: dict, k_range=None, n_range=None,
             a, b = sequence_spec.get("k_range", (0, 2))
             k_range = range(check_level("k", int(a)),
                             check_level("k", int(b)) + 1)
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise InvalidParams(f"bad sequence field: {e}") from e
     spaces, limit, K, N, ns = _family_members(sequence_spec, n_range)
+    if not ns or not k_range:
+        raise InvalidParams("empty n or k range: the run would check nothing")
 
     kbars = {s.regularity_k for s in spaces} | {limit.regularity_k}
     if len(kbars) != 1:

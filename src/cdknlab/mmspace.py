@@ -71,7 +71,8 @@ class Grid1D:
 
     @classmethod
     def uniform(cls, a: float, b: float, n: int) -> "Grid1D":
-        if not (math.isfinite(a) and math.isfinite(b) and a < b):
+        # 2 max(|a|, |b|) bounds each e_i + e_(i+1) that `centers` forms
+        if not (a < b and math.isfinite(2.0 * max(abs(a), abs(b)))):
             raise InvalidParams(f"bad interval [{a}, {b}]")
         if n < 2:
             raise InvalidParams("need at least 2 cells")
@@ -107,28 +108,6 @@ class Grid1D:
         e = self.edges
         sub = np.linspace(e[:-1], e[1:], factor + 1, axis=1)[:, :-1]
         return Grid1D(np.append(sub.ravel(), e[-1]))
-
-
-MODEL_KINDS = (
-    "cosh_n",
-    "sinh_n",
-    "power_n",
-    "cos_n",
-    "glued_cos_n",
-    "glued_power_n",
-    "glued_sinh_n",
-    "cauchy",
-    "custom_psi",
-)
-
-_UNBOUNDED = {
-    "cosh_n": (-math.inf, math.inf),
-    "sinh_n": (0.0, math.inf),
-    "power_n": (0.0, math.inf),
-    "glued_power_n": (-math.inf, math.inf),
-    "glued_sinh_n": (-math.inf, math.inf),
-    "cauchy": (-math.inf, math.inf),
-}
 
 
 @dataclass(frozen=True)
@@ -244,23 +223,26 @@ def _model_density(spec: ModelSpec) -> tuple:
     """Return (density_fn, analytic_domain, singular_points, default_p)."""
     K, N = spec.K, spec.N
     kind = spec.kind
+    # a glued_ kind mirrors its one-sided model across the blow-up point 0
+    half_line = (-math.inf if kind in ("glued_sinh_n", "glued_power_n") else 0.0,
+                 math.inf)
     if kind == "cosh_n":
         if not (K > 0 and N < -1):
             raise InvalidParams("cosh_n needs K > 0 and N < -1")
         a = math.sqrt(-K / N)
         return (lambda x: np.cosh(a * np.asarray(x, float)) ** N,
                 (-math.inf, math.inf), (), 0.0)
-    if kind == "sinh_n":
+    if kind in ("sinh_n", "glued_sinh_n"):
         if not (K > 0 and N < -1):
-            raise InvalidParams("sinh_n needs K > 0 and N < -1")
+            raise InvalidParams(f"{kind} needs K > 0 and N < -1")
         a = math.sqrt(-K / N)
         return (lambda x: np.abs(np.sinh(a * np.asarray(x, float))) ** N,
-                (0.0, math.inf), (0.0,), 1.0)
-    if kind == "power_n":
+                half_line, (0.0,), 1.0)
+    if kind in ("power_n", "glued_power_n"):
         if not N < -1:
-            raise InvalidParams("power_n needs N < -1")
+            raise InvalidParams(f"{kind} needs N < -1")
         return (lambda x: np.abs(np.asarray(x, float)) ** N,
-                (0.0, math.inf), (0.0,), 1.0)
+                half_line, (0.0,), 1.0)
     if kind == "cos_n":
         if not (K < 0 and N < -1):
             raise InvalidParams("cos_n needs K < 0 and N < -1")
@@ -284,17 +266,6 @@ def _model_density(spec: ModelSpec) -> tuple:
             return np.clip(np.cos(_b * (x - 2.0 * _h * j)), 0.0, None) ** N
         sing = tuple((2 * j - 1) * half for j in range(1, J + 2))
         return fn, (half, (2 * J + 1) * half), sing, 2.0 * half
-    if kind == "glued_power_n":
-        if not N < -1:
-            raise InvalidParams("glued_power_n needs N < -1")
-        return (lambda x: np.abs(np.asarray(x, float)) ** N,
-                (-math.inf, math.inf), (0.0,), 1.0)
-    if kind == "glued_sinh_n":
-        if not (K > 0 and N < -1):
-            raise InvalidParams("glued_sinh_n needs K > 0 and N < -1")
-        a = math.sqrt(-K / N)
-        return (lambda x: np.abs(np.sinh(a * np.asarray(x, float))) ** N,
-                (-math.inf, math.inf), (0.0,), 1.0)
     if kind == "cauchy":
         if not spec.alpha > 0:
             raise InvalidParams("cauchy needs alpha > 0")
@@ -303,10 +274,23 @@ def _model_density(spec: ModelSpec) -> tuple:
         expo = 0.5 * (1.0 + spec.alpha)
         norm, _ = integrate.quad(lambda x: (1.0 + x * x) ** (-expo),
                                  -math.inf, math.inf)
+        if not norm > 0:
+            # (1 + x^2)^-expo underflows to 0 off x = 0 for a huge alpha
+            raise InvalidParams(f"cauchy alpha {spec.alpha} too large to normalise")
         c = 1.0 / norm
         return (lambda x: c * (1.0 + np.asarray(x, float) ** 2) ** (-expo),
                 (-math.inf, math.inf), (), 0.0)
     raise InvalidParams(f"unknown model kind {kind!r}")
+
+
+def _discretize(grid: Grid1D, fn: Callable,
+                singular_points: Sequence[float]) -> np.ndarray:
+    """Cell density: fn at the cell centres, +inf on every cell with a
+    singular point on one of its edges."""
+    with np.errstate(divide="ignore", over="ignore"):
+        density = np.asarray(fn(grid.centers), dtype=float)
+    density[_singular_adjacent_cells(grid, singular_points)] = np.inf
+    return density
 
 
 def _tail_mass(fn, lo: float, hi: float, sing: Sequence[float]) -> float:
@@ -327,7 +311,10 @@ def build_model_space(spec: ModelSpec) -> PointedSpace1D:
             raise InvalidParams("custom_psi needs psi_samples and a domain")
         psi = np.asarray(spec.psi_samples, dtype=float)
         grid = Grid1D.uniform(spec.domain[0], spec.domain[1], psi.size)
-        density = np.exp(-psi)
+        with np.errstate(over="ignore"):
+            density = np.exp(-psi)
+        if np.isinf(density).any():
+            raise InvalidParams("custom_psi needs exp(-psi) finite: every psi > -709.78")
         p = spec.base_point if spec.base_point is not None else grid.centers[psi.size // 2]
         return PointedSpace1D(grid=grid, density=density, singular_points=(),
                               base_point=float(p), regularity_k=spec.regularity_k,
@@ -353,11 +340,7 @@ def build_model_space(spec: ModelSpec) -> PointedSpace1D:
 
     grid = Grid1D.uniform(a, b, spec.grid_n)
     sing = tuple(s for s in model_sing if a - _EDGE_TOL <= s <= b + _EDGE_TOL)
-
-    with np.errstate(divide="ignore", over="ignore"):
-        density = np.asarray(fn(grid.centers), dtype=float)
-    adj = _singular_adjacent_cells(grid, sing)
-    density[adj] = np.inf
+    density = _discretize(grid, fn, sing)
 
     truncated = a > lo + _EDGE_TOL or b < hi - _EDGE_TOL
     tail = 0.0
@@ -406,11 +389,12 @@ def detect_singular_set(space: PointedSpace1D, strict: bool = False) -> tuple:
         hi = np.minimum(edges + r, b)
         w = (hi - lo) / nsub
         pts = lo[:, None] + np.outer(hi - lo, offsets)
+        # finite samples near a blow-up may still sum past the largest double
         with np.errstate(divide="ignore", over="ignore"):
             vals = np.asarray(space.density_fn(pts.ravel()), dtype=float)
-        vals = vals.reshape(edges.size, nsub)
-        vals[~np.isfinite(vals)] = 0.0
-        masses[lev] = np.sum(vals, axis=1) * w
+            vals = vals.reshape(edges.size, nsub)
+            vals[~np.isfinite(vals)] = 0.0
+            masses[lev] = np.sum(vals, axis=1) * w
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = masses[1:] / masses[:-1]
     hit = np.all(ratios >= _SINGULAR_GROWTH, axis=0) & np.all(masses > 0, axis=0)
@@ -510,15 +494,10 @@ def refine(space: PointedSpace1D, factor: int) -> PointedSpace1D:
     if factor == 1:
         return space
     grid = space.grid.refined(factor)
-    if space.density_fn is not None:
-        with np.errstate(divide="ignore", over="ignore"):
-            density = np.asarray(space.density_fn(grid.centers), dtype=float)
-    else:
-        density = np.repeat(space.density, factor)
-    adj = _singular_adjacent_cells(grid, space.singular_points)
-    if adj.size and bool((~np.isfinite(space.density)).any()):
-        density[adj] = np.inf
-    return replace(space, grid=grid, density=density)
+    fn = space.density_fn or (lambda _x: np.repeat(space.density, factor))
+    # a space with no infinite cell (a k-cut) stays finite
+    sing = space.singular_points if np.isinf(space.density).any() else ()
+    return replace(space, grid=grid, density=_discretize(grid, fn, sing))
 
 
 # ---------------------------------------------------------------------------
@@ -532,11 +511,10 @@ def space_from_dict(d: dict) -> PointedSpace1D:
     if not isinstance(params, dict):
         raise InvalidParams("descriptor 'params' must be an object")
     try:
+        domain = None
         if "domain" in d:
             a, b = d["domain"]
             domain = (float(a), float(b))
-        else:
-            domain = _default_domain(d)
         spec = ModelSpec(
             kind=d["kind"],
             K=float(params.get("K", 0.0)),
@@ -551,26 +529,22 @@ def space_from_dict(d: dict) -> PointedSpace1D:
             psi_samples=(tuple(float(v) for v in d["psi_samples"])
                          if d.get("psi_samples") is not None else None),
         )
-    except (TypeError, ValueError) as e:
+        if spec.grid_n > MAX_GRID_N:
+            raise InvalidParams(f"grid_n {spec.grid_n} exceeds {MAX_GRID_N}")
+        check_level("regularity_k", spec.regularity_k)
+        if domain is None and spec.kind != "custom_psi":
+            # cut each infinite end of the analytic domain at -R or R
+            lo, hi = _model_density(spec)[1]
+            if math.isinf(lo) or math.isinf(hi):
+                if d.get("truncation_radius") is None:
+                    raise InvalidParams(
+                        f"{spec.kind} needs a domain or truncation_radius")
+                R = float(d["truncation_radius"])
+                spec = replace(spec, domain=(-R if math.isinf(lo) else lo,
+                                             R if math.isinf(hi) else hi))
+    except (TypeError, ValueError, OverflowError) as e:
         raise InvalidParams(f"bad descriptor field: {e}") from e
-    if spec.grid_n > MAX_GRID_N:
-        raise InvalidParams(f"grid_n {spec.grid_n} exceeds {MAX_GRID_N}")
-    check_level("regularity_k", spec.regularity_k)
     return build_model_space(spec)
-
-
-def _default_domain(d: dict):
-    kind = d["kind"]
-    R = d.get("truncation_radius")
-    if kind in ("cos_n", "glued_cos_n"):
-        return None
-    if kind not in _UNBOUNDED:
-        raise InvalidParams(f"{kind} needs a domain")
-    if R is None:
-        raise InvalidParams(f"{kind} needs a domain or truncation_radius")
-    lo, hi = _UNBOUNDED[kind]
-    a = -float(R) if lo == -math.inf else lo
-    return (a, float(R))
 
 
 def space_summary(space: PointedSpace1D) -> dict:

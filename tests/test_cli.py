@@ -237,6 +237,18 @@ def test_omega_cells_equal_one_level_at_a_time(tmp_path):
         assert r["Omega"] == _fmt(omega_to_Omega(table, 2, h, 10.0, 0.1, N=-2.0))
 
 
+def test_many_short_arches_leave_room_for_marginals(tmp_path):
+    # 64 arches of length pi: a pad of 2 % of the span (4.0) would cover each
+    sp = _space_file(tmp_path, kind="glued_cos_n",
+                     params={"K": -2.0, "N": -2.0, "J": 64}, grid_n=4096)
+    assert main(["cdcheck", "--space", sp, "--K", "-2", "--N", "-2",
+                 "--samples", "2", "--seed", "0",
+                 "--out", str(tmp_path / "cd.csv")]) == EXIT_OK
+    assert main(["omega", "--space", sp, "--k", "3", "--h-max", "5",
+                 "--M", "10", "--samples", "4", "--seed", "0",
+                 "--out", str(tmp_path / "om.csv")]) == EXIT_OK
+
+
 # ---------------------------------------------------------------------------
 # failure handling
 
@@ -277,10 +289,24 @@ def test_malformed_space_file(tmp_path):
     {"kind": "cos_n", "params": {"K": -2.0, "N": -2.0}, "regularity_k": 2000},
     # a truncation radius for a kind without an unbounded domain
     {"kind": "custom_psi", "psi_samples": [0.0, 0.0, 0.0], "truncation_radius": 2},
+    # a normalising integral that underflows to 0
+    {"kind": "cauchy", "params": {"alpha": 1e10}, "truncation_radius": 4.0},
+    # integer fields set to Infinity, and a float field past the double range
+    {"kind": "glued_cos_n", "params": {"K": -2.0, "N": -2.0, "J": math.inf}},
+    {"kind": "cos_n", "params": {"K": -2.0, "N": -2.0}, "grid_n": math.inf},
+    {"kind": "cos_n", "params": {"K": -2.0, "N": -2.0}, "regularity_k": math.inf},
+    {"kind": "cos_n", "params": {"K": -(10 ** 400), "N": -2.0}},
+    # a density exp(-psi) that overflows
+    {"kind": "custom_psi", "domain": [0.0, 1.0], "psi_samples": [0.0, -1000.0, 0.0]},
+    # cell centres that overflow
+    {"kind": "sinh_n", "params": {"K": 1.0, "N": -2.0},
+     "truncation_radius": 1.797e308, "base_point": 1.797e308},
 ], ids=["unbounded_power_n", "grid_n_abc", "K_x", "base_point_q",
         "params_list", "psi_samples_abc", "grid_n_over_cap", "domain_one",
         "domain_ab", "J_over_grid_n", "regularity_k_2000",
-        "truncation_radius_custom_psi"])
+        "truncation_radius_custom_psi", "cauchy_alpha_1e10", "J_inf",
+        "grid_n_inf", "regularity_k_inf", "K_huge_int", "psi_minus_1000",
+        "sinh_n_radius_max"])
 def test_bad_model_params_are_usage_errors(tmp_path, desc):
     p = tmp_path / "p.json"
     p.write_text(json.dumps(desc))
@@ -300,8 +326,18 @@ _SEQ = {"family": "glued_drift", "K": -2.0, "N": -2.0, "grid_n": 64,
     {**_SEQ, "n_range": [1, 10 ** 8]},
     {**_SEQ, "k_range": [0, 2000]},
     {**_SEQ, "family": "truncated_power", "n_range": [-2000, -1999]},
+    {**_SEQ, "grid_n": math.inf},
+    # empty ranges: a run that checks nothing
+    {**_SEQ, "k_range": [3, 1]},
+    {**_SEQ, "n_range": [2, 1]},
+    {"family": "custom_list", "n_range": [0, 0], "spaces": [],
+     "limit": {"kind": "cos_n", "params": {"K": -2.0, "N": -2.0}, "grid_n": 64}},
+    # members whose x^N overflows, with a limit that rejects N
+    {**_SEQ, "family": "truncated_power", "N": 3235},
 ], ids=["no_n_range", "N_x", "json_list", "grid_n_over_cap", "grid_n_4",
-        "n_range_long", "k_range_2000", "n_negative_2000"])
+        "n_range_long", "k_range_2000", "n_negative_2000", "grid_n_inf",
+        "k_range_reversed", "n_range_reversed", "no_spaces",
+        "truncated_power_N_3235"])
 def test_bad_sequence_files_are_usage_errors(tmp_path, seq):
     p = tmp_path / "seq.json"
     p.write_text(json.dumps(seq))

@@ -236,6 +236,13 @@ def test_glued_drift_fields():
     assert lim.singular_points[1] == pytest.approx(L / 2.0)
 
 
+def test_glued_drift_builds_quietly_when_the_density_overflows():
+    # cos^-318 passes the largest double on the cells next to a blow-up point
+    sp = glued_drift_space(1, K=-2.0, N=-318.0, grid_n=64)
+    assert np.isinf(sp.density[[0, -1]]).all()
+    assert math.isfinite(total_mass(k_cut(sp, 0)))
+
+
 def test_glued_drift_guards():
     with pytest.raises(InvalidParams):
         glued_drift_space(1, K=2.0, N=-2.0)

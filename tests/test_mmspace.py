@@ -377,6 +377,60 @@ def test_refine_resamples_analytic_density(power_space):
     assert cut_f == pytest.approx(cut_c, rel=1e-3)
 
 
+_HALF = 0.5 * math.pi  # half an arch of cos_n with K = N
+
+
+@pytest.mark.parametrize("kind, params, domain, singular, base", [
+    ("cosh_n", {"K": 1.0, "N": -2.0}, (-3.0, 3.0), (), 0.0),
+    ("glued_power_n", {"N": -2.0}, (-3.0, 3.0), (0.0,), 1.0),
+    ("glued_sinh_n", {"K": 1.0, "N": -2.0}, (-3.0, 3.0), (0.0,), 1.0),
+    ("cauchy", {"alpha": 1.0}, (-3.0, 3.0), (), 0.0),
+    ("sinh_n", {"K": 1.0, "N": -2.0}, (0.0, 3.0), (0.0,), 1.0),
+    ("power_n", {"N": -2.0}, (0.0, 3.0), (0.0,), 1.0),
+    # cos kinds span their whole arches whatever the radius
+    ("cos_n", {"K": -2.0, "N": -2.0}, (-_HALF, _HALF), (-_HALF, _HALF), 0.0),
+    ("glued_cos_n", {"K": -2.0, "N": -2.0, "J": 2}, (_HALF, 5 * _HALF),
+     (_HALF, 3 * _HALF, 5 * _HALF), 2 * _HALF),
+])
+def test_model_table_domain_singular_set_and_base_point(kind, params, domain,
+                                                        singular, base):
+    sp = space_from_dict({"kind": kind, "params": params,
+                          "truncation_radius": 3.0, "grid_n": 64})
+    assert (sp.grid.a, sp.grid.b) == pytest.approx(domain)
+    assert sp.singular_points == pytest.approx(singular)
+    assert sp.base_point == pytest.approx(base)
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("power_n", {"N": -2.0}),
+    ("sinh_n", {"K": 1.0, "N": -2.0}),
+])
+def test_glued_kind_mirrors_its_one_sided_model(kind, params):
+    one = space_from_dict({"kind": kind, "params": params,
+                           "truncation_radius": 3.0, "grid_n": 64})
+    glued = space_from_dict({"kind": "glued_" + kind, "params": params,
+                             "truncation_radius": 3.0, "grid_n": 128})
+    x = one.grid.centers
+    np.testing.assert_array_equal(glued.density_fn(x), one.density_fn(x))
+    np.testing.assert_array_equal(glued.density_fn(-x), one.density_fn(x))
+    # the positive half of the glued grid is the one-sided grid
+    np.testing.assert_allclose(glued.density[64:], one.density, rtol=1e-12)
+
+
+def test_refine_of_a_cut_keeps_its_cells_finite(power_space):
+    cut = k_cut(power_space, 0)
+    fine = refine(cut, 3)
+    assert np.all(np.isfinite(fine.density))
+    assert total_mass(fine) == pytest.approx(total_mass(cut), rel=1e-3)
+
+
+def test_detect_singular_set_is_quiet_when_masses_overflow():
+    # cos^-270 sums past the largest double near the arch ends
+    sp = space_from_dict({"kind": "cos_n", "params": {"K": -2.0, "N": -270.0},
+                          "grid_n": 64})
+    assert all(sp.grid.a <= s <= sp.grid.b for s in detect_singular_set(sp))
+
+
 def test_space_from_dict_variants():
     sp = space_from_dict({"kind": "cos_n", "params": {"K": -2.0, "N": -2.0},
                           "grid_n": 64})
