@@ -343,30 +343,12 @@ def sample_pair_specs(space: PointedSpace1D, N: float, n_pairs: int,
 
 
 @dataclass(frozen=True)
-class SuiteReport:
+class SuiteReport(CdReport):
+    """A CdReport over every pair's rows in order, with each pair's own
+    report and its grid-free spec."""
     reports: tuple
     pair_specs: tuple
-    K: float
-    N: float
     seed: int
-    tol: float
-    grid_n: int
-
-    def min_margin(self) -> float:
-        return min((r.min_margin() for r in self.reports), default=math.inf)
-
-    def worst_deficit(self) -> float:
-        return max((r.worst_deficit() for r in self.reports), default=0.0)
-
-    def counts(self) -> dict:
-        out: dict = {}
-        for rep in self.reports:
-            for k, v in rep.counts().items():
-                out[k] = out.get(k, 0) + v
-        return out
-
-    def passes(self) -> bool:
-        return all(r.passes() for r in self.reports)
 
 
 def cd_suite(space: PointedSpace1D, K: float, N: float, n_samples: int,
@@ -383,8 +365,10 @@ def cd_suite(space: PointedSpace1D, K: float, N: float, n_samples: int,
         reports.append(verify_cd(space, mu0, mu1, K, N, t_grid=t_grid,
                                  nprime_grid=nprime_grid, tol=tol,
                                  restrict_to_regular_k=restrict_to_regular_k))
-    return SuiteReport(reports=tuple(reports), pair_specs=tuple(pair_specs),
-                       K=K, N=N, seed=seed, tol=tol, grid_n=space.grid.n)
+    return SuiteReport(rows=tuple(r for rep in reports for r in rep.rows),
+                       K=K, N=N, grid_n=space.grid.n, tol=tol,
+                       reports=tuple(reports), pair_specs=tuple(pair_specs),
+                       seed=seed)
 
 
 def richardson_check(make_space: Callable[[int], PointedSpace1D], K: float,

@@ -18,12 +18,11 @@ import os
 import re
 import sys
 import tempfile
-from dataclasses import dataclass, field
 from typing import Optional
 
 from . import cdcheck as cdc
 from .errors import CdknLabError, InvalidParams
-from .ikrw import convergence_experiment, ikrw_fm
+from .ikrw import convergence_experiment, ikrw_series
 from .mmspace import (check_level, detect_singular_set, k_cut,
                       space_from_dict, space_summary)
 
@@ -42,16 +41,6 @@ MAX_TRIPLES = 1_000_000    # --triples
 
 class UsageError(Exception):
     pass
-
-
-@dataclass
-class RunConfig:
-    command: str
-    inputs: dict = field(default_factory=dict)
-    flags: dict = field(default_factory=dict)
-    out: Optional[str] = None
-    format: str = "csv"
-    seed: Optional[int] = None
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +102,15 @@ def _write_report(out: str, fmt: str, header, rows, summary: dict):
         _atomic_write(out + ".summary.json", _render_json(summary))
 
 
+def _write_summary(out: Optional[str], summary: dict):
+    """A JSON summary to `out`, or to stdout when there is none."""
+    text = _render_json(summary)
+    if out:
+        _atomic_write(out, text)
+    else:
+        sys.stdout.write(text)
+
+
 def _read_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -137,11 +135,7 @@ def _cmd_model(args) -> int:
     summary = space_summary(space)
     if args.detect_singular:
         summary["detected_singular_points"] = list(detect_singular_set(space))
-    text = _render_json(summary)
-    if args.out:
-        _atomic_write(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _write_summary(args.out, summary)
     return EXIT_OK
 
 
@@ -180,11 +174,7 @@ def _cmd_convexity(args) -> int:
                "min_margin": _fmt(rep.min_margin),
                "worst_triple": list(rep.worst) if rep.worst else None,
                "tolerance": args.tol, "seed": args.seed, "passed": passed}
-    text = _render_json(summary)
-    if args.out:
-        _atomic_write(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _write_summary(args.out, summary)
     return EXIT_OK if passed else EXIT_VIOLATION
 
 
@@ -194,15 +184,11 @@ def _cmd_ikrw(args) -> int:
     a = _load_space(args.space_a)
     b = _load_space(args.space_b)
     header = ["k", "fm_value", "log_mass", "base_point", "hausdorff", "wc", "contribution"]
-    rows = []
-    value = 0.0
-    for k in range(args.k_bar, args.k_max + 1):
-        fm, terms = ikrw_fm(k_cut(a, k), k_cut(b, k), c_kind=args.c_kind,
-                               return_terms=True)
-        contrib = 2.0 ** (-k) * min(1.0, fm)
-        value += contrib
-        rows.append([k, fm, terms["log_mass"], terms["base_point"],
-                     terms["hausdorff"], terms["wc"], contrib])
+    series, value = ikrw_series(((k, k_cut(a, k), k_cut(b, k))
+                                 for k in range(args.k_bar, args.k_max + 1)),
+                                c_kind=args.c_kind)
+    rows = [[k, fm, terms["log_mass"], terms["base_point"], terms["hausdorff"],
+             terms["wc"], contrib] for k, fm, terms, contrib in series]
     summary = {"value": _fmt(value), "tail_bound": _fmt(2.0 ** (-args.k_max)),
                "k_bar": args.k_bar, "k_max": args.k_max, "c_kind": args.c_kind}
     _write_report(args.out, args.format, header, rows, summary)
@@ -386,26 +372,9 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def run(config: RunConfig) -> int:
-    """Programmatic entry point mirroring the command line."""
-    argv = [config.command]
-    for k, v in {**config.inputs, **config.flags}.items():
-        flag = "--" + k.replace("_", "-")
-        if isinstance(v, bool):
-            if v:
-                argv.append(flag)
-        else:
-            argv.extend([flag, str(v)])
-    if config.out:
-        argv.extend(["--out", config.out])
-    if config.seed is not None:
-        argv.extend(["--seed", str(config.seed)])
-    if config.format != "csv":
-        argv.extend(["--format", config.format])
-    return main(argv)
-
-
 def main(argv=None) -> int:
+    """Run one command from its argument list (default: sys.argv[1:]) and
+    return its exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -109,17 +109,29 @@ def ikrw_fm(spaceA: PointedSpace1D, spaceB: PointedSpace1D,
     return (value, terms) if return_terms else value
 
 
+def ikrw_series(cuts, c_kind="tanh") -> tuple[list, float]:
+    """The truncated iKRW series over (k, k-cut of A, k-cut of B) triples:
+    one row (k, fm distance, its terms, 2^-k min(1, fm)) per triple, and the
+    sum of the last column, added in the order given."""
+    rows = []
+    value = 0.0
+    for k, cut_a, cut_b in cuts:
+        fm, terms = ikrw_fm(cut_a, cut_b, c_kind=c_kind, return_terms=True)
+        contrib = 2.0 ** (-k) * min(1.0, fm)
+        value += contrib
+        rows.append((k, fm, terms, contrib))
+    return rows, value
+
+
 def ikrw(spaceA: PointedSpace1D, spaceB: PointedSpace1D, k_bar: int,
          k_max: int = 12, c_kind="tanh") -> tuple[float, float]:
     """Truncated series sum_{k=k_bar}^{k_max} 2^-k min(1, fm distance of the
     k-cuts), with the geometric tail bound 2^-k_max of the dropped terms."""
     if k_bar > k_max:
         raise InvalidParams("need k_bar <= k_max")
-    value = 0.0
-    for k in range(k_bar, k_max + 1):
-        fm = ikrw_fm(k_cut(spaceA, k), k_cut(spaceB, k), c_kind=c_kind)
-        value += 2.0 ** (-k) * min(1.0, fm)
-    return value, 2.0 ** (-k_max)
+    cuts = ((k, k_cut(spaceA, k), k_cut(spaceB, k))
+            for k in range(k_bar, k_max + 1))
+    return ikrw_series(cuts, c_kind=c_kind)[1], 2.0 ** (-k_max)
 
 
 def extrinsic_gap(spaceA: PointedSpace1D, spaceB: PointedSpace1D, k: int,
@@ -300,6 +312,8 @@ class ConvergenceTable:
 
 
 def _family_members(sequence_spec: dict, n_range):
+    """(members, limit, K, N, member indices) of a sequence file; n_range
+    is read from the file only for the families that are indexed by n."""
     family = sequence_spec.get("family")
     try:
         N = float(sequence_spec.get("N", -2.0))
@@ -310,45 +324,41 @@ def _family_members(sequence_spec: dict, n_range):
         if family == "custom_list":
             space_dicts = list(sequence_spec["spaces"])
             limit_d = sequence_spec["limit"]
+        elif n_range is None:
+            a, b = sequence_spec["n_range"]
+            n_range = range(check_level("n", int(a)),
+                            check_level("n", int(b)) + 1)
     except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise InvalidParams(f"bad sequence field: {e}") from e
     if grid_n > MAX_GRID_N:
         raise InvalidParams(f"grid_n {grid_n} exceeds {MAX_GRID_N}")
+    if family == "custom_list":
+        spaces = [space_from_dict(d) for d in space_dicts]
+        return (spaces, space_from_dict(limit_d), K, N,
+                list(range(len(spaces))))
     if family == "truncated_power":
         make = lambda n: truncated_power_space(N, n, R=R, grid_n=grid_n)
-        spaces = [make(n) for n in n_range]
-        limit = make(None)
     elif family == "glued_drift":
         make = lambda n: glued_drift_space(n, K=K, N=N, delta=delta,
                                            grid_n=grid_n)
-        spaces = [make(n) for n in n_range]
-        limit = make(None)
-    elif family == "custom_list":
-        spaces = [space_from_dict(d) for d in space_dicts]
-        limit = space_from_dict(limit_d)
-        n_range = list(range(len(spaces)))
     else:
         raise InvalidParams(f"unknown family {family!r}")
-    return spaces, limit, K, N, list(n_range)
+    return [make(n) for n in n_range], make(None), K, N, list(n_range)
 
 
 def convergence_experiment(sequence_spec: dict, k_range=None, n_range=None,
-                           c_kind="tanh", run_cd: bool = True,
-                           cd_samples: int = 4, seed: int = 0,
-                           tol: float = DEFAULT_TOL,
+                           run_cd: bool = True, cd_samples: int = 4,
+                           seed: int = 0, tol: float = DEFAULT_TOL,
                            ) -> tuple[ConvergenceTable, Optional[SuiteReport]]:
     """Per-(n, k) gap table for a converging family, plus the limit CD run.
 
-    The CD hook verifies the limit space against the family's claimed
-    (K, N+1) on sampled marginal pairs.
+    The gaps are ikrw_fm distances at the tanh cost.  The CD hook verifies
+    the limit space against the family's claimed (K, N+1) on sampled
+    marginal pairs.
     """
     if not isinstance(sequence_spec, dict):
         raise InvalidParams("sequence spec must be an object")
     try:
-        if n_range is None:
-            a, b = sequence_spec["n_range"]
-            n_range = range(check_level("n", int(a)),
-                            check_level("n", int(b)) + 1)
         if k_range is None:
             a, b = sequence_spec.get("k_range", (0, 2))
             k_range = range(check_level("k", int(a)),
@@ -369,17 +379,13 @@ def convergence_experiment(sequence_spec: dict, k_range=None, n_range=None,
     rows = []
     series: dict = {}
     for n, sp in zip(ns, spaces):
-        acc = 0.0
-        for k in k_range:
-            total, terms = ikrw_fm(k_cut(sp, k), limit_cuts[k], c_kind=c_kind,
-                                   return_terms=True)
-            rows.append(ConvergenceRow(
-                n=int(n), k=int(k), log_mass_gap=terms["log_mass"],
-                base_point_gap=terms["base_point"],
-                hausdorff_gap=terms["hausdorff"], wc_gap=terms["wc"],
-                total=total))
-            acc += 2.0 ** (-k) * min(1.0, total)
-        series[int(n)] = acc
+        terms_rows, series[int(n)] = ikrw_series(
+            (k, k_cut(sp, k), limit_cuts[k]) for k in k_range)
+        rows.extend(ConvergenceRow(
+            n=int(n), k=int(k), log_mass_gap=terms["log_mass"],
+            base_point_gap=terms["base_point"],
+            hausdorff_gap=terms["hausdorff"], wc_gap=terms["wc"], total=total)
+            for k, total, terms, _ in terms_rows)
 
     suite = None
     if run_cd:

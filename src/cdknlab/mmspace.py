@@ -219,6 +219,19 @@ def _quiet(fn):
     return wrapped
 
 
+def _quad(fn, lo: float, hi: float) -> float:
+    """The integral of fn over (lo, hi) by scipy's quad.  Raises
+    InvalidParams with quad's message where quad reports that it failed,
+    in place of its IntegrationWarning and unreliable value."""
+    from scipy import integrate  # here, so that spaces without one skip it
+
+    out = integrate.quad(fn, lo, hi, full_output=1)
+    if len(out) > 3:
+        raise InvalidParams(f"integral over ({lo}, {hi}) failed: "
+                            + " ".join(out[3].split()))
+    return out[0]
+
+
 def _model_density(spec: ModelSpec) -> tuple:
     """Return (density_fn, analytic_domain, singular_points, default_p)."""
     K, N = spec.K, spec.N
@@ -269,11 +282,8 @@ def _model_density(spec: ModelSpec) -> tuple:
     if kind == "cauchy":
         if not spec.alpha > 0:
             raise InvalidParams("cauchy needs alpha > 0")
-        from scipy import integrate  # here, as only cauchy needs it
-
         expo = 0.5 * (1.0 + spec.alpha)
-        norm, _ = integrate.quad(lambda x: (1.0 + x * x) ** (-expo),
-                                 -math.inf, math.inf)
+        norm = _quad(lambda x: (1.0 + x * x) ** (-expo), -math.inf, math.inf)
         if not norm > 0:
             # (1 + x^2)^-expo underflows to 0 off x = 0 for a huge alpha
             raise InvalidParams(f"cauchy alpha {spec.alpha} too large to normalise")
@@ -299,9 +309,7 @@ def _tail_mass(fn, lo: float, hi: float, sing: Sequence[float]) -> float:
     |x - s|^N with N < -1, which is not integrable."""
     if any(lo - _EDGE_TOL <= s <= hi + _EDGE_TOL for s in sing):
         return math.inf
-    from scipy import integrate  # here, so that untruncated spaces skip it
-
-    return integrate.quad(fn, lo, hi)[0]
+    return _quad(fn, lo, hi)
 
 
 def build_model_space(spec: ModelSpec) -> PointedSpace1D:

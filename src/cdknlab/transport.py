@@ -81,9 +81,6 @@ class Coupling:
         if emu > tol or env > tol:
             raise MarginalMismatch(f"marginal residuals {emu:.3e}, {env:.3e}")
 
-    def cost(self, spec: CostSpec) -> float:
-        return float(np.sum(self.w * spec.fn(np.abs(self.x - self.y))))
-
 
 @dataclass(frozen=True)
 class MonotoneMap:

@@ -434,6 +434,43 @@ def test_suite_reuses_specs_across_grids():
     assert coarse.passes() and fine.passes()
 
 
+def _fold_per_report(suite) -> dict:
+    """The suite aggregates as a fold over each pair's own report."""
+    counts: dict = {}
+    for rep in suite.reports:
+        for k, v in rep.counts().items():
+            counts[k] = counts.get(k, 0) + v
+    return {
+        "counts": counts,
+        "min_margin": min((r.min_margin() for r in suite.reports),
+                          default=math.inf),
+        "worst_deficit": max((r.worst_deficit() for r in suite.reports),
+                             default=0.0),
+        "passes": all(r.passes() for r in suite.reports),
+    }
+
+
+def test_suite_aggregates_equal_the_per_report_fold():
+    cos = build_model_space(ModelSpec(kind="cos_n", K=-2.0, N=-2.0, grid_n=512))
+    cauchy = build_model_space(ModelSpec(kind="cauchy", alpha=1.0,
+                                         domain=(-4.0, 4.0), grid_n=512))
+    suites = [cd_suite(cos, -2.0, -1.0, 6, 0),
+              cd_suite(cauchy, 0.0, -1.0, 6, 0),
+              cd_suite(cos, 0.0, -1.0, 5, 0)]  # criterion 5's wrong K
+    seen = set()
+    for suite in suites:
+        ref = _fold_per_report(suite)
+        assert suite.rows == tuple(r for rep in suite.reports for r in rep.rows)
+        assert suite.counts() == ref["counts"]
+        assert list(suite.counts()) == list(ref["counts"])
+        assert suite.min_margin() == ref["min_margin"]
+        assert suite.worst_deficit() == ref["worst_deficit"]
+        assert suite.passes() == ref["passes"]
+        seen |= set(ref["counts"])
+    assert seen == {STATUS_OK, STATUS_VACUOUS, STATUS_SKIPPED, STATUS_VIOLATED}
+    assert not suites[2].passes()
+
+
 def test_richardson_check_runs():
     mk = lambda n: build_model_space(ModelSpec(kind="cosh_n", K=1.0, N=-2.0,
                                                domain=(-2.0, 2.0), grid_n=n))

@@ -15,8 +15,8 @@ import pytest
 import cdknlab
 from cdknlab.cdcheck import OmegaTable, estimate_omega, omega_to_Omega
 from cdknlab.cli import (EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, MAX_GRID_COUNT,
-                         MAX_SAMPLES, MAX_TRIPLES, RunConfig, _fmt,
-                         _load_space, build_parser, main, run)
+                         MAX_SAMPLES, MAX_TRIPLES, _fmt, _load_space,
+                         build_parser, main)
 
 
 def _space_file(tmp_path, name="space.json", **kw):
@@ -175,6 +175,22 @@ def test_ikrw_table(tmp_path):
     assert float(summary["tail_bound"]) == 2.0 ** -3
 
 
+def test_ikrw_value_is_the_library_value_and_the_column_sum(tmp_path):
+    a = _space_file(tmp_path, "a.json", params={"K": -2.0, "N": -2.0})
+    b = _space_file(tmp_path, "b.json", params={"K": -2.0, "N": -3.0})
+    out = tmp_path / "ik.json"
+    rc = main(["ikrw", "--space-a", a, "--space-b", b, "--k-bar", "1",
+               "--k-max", "4", "--c-kind", "cap1", "--format", "json",
+               "--out", str(out)])
+    assert rc == EXIT_OK
+    report = json.loads(out.read_text())
+    value, _ = cdknlab.ikrw(_load_space(a), _load_space(b), 1, 4, c_kind="cap1")
+    assert report["summary"]["value"] == _fmt(value)
+    contribs = [r["contribution"] for r in report["rows"]]
+    assert [r["k"] for r in report["rows"]] == [1, 2, 3, 4]
+    assert sum(contribs) == value
+
+
 def test_converge_table(tmp_path):
     seq = tmp_path / "seq.json"
     seq.write_text(json.dumps({"family": "glued_drift", "K": -2.0, "N": -2.0,
@@ -190,6 +206,20 @@ def test_converge_table(tmp_path):
     assert summary["monotone_wc"] is True
     assert summary["passed"] is True
     assert set(summary["series"]) == {"1", "2"}
+
+
+def test_converge_custom_list_needs_no_n_range(tmp_path):
+    member = {"kind": "cos_n", "params": {"K": -2.0, "N": -2.0}, "grid_n": 64}
+    seq = tmp_path / "seq.json"
+    seq.write_text(json.dumps({"family": "custom_list", "k_range": [0, 1],
+                               "spaces": [member, member], "limit": member}))
+    out = tmp_path / "conv.csv"
+    rc = main(["converge", "--seq", str(seq), "--no-cd", "--seed", "0",
+               "--out", str(out)])
+    assert rc == EXIT_OK
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    assert [(r["n"], r["k"]) for r in rows] == [("0", "0"), ("0", "1"),
+                                                ("1", "0"), ("1", "1")]
 
 
 def test_omega_table(tmp_path):
@@ -301,12 +331,18 @@ def test_malformed_space_file(tmp_path):
     # cell centres that overflow
     {"kind": "sinh_n", "params": {"K": 1.0, "N": -2.0},
      "truncation_radius": 1.797e308, "base_point": 1.797e308},
+    # integrals that quad reports as failed: a cut-off tail of cosh^-2 that
+    # it sums to -1, and a cauchy normalisation out of subdivisions
+    {"kind": "cosh_n", "params": {"K": 1e-300, "N": -2.0},
+     "truncation_radius": 4.0, "grid_n": 64},
+    {"kind": "cauchy", "params": {"alpha": 1e-300}, "truncation_radius": 4.0,
+     "grid_n": 64},
 ], ids=["unbounded_power_n", "grid_n_abc", "K_x", "base_point_q",
         "params_list", "psi_samples_abc", "grid_n_over_cap", "domain_one",
         "domain_ab", "J_over_grid_n", "regularity_k_2000",
         "truncation_radius_custom_psi", "cauchy_alpha_1e10", "J_inf",
         "grid_n_inf", "regularity_k_inf", "K_huge_int", "psi_minus_1000",
-        "sinh_n_radius_max"])
+        "sinh_n_radius_max", "cosh_n_K_1e-300", "cauchy_alpha_1e-300"])
 def test_bad_model_params_are_usage_errors(tmp_path, desc):
     p = tmp_path / "p.json"
     p.write_text(json.dumps(desc))
@@ -558,14 +594,3 @@ def test_failed_run_leaves_existing_report_intact(tmp_path):
                "--samples", "1", "--seed", "0", "--out", str(out)])
     assert rc == EXIT_USAGE
     assert out.read_text() == "sentinel"
-
-
-def test_runconfig_entry_point(tmp_path):
-    sp = _space_file(tmp_path)
-    out = tmp_path / "rc.csv"
-    cfg = RunConfig(command="cdcheck",
-                    inputs={"space": sp},
-                    flags={"K": -2.0, "N": -2.0, "samples": 1},
-                    out=str(out), seed=2)
-    assert run(cfg) == EXIT_OK
-    assert out.exists()

@@ -296,6 +296,22 @@ def test_convergence_experiment_cd_hook():
     assert suite.passes()
 
 
+@pytest.mark.parametrize("spec, make", [
+    ({"family": "glued_drift", "K": -2.0, "N": -2.0, "delta": 0.5,
+      "grid_n": 256, "n_range": (1, 3), "k_range": (0, 2)},
+     lambda n: glued_drift_space(n, K=-2.0, N=-2.0, delta=0.5, grid_n=256)),
+    ({"family": "truncated_power", "N": -2.0, "grid_n": 256,
+      "n_range": (1, 3), "k_range": (0, 1)},
+     lambda n: truncated_power_space(-2.0, n, grid_n=256)),
+], ids=["glued_drift", "truncated_power"])
+def test_convergence_series_is_the_ikrw_series(spec, make):
+    table, _ = convergence_experiment(spec, run_cd=False)
+    k0, k1 = spec["k_range"]
+    limit = make(None)
+    for n in range(spec["n_range"][0], spec["n_range"][1] + 1):
+        assert table.series[n] == ikrw(make(n), limit, k0, k1)[0]
+
+
 def test_convergence_experiment_regularity_guards():
     base = {"kind": "cos_n", "params": {"K": -2.0, "N": -2.0}, "grid_n": 128}
     mixed = {"family": "custom_list",
