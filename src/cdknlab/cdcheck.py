@@ -139,13 +139,17 @@ def mass_in_intervals(u0: np.ndarray, u1: np.ndarray, w: np.ndarray,
     """Block mass in each set of disjoint intervals, from one CDF call.
 
     Each set's mass is the sum over its own slice of the per-interval masses,
-    so it does not depend on which other sets are passed with it.
+    so it does not depend on which other sets are passed with it.  (T, S)
+    blocks, one time slice per row, give (T, sets) masses.
     """
     pts = np.array([e for ivs in interval_sets for iv in ivs for e in iv], dtype=float)
     cdf = blocks_cdf(u0, u1, w, pts)
-    per_iv = cdf[1::2] - cdf[0::2]
+    per_iv = cdf[..., 1::2] - cdf[..., 0::2]
     ends = np.cumsum([0] + [len(ivs) for ivs in interval_sets])
-    return np.array([np.sum(per_iv[a:b]) for a, b in zip(ends[:-1], ends[1:])])
+    out = np.empty(per_iv.shape[:-1] + (len(interval_sets),))
+    for s, (a, b) in enumerate(zip(ends[:-1], ends[1:])):
+        out[..., s] = per_iv[..., a:b].sum(axis=-1)
+    return out
 
 
 def _support_in_intervals(mu: DiscreteMeasure,
@@ -256,10 +260,10 @@ def verify_cd(space: PointedSpace1D, mu0: DiscreteMeasure,
     s1 = renyi_entropy(mu1, space, nps)
     t_vals = [t_functional(coup, rho0, rho1, K, float(nprime), ts) for nprime in nps]
 
+    u0s, u1s, w = tmap.interpolate_blocks(ts)
     rows = []
     for i, t in enumerate(ts):
-        u0, u1, w = tmap.interpolate_blocks(float(t))
-        wslice = bin_blocks(u0, u1, w, rgrid).masses
+        wslice = bin_blocks(u0s[i], u1s[i], w, rgrid).masses
         s_ts = entropy_from_masses(wslice, rmass, nps)
         for j, nprime in enumerate(nps):
             s_t = float(s_ts[j])
@@ -552,12 +556,9 @@ def estimate_omega(space: PointedSpace1D, k: int, h: Union[int, Sequence[int]],
                 raise SupportViolation("sampled marginal leaves R^k")
             if custom and renyi_entropy(mu, space, N) > M * (1 + 1e-12):
                 raise SamplerEntropyViolation("sampled marginal exceeds the entropy cap")
-        tmap = monotone_map(mu0, mu1)
-        for t in ts:
-            u0, u1, w = tmap.interpolate_blocks(float(t))
-            total = float(np.sum(w))
-            out = 1.0 - mass_in_intervals(u0, u1, w, ivs_h) / total
-            worst = np.fmax(worst, out)
+        u0, u1, w = monotone_map(mu0, mu1).interpolate_blocks(ts)
+        out = 1.0 - mass_in_intervals(u0, u1, w, ivs_h) / float(np.sum(w))
+        worst = np.fmax(worst, np.fmax.reduce(out, axis=0))
     worst = np.clip(worst, 0.0, 1.0).tolist()
     if table is not None:
         for hh, v in zip(hs, worst):

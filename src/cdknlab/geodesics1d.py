@@ -25,15 +25,20 @@ def blocks_cdf(u0: np.ndarray, u1: np.ndarray, w: np.ndarray,
     the time slices of a monotone map are.  The CDF is then the
     piecewise-linear function through the block ends, and a zero-width block
     is a step.  Ends that cross by rounding are clamped; a real overlap
-    raises InvalidParams.
+    raises InvalidParams.  (T, S) ends are T block sets sharing the masses
+    w, such as the slices of one map at T times: the result is (T, P), each
+    row checked and evaluated as the 1-D call on that row.
     """
-    knots = np.column_stack([u0, u1]).ravel()
-    ordered = np.maximum.accumulate(knots)
-    if np.any(ordered - knots > 1e-12 * (ordered[-1] - np.min(knots))):
+    knots = np.stack([u0, u1], axis=-1).reshape(np.shape(u0)[:-1] + (-1,))
+    ordered = np.maximum.accumulate(knots, axis=-1)
+    span = ordered[..., -1:] - np.min(knots, axis=-1, keepdims=True)
+    if np.any(ordered - knots > 1e-12 * span):
         raise InvalidParams("blocks must be ordered and disjoint")
     c = np.concatenate([[0.0], np.cumsum(w)])
     vals = np.column_stack([c[:-1], c[1:]]).ravel()
-    return np.interp(pts, ordered, vals, left=0.0, right=c[-1])
+    rows = ordered.reshape(-1, ordered.shape[-1])
+    return np.array([np.interp(pts, row, vals, left=0.0, right=c[-1])
+                     for row in rows]).reshape(ordered.shape[:-1] + np.shape(pts))
 
 
 def bin_blocks(u0: np.ndarray, u1: np.ndarray, w: np.ndarray,

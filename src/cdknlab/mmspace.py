@@ -312,8 +312,12 @@ def _tail_mass(fn, lo: float, hi: float, sing: Sequence[float]) -> float:
     return _quad(fn, lo, hi)
 
 
-def build_model_space(spec: ModelSpec) -> PointedSpace1D:
-    """Discretize an analytic model onto a uniform grid (midpoint sampling)."""
+def build_model_space(spec: ModelSpec, *, _model: Optional[tuple] = None
+                      ) -> PointedSpace1D:
+    """Discretize an analytic model onto a uniform grid (midpoint sampling).
+
+    `_model` is `_model_density(spec)` when the caller has already made it,
+    so that the cauchy normalisation is integrated once per build."""
     if spec.kind == "custom_psi":
         if spec.psi_samples is None or spec.domain is None:
             raise InvalidParams("custom_psi needs psi_samples and a domain")
@@ -328,7 +332,7 @@ def build_model_space(spec: ModelSpec) -> PointedSpace1D:
                               base_point=float(p), regularity_k=spec.regularity_k,
                               kind="custom_psi")
 
-    fn, analytic_dom, model_sing, default_p = _model_density(spec)
+    fn, analytic_dom, model_sing, default_p = _model or _model_density(spec)
     fn = _quiet(fn)
     if spec.domain is not None:
         a, b = float(spec.domain[0]), float(spec.domain[1])
@@ -540,9 +544,11 @@ def space_from_dict(d: dict) -> PointedSpace1D:
         if spec.grid_n > MAX_GRID_N:
             raise InvalidParams(f"grid_n {spec.grid_n} exceeds {MAX_GRID_N}")
         check_level("regularity_k", spec.regularity_k)
+        model = None
         if domain is None and spec.kind != "custom_psi":
             # cut each infinite end of the analytic domain at -R or R
-            lo, hi = _model_density(spec)[1]
+            model = _model_density(spec)
+            lo, hi = model[1]
             if math.isinf(lo) or math.isinf(hi):
                 if d.get("truncation_radius") is None:
                     raise InvalidParams(
@@ -552,7 +558,7 @@ def space_from_dict(d: dict) -> PointedSpace1D:
                                              R if math.isinf(hi) else hi))
     except (TypeError, ValueError, OverflowError) as e:
         raise InvalidParams(f"bad descriptor field: {e}") from e
-    return build_model_space(spec)
+    return build_model_space(spec, _model=model)
 
 
 def space_summary(space: PointedSpace1D) -> dict:

@@ -116,8 +116,12 @@ class MonotoneMap:
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(da > 0, db / da, 1.0)
 
-    def interpolate_blocks(self, t: float):
-        """Endpoints and masses of the time-t uniform blocks."""
+    def interpolate_blocks(self, t):
+        """Endpoints and masses of the time-t uniform blocks.
+
+        `t` is one time, or a 1-D array of times for (T, S) endpoints with
+        one row per time, each equal to the one-time call at that time."""
+        t = np.expand_dims(np.asarray(t, dtype=float), -1)
         u0 = (1.0 - t) * self.a0 + t * self.b0
         u1 = (1.0 - t) * self.a1 + t * self.b1
         return u0, u1, self.w

@@ -8,6 +8,7 @@ import pytest
 
 from cdknlab.cdcheck import (
     DEFAULT_TOL,
+    OMEGA_T_GRID,
     REFINE_FACTOR,
     STATUS_OK,
     STATUS_SKIPPED,
@@ -15,6 +16,7 @@ from cdknlab.cdcheck import (
     STATUS_VIOLATED,
     CdRow,
     OmegaTable,
+    _default_block_sampler,
     _support_in_intervals,
     cd_suite,
     default_nprime_grid,
@@ -626,6 +628,115 @@ def test_mass_in_intervals_sets_equal_their_own_sums():
         assert m == np.sum(cdf[1::2] - cdf[0::2])
         assert m == mass_in_intervals(u0, u1, w, [ivs])[0]
     assert got[0] == 0.0 and got[4] == 0.0
+
+
+def _blocks_cdf_1d(u0, u1, w, pts):
+    """blocks_cdf as it was written for one block set at a time."""
+    knots = np.column_stack([u0, u1]).ravel()
+    ordered = np.maximum.accumulate(knots)
+    if np.any(ordered - knots > 1e-12 * (ordered[-1] - np.min(knots))):
+        raise InvalidParams("blocks must be ordered and disjoint")
+    c = np.concatenate([[0.0], np.cumsum(w)])
+    vals = np.column_stack([c[:-1], c[1:]]).ravel()
+    return np.interp(pts, ordered, vals, left=0.0, right=c[-1])
+
+
+def _mass_in_intervals_1d(u0, u1, w, interval_sets):
+    """mass_in_intervals as it was written for one time slice at a time."""
+    pts = np.array([e for ivs in interval_sets for iv in ivs for e in iv], dtype=float)
+    cdf = _blocks_cdf_1d(u0, u1, w, pts)
+    per_iv = cdf[1::2] - cdf[0::2]
+    ends = np.cumsum([0] + [len(ivs) for ivs in interval_sets])
+    return np.array([np.sum(per_iv[a:b]) for a, b in zip(ends[:-1], ends[1:])])
+
+
+def test_slices_at_many_times_equal_one_time_at_a_time():
+    rng = np.random.default_rng(12)
+    g0 = Grid1D.uniform(0.0, 1.0, 40)
+    g1 = Grid1D.uniform(-0.5, 2.0, 55)
+    m0 = rng.uniform(0.0, 1.0, 40) * (rng.uniform(size=40) < 0.6)
+    m1 = rng.uniform(0.0, 1.0, 55) * (rng.uniform(size=55) < 0.5)
+    mu0 = DiscreteMeasure(g0, m0 / m0.sum())
+    mu1 = DiscreteMeasure(g1, m1 / m1.sum())
+    tmap = monotone_map(mu0, mu1)
+    ts = np.concatenate([[0.0, 1.0, 0.5], rng.uniform(0.0, 1.0, 9)])
+    u0s, u1s, w = tmap.interpolate_blocks(ts)
+    assert u0s.shape == u1s.shape == (ts.size, w.size)
+    # nine intervals in one set, so that np.sum's pairwise blocks are used
+    many = [(a, a + 0.05) for a in np.linspace(-0.45, 1.75, 9)]
+    sets = [[], [(3.0, 4.0)], [(-2.0, -1.0), (2.5, 3.0)], [(0.2, 0.7)],
+            many, many[::2], [(-1.0, 3.0)]]
+    pts = np.linspace(-1.0, 2.5, 37)
+    cdf = blocks_cdf(u0s, u1s, w, pts)
+    got = mass_in_intervals(u0s, u1s, w, sets)
+    assert cdf.shape == (ts.size, pts.size) and got.shape == (ts.size, len(sets))
+    for i, t in enumerate(ts):
+        u0, u1, w1 = tmap.interpolate_blocks(float(t))
+        assert np.array_equal(u0s[i], u0) and np.array_equal(u1s[i], u1)
+        assert np.array_equal(u0, (1.0 - t) * tmap.a0 + t * tmap.b0)
+        assert np.array_equal(u1, (1.0 - t) * tmap.a1 + t * tmap.b1)
+        assert w1 is w
+        assert np.array_equal(cdf[i], blocks_cdf(u0, u1, w, pts))
+        assert np.array_equal(cdf[i], _blocks_cdf_1d(u0, u1, w, pts))
+        assert np.array_equal(got[i], mass_in_intervals(u0, u1, w, sets))
+        assert np.array_equal(got[i], _mass_in_intervals_1d(u0, u1, w, sets))
+    assert np.all(got[:, 0] == 0.0) and np.all(got[:, 1] == 0.0)
+    assert np.allclose(got[:, -1], 1.0, rtol=1e-14)
+    # zero-width blocks are steps, row by row
+    z0 = np.array([[0.1, 0.3, 0.3], [0.2, 0.2, 0.6]])
+    z1 = np.array([[0.1, 0.3, 0.5], [0.2, 0.4, 0.6]])
+    zw = np.array([1.0, 2.0, 3.0])
+    zpts = np.array([0.0, 0.1, 0.2, 0.3, 0.45, 0.6, 1.0])
+    zc = blocks_cdf(z0, z1, zw, zpts)
+    zm = mass_in_intervals(z0, z1, zw, sets)
+    for i in range(2):
+        assert np.array_equal(zc[i], _blocks_cdf_1d(z0[i], z1[i], zw, zpts))
+        assert np.array_equal(zm[i], _mass_in_intervals_1d(z0[i], z1[i], zw, sets))
+    # each row is checked for overlaps on its own
+    bad0 = np.array([[0.0, 0.6], [0.0, 0.4], [0.0, 0.7]])
+    bad1 = np.array([[0.5, 1.0], [0.5, 1.0], [0.5, 1.0]])
+    blocks_cdf(bad0[[0, 2]], bad1[[0, 2]], np.ones(2), pts)
+    with pytest.raises(InvalidParams, match="ordered and disjoint"):
+        blocks_cdf(bad0, bad1, np.ones(2), pts)
+    with pytest.raises(InvalidParams, match="ordered and disjoint"):
+        mass_in_intervals(bad0, bad1, np.ones(2), sets)
+    # and against its own span: 1e-7 of overlap on a unit row is real even
+    # next to a row a million long
+    wide0 = np.array([[0.0, 5e5], [0.0, 0.5 - 1e-7]])
+    wide1 = np.array([[5e5, 1e6], [0.5, 1.0]])
+    blocks_cdf(wide0[:1], wide1[:1], np.ones(2), pts)
+    with pytest.raises(InvalidParams, match="ordered and disjoint"):
+        blocks_cdf(wide0, wide1, np.ones(2), pts)
+
+
+def _omega_per_time(space, k, hs, M, n_samples, N, seed):
+    """estimate_omega with the default sampler as it was written: one
+    slice and one mass_in_intervals call per time, per sampled pair."""
+    rng = np.random.default_rng(seed)
+    sampler = _default_block_sampler(space, k, N, M)
+    ivs_h = [regular_intervals(space, h) for h in hs]
+    worst = np.zeros(len(hs))
+    for _ in range(n_samples):
+        tmap = monotone_map(*sampler(rng))
+        for t in np.linspace(0.0, 1.0, OMEGA_T_GRID):
+            u0, u1, w = tmap.interpolate_blocks(float(t))
+            total = float(np.sum(w))
+            out = 1.0 - _mass_in_intervals_1d(u0, u1, w, ivs_h) / total
+            worst = np.fmax(worst, out)
+    return np.clip(worst, 0.0, 1.0).tolist()
+
+
+def test_omega_equals_the_per_time_loop():
+    sp = build_model_space(ModelSpec(kind="glued_cos_n", K=-2.0, N=-2.0, J=2,
+                                     grid_n=256))
+    N, hs = -2.0, [2, 3, 4, 5, 6]
+    positive = 0
+    for M in (10.0, 2.0 ** (1.0 - 1.0 / N) * 10.0):  # omega's plain and scaled M
+        for seed in range(4):
+            got = estimate_omega(sp, 2, hs, M, n_samples=10, N=N, seed=seed)
+            assert got == _omega_per_time(sp, 2, hs, M, 10, N, seed)
+            positive += got[0] > 0
+    assert positive > 0  # some sampled geodesic does leave R^2
 
 
 def test_omega_zero_on_single_arch():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from cdknlab import mmspace
 from cdknlab.errors import (
     EmptyCut,
     InvalidParams,
@@ -444,6 +445,26 @@ def test_space_from_dict_variants():
     sp = space_from_dict({"kind": "custom_psi", "domain": [0.0, 1.0],
                           "psi_samples": list(np.zeros(32))})
     np.testing.assert_allclose(sp.density, 1.0)
+
+
+def test_cauchy_descriptor_integrates_its_normalisation_once(monkeypatch):
+    calls = []
+    quad = mmspace._quad
+
+    def counted(fn, lo, hi):
+        calls.append((lo, hi))
+        return quad(fn, lo, hi)
+
+    monkeypatch.setattr(mmspace, "_quad", counted)
+    d = {"kind": "cauchy", "params": {"alpha": 1}, "truncation_radius": 4,
+         "grid_n": 64}
+    sp = space_from_dict(d)
+    # one normalisation over the line, one integral per cut-off tail
+    assert calls == [(-math.inf, math.inf), (-math.inf, -4.0), (4.0, math.inf)]
+    want = build_model_space(ModelSpec(kind="cauchy", alpha=1.0,
+                                       domain=(-4.0, 4.0), grid_n=64))
+    assert np.array_equal(sp.density, want.density)
+    assert space_summary(sp) == space_summary(want)
 
 
 def test_space_summary_fields(power_space):
