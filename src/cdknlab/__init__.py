@@ -15,14 +15,13 @@ from .cdcheck import (
     CdReport,
     CdRow,
     ConvexityReport,
-    OmegaTable,
     SuiteReport,
     cd_suite,
     default_nprime_grid,
+    estimate_Omega,
     estimate_omega,
     hierarchy_check,
     kn_convexity_check,
-    omega_to_Omega,
     regular_intervals,
     richardson_check,
     sample_pair_specs,

@@ -15,7 +15,7 @@ and rows whose right side is infinite are vacuously true.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -53,7 +53,7 @@ REFINE_FACTOR = 4
 # one's divided by RICHARDSON_SHRINK, plus RICHARDSON_SLACK.
 RICHARDSON_SHRINK = 1.5
 RICHARDSON_SLACK = 1e-4
-# Draws per accepted marginal pair, in both samplers, and the shapes drawn.
+# Draws per accepted marginal pair, and the shapes drawn.
 MAX_TRIES = 60
 SPEC_KINDS = ("uniform_block", "bump", "mixture")
 OMEGA_T_GRID = 9
@@ -320,30 +320,43 @@ def _one_spec(rng: np.random.Generator, intervals, kind: str) -> dict:
     return {"type": "mixture", "parts": parts}
 
 
-def sample_pair_specs(space: PointedSpace1D, N: float, n_pairs: int,
-                      seed: int, entropy_cap: Optional[float] = None
-                      ) -> list[tuple[dict, dict]]:
-    """Draw marginal pairs as grid-free descriptors with finite entropy."""
-    rng = np.random.default_rng(seed)
-    ivs = sampling_intervals(space)
-    pairs = []
-    for _ in range(n_pairs):
-        for attempt in range(MAX_TRIES):
-            spec = (_one_spec(rng, ivs, str(rng.choice(SPEC_KINDS))),
-                    _one_spec(rng, ivs, str(rng.choice(SPEC_KINDS))))
+def _pair_sampler(space: PointedSpace1D, N: float, cap: float,
+                  k: Optional[int] = None, kind: Optional[str] = None):
+    """draw(rng) -> (specs, measures): a pair of `kind` marginals (of shapes
+    drawn from SPEC_KINDS when kind is None), drawn again up to MAX_TRIES
+    times until each has a finite S_N <= cap and, given k, lies in R^k."""
+    ivs_k = None if k is None else regular_intervals(space, k)
+    ivs = sampling_intervals(space, base=ivs_k)
+
+    def ok(mu: DiscreteMeasure) -> bool:
+        # a block near an end of R^k can charge a cell centred outside it
+        return ((ivs_k is None or _support_in_intervals(mu, ivs_k))
+                and math.isfinite(s := renyi_entropy(mu, space, N)) and s <= cap)
+
+    def draw(rng: np.random.Generator):
+        for _ in range(MAX_TRIES):
+            specs = tuple(_one_spec(rng, ivs, kind or str(rng.choice(SPEC_KINDS)))
+                          for _ in range(2))
             try:
-                mus = [measure_from_dict(space.grid, s) for s in spec]
-                ents = [renyi_entropy(mu, space, N) for mu in mus]
+                mus = tuple(measure_from_dict(space.grid, s) for s in specs)
+                if all(ok(mu) for mu in mus):
+                    return specs, mus
             except InvalidParams:
                 continue
-            cap = entropy_cap if entropy_cap is not None else math.inf
-            if all(math.isfinite(e) and e <= cap for e in ents):
-                pairs.append(spec)
-                break
-        else:
-            raise SamplerEntropyViolation(
-                f"could not sample a pair with S_N <= {entropy_cap}")
-    return pairs
+        raise SamplerEntropyViolation(
+            f"default sampler cannot satisfy S_N <= {cap} on this space")
+
+    return draw
+
+
+def sample_pair_specs(space: PointedSpace1D, N: float, n_pairs: int,
+                      seed: int, restrict_to_regular_k: Optional[int] = None
+                      ) -> list[tuple[dict, dict]]:
+    """Draw marginal pairs as grid-free descriptors with finite entropy,
+    inside R^k when restrict_to_regular_k is k."""
+    rng = np.random.default_rng(seed)
+    draw = _pair_sampler(space, N, math.inf, restrict_to_regular_k)
+    return [draw(rng)[0] for _ in range(n_pairs)]
 
 
 @dataclass(frozen=True)
@@ -361,7 +374,8 @@ def cd_suite(space: PointedSpace1D, K: float, N: float, n_samples: int,
              restrict_to_regular_k: Optional[int] = None) -> SuiteReport:
     """verify_cd over sampled marginal pairs; specs reusable across grids."""
     if pair_specs is None:
-        pair_specs = sample_pair_specs(space, N, n_samples, seed)
+        pair_specs = sample_pair_specs(space, N, n_samples, seed,
+                                       restrict_to_regular_k)
     reports = []
     for spec0, spec1 in pair_specs:
         mu0 = measure_from_dict(space.grid, spec0)
@@ -432,11 +446,12 @@ def kn_convexity_check(psi_samples, K: float, N: float,
                        n_triples: int = 400, seed: int = 0) -> ConvexityReport:
     """Sampled test of the sigma-combination inequality for e^(-psi/N).
 
-    psi_samples is a pair (x, psi) of node positions and weight values; psi
-    may contain -inf (its exponential transform is 0 there).  Interpolation
-    points are always taken at nodes so no interpolation error enters.  For
-    K < 0 only triples with d < pi sqrt(N/K) are admissible; an explicit
-    sampler emitting a longer triple raises DomainError.
+    psi_samples is a pair (x, psi) of node positions, finite with a finite
+    span, and weight values with a finite e^(-psi/N) (psi = -inf gives 0
+    there).  Interpolation points are always taken at nodes so no
+    interpolation error enters.  For K < 0 only triples with
+    d < pi sqrt(N/K) are admissible; an explicit sampler emitting a longer
+    triple raises DomainError.
     """
     if N >= 0:
         raise DomainError("requires N < 0")
@@ -445,6 +460,10 @@ def kn_convexity_check(psi_samples, K: float, N: float,
         raise InvalidParams("need matching x/psi arrays with >= 3 nodes")
     with np.errstate(over="ignore"):
         fN = np.exp(-psi / N)
+        span = np.ptp(x)
+    if not (math.isfinite(span) and np.isfinite(fN).all()):
+        raise InvalidParams("need finite x with a finite span, and a finite "
+                            "e^(-psi/N) at every node")
     kappa = K / N
     d_max = math.pi / math.sqrt(kappa) if kappa > 0 else math.inf
 
@@ -474,8 +493,9 @@ def kn_convexity_check(psi_samples, K: float, N: float,
         if d >= d_max * (1 - 1e-12):
             raise DomainError(f"triple distance {d} out of range for K<0")
         t = (x[im] - x[i0]) / d
-        bound = (sigma_kappa(kappa, 1.0 - t, d) * fN[i0]
-                 + sigma_kappa(kappa, t, d) * fN[i1])
+        with np.errstate(over="ignore"):  # a bound past the doubles passes
+            bound = (sigma_kappa(kappa, 1.0 - t, d) * fN[i0]
+                     + sigma_kappa(kappa, t, d) * fN[i1])
         margin = bound - fN[im]
         if margin < min_margin:
             min_margin, worst = margin, (float(x[i0]), float(x[im]), float(x[i1]), t)
@@ -487,52 +507,17 @@ def kn_convexity_check(psi_samples, K: float, N: float,
 # The omega-uniform-convexity estimator
 
 
-@dataclass
-class OmegaTable:
-    entries: dict = field(default_factory=dict)  # (k, h, M) -> (value, n)
-
-    def add(self, k: int, h: int, M: float, value: float, n: int):
-        self.entries[(int(k), int(h), float(M))] = (float(value), int(n))
-
-    def value(self, k: int, h: int, M: float) -> float:
-        for (kk, hh, mm), (v, _) in self.entries.items():
-            if kk == k and hh == h and math.isclose(mm, M, rel_tol=1e-9):
-                return v
-        raise InvalidParams(f"no omega entry for (k={k}, h={h}, M={M})")
-
-
-def _default_block_sampler(space: PointedSpace1D, k: int, N: float, M: float):
-    ivs_k = regular_intervals(space, k)
-    ivs = sampling_intervals(space, base=ivs_k)
-
-    def sampler(rng: np.random.Generator):
-        # a block near an end of R^k can charge a cell whose centre lies
-        # outside it, so such a pair is drawn again, as one over the cap is
-        for _ in range(MAX_TRIES):
-            specs = (_one_spec(rng, ivs, "uniform_block"),
-                     _one_spec(rng, ivs, "uniform_block"))
-            mus = [measure_from_dict(space.grid, s) for s in specs]
-            if all(_support_in_intervals(mu, ivs_k)
-                   and renyi_entropy(mu, space, N) <= M for mu in mus):
-                return mus[0], mus[1]
-        raise SamplerEntropyViolation(
-            f"default sampler cannot satisfy S_N <= {M} on this space")
-
-    return sampler
-
-
 def estimate_omega(space: PointedSpace1D, k: int, h: Union[int, Sequence[int]],
                    M: float, sampler: Optional[Callable] = None,
-                   n_samples: int = 40, N: float = -2.0, seed: int = 0,
-                   table: Optional[OmegaTable] = None
+                   n_samples: int = 40, N: float = -2.0, seed: int = 0
                    ) -> Union[float, list[float]]:
     """Estimated sup over sampled pairs of max_t mu_t(complement of R^h).
 
     `h` is one level (a float is returned) or a sequence of levels (a list in
-    the order of `h`, and `table` gets one entry per level).  Every level is
-    estimated on the one sample set the seed draws, so the h-monotonicity of
-    the regular regions transfers exactly to the estimates, and a level's
-    value does not depend on which other levels are asked for.
+    the order of `h`).  Every level is estimated on the one sample set the
+    seed draws, so the h-monotonicity of the regular regions transfers
+    exactly to the estimates, and a level's value does not depend on which
+    other levels are asked for.
     The sampler must emit probability pairs supported in R^k with entropy
     at most M; violations raise.
     """
@@ -544,7 +529,8 @@ def estimate_omega(space: PointedSpace1D, k: int, h: Union[int, Sequence[int]],
     # the default sampler returns only pairs that pass the checks below
     custom = sampler is not None
     if not custom:
-        sampler = _default_block_sampler(space, k, N, M)
+        draw = _pair_sampler(space, N, M, k, "uniform_block")
+        sampler = lambda rng: draw(rng)[1]
     ivs_k = regular_intervals(space, k)
     ivs_h = [regular_intervals(space, hh) for hh in hs]
     ts = np.linspace(0.0, 1.0, OMEGA_T_GRID)
@@ -560,19 +546,20 @@ def estimate_omega(space: PointedSpace1D, k: int, h: Union[int, Sequence[int]],
         out = 1.0 - mass_in_intervals(u0, u1, w, ivs_h) / float(np.sum(w))
         worst = np.fmax(worst, np.fmax.reduce(out, axis=0))
     worst = np.clip(worst, 0.0, 1.0).tolist()
-    if table is not None:
-        for hh, v in zip(hs, worst):
-            table.add(k, hh, M, v, n_samples)
     return worst[0] if scalar else worst
 
 
-def omega_to_Omega(table: OmegaTable, k: int, h: int, M: float,
-                   delta: float, N: float = -2.0) -> float:
-    """Omega(k, h, M, delta) = omega(k, h, 2^(1 - 1/N) M) + 2 delta,
-    and 1 whenever delta >= 1/4 (the bound is then trivially available)."""
+def estimate_Omega(space: PointedSpace1D, k: int,
+                   h: Union[int, Sequence[int]], M: float, delta: float,
+                   n_samples: int = 40, N: float = -2.0, seed: int = 0
+                   ) -> Union[float, list[float]]:
+    """Omega(k, h, M, delta) = omega(k, h, 2^(1 - 1/N) M) + 2 delta, capped
+    at 1, and 1 whenever delta >= 1/4 (the bound is then trivially available).
+    omega is estimate_omega at the scaled cap, for one level h or a sequence;
+    it is sampled for every delta, so failing to reach that cap raises."""
     if delta < 0:
         raise InvalidParams("delta must be nonnegative")
-    if delta >= 0.25:
-        return 1.0
-    scaled = 2.0 ** (1.0 - 1.0 / N) * M
-    return min(1.0, table.value(k, h, scaled) + 2.0 * delta)
+    omega = estimate_omega(space, k, h, 2.0 ** (1.0 - 1.0 / N) * M,
+                           n_samples=n_samples, N=N, seed=seed)
+    bound = lambda v: 1.0 if delta >= 0.25 else min(1.0, v + 2.0 * delta)
+    return bound(omega) if np.ndim(h) == 0 else [bound(v) for v in omega]

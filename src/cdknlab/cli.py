@@ -165,7 +165,7 @@ def _cmd_convexity(args) -> int:
     try:
         x = [float(v) for v in d["x"]]
         psi = [float(v) for v in d["psi"]]
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise UsageError(f"bad psi file: {e}")
     rep = cdc.kn_convexity_check((x, psi), args.K, args.N,
                                  n_triples=args.triples, seed=args.seed)
@@ -226,17 +226,13 @@ def _cmd_omega(args) -> int:
     if args.N >= 0:
         raise UsageError(f"--N {args.N} must be negative")
     space = _load_space(args.space)
-    table = cdc.OmegaTable()
     header = ["k", "h", "M", "omega", "n_samples", "Omega"]
     hs = list(range(args.k, args.h_max + 1))
-    scaled = 2.0 ** (1.0 - 1.0 / args.N) * args.M
-    cdc.estimate_omega(space, args.k, hs, scaled, n_samples=args.samples,
-                       N=args.N, seed=args.seed, table=table)
-    omegas = cdc.estimate_omega(space, args.k, hs, args.M,
-                                n_samples=args.samples, N=args.N, seed=args.seed)
-    rows = [[args.k, h, args.M, om, args.samples,
-             cdc.omega_to_Omega(table, args.k, h, args.M, args.delta, N=args.N)]
-            for h, om in zip(hs, omegas)]
+    kw = dict(n_samples=args.samples, N=args.N, seed=args.seed)
+    Omegas = cdc.estimate_Omega(space, args.k, hs, args.M, args.delta, **kw)
+    omegas = cdc.estimate_omega(space, args.k, hs, args.M, **kw)
+    rows = [[args.k, h, args.M, om, args.samples, Om]
+            for h, om, Om in zip(hs, omegas, Omegas)]
     summary = {"k": args.k, "h_max": args.h_max, "M": args.M,
                "delta": args.delta, "N": args.N, "seed": args.seed,
                "samples": args.samples}
@@ -248,16 +244,17 @@ def _cmd_omega(args) -> int:
 # Parser
 
 
-def _count(cap: int):
-    """Argument type for a count flag: an integer in [1, cap]."""
+def _integer(lo: int, hi: float = math.inf):
+    """Argument type for an integer flag in [lo, hi]: a count in [1, cap],
+    or a seed in [0, inf] (numpy's generators take no negative one)."""
     def parse(text: str) -> int:
         try:
             n = int(text)
         except ValueError:
-            n = 0
-        if not 1 <= n <= cap:
+            n = lo - 1
+        if not lo <= n <= hi:
             raise argparse.ArgumentTypeError(
-                f"expected an integer in [1, {cap}], got {text!r}")
+                f"expected an integer in [{lo}, {hi}], got {text!r}")
         return n
 
     return parse
@@ -317,10 +314,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--space", required=True)
     sp.add_argument("--K", type=_finite_float, required=True)
     sp.add_argument("--N", type=_finite_float, required=True)
-    sp.add_argument("--t-grid", type=_count(MAX_GRID_COUNT), default=11, dest="t_grid")
-    sp.add_argument("--nprime-grid", type=_count(MAX_GRID_COUNT), default=9, dest="nprime_grid")
-    sp.add_argument("--samples", type=_count(MAX_SAMPLES), default=20)
-    sp.add_argument("--seed", type=int, required=True)
+    sp.add_argument("--t-grid", type=_integer(1, MAX_GRID_COUNT), default=11, dest="t_grid")
+    sp.add_argument("--nprime-grid", type=_integer(1, MAX_GRID_COUNT), default=9,
+                    dest="nprime_grid")
+    sp.add_argument("--samples", type=_integer(1, MAX_SAMPLES), default=20)
+    sp.add_argument("--seed", type=_integer(0), required=True)
     sp.add_argument("--tol", type=_tolerance, default=cdc.DEFAULT_TOL)
     sp.add_argument("--restrict-k", type=_level, default=None, dest="restrict_k")
     sp.add_argument("--out", required=True)
@@ -331,8 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--psi", required=True, help="JSON file with x / psi arrays")
     sp.add_argument("--K", type=_finite_float, required=True)
     sp.add_argument("--N", type=_finite_float, required=True)
-    sp.add_argument("--triples", type=_count(MAX_TRIPLES), default=400)
-    sp.add_argument("--seed", type=int, required=True)
+    sp.add_argument("--triples", type=_integer(1, MAX_TRIPLES), default=400)
+    sp.add_argument("--seed", type=_integer(0), required=True)
     sp.add_argument("--tol", type=_tolerance, default=1e-9)
     sp.add_argument("--out")
     sp.set_defaults(fn=_cmd_convexity)
@@ -350,8 +348,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("converge", help="gap table for a converging family")
     sp.add_argument("--seq", required=True)
     sp.add_argument("--no-cd", action="store_true", dest="no_cd")
-    sp.add_argument("--cd-samples", type=_count(MAX_SAMPLES), default=4, dest="cd_samples")
-    sp.add_argument("--seed", type=int, required=True)
+    sp.add_argument("--cd-samples", type=_integer(1, MAX_SAMPLES), default=4,
+                    dest="cd_samples")
+    sp.add_argument("--seed", type=_integer(0), required=True)
     sp.add_argument("--tol", type=_tolerance, default=cdc.DEFAULT_TOL)
     sp.add_argument("--out", required=True)
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -364,8 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--M", type=_finite_float, required=True)
     sp.add_argument("--N", type=_finite_float, default=-2.0)
     sp.add_argument("--delta", type=_finite_float, default=0.1)
-    sp.add_argument("--samples", type=_count(MAX_SAMPLES), default=20)
-    sp.add_argument("--seed", type=int, required=True)
+    sp.add_argument("--samples", type=_integer(1, MAX_SAMPLES), default=20)
+    sp.add_argument("--seed", type=_integer(0), required=True)
     sp.add_argument("--out", required=True)
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.set_defaults(fn=_cmd_omega)

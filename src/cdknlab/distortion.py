@@ -25,6 +25,7 @@ from .errors import DomainError
 
 _THRESHOLD_TOL = 1e-12
 _PI2 = math.pi * math.pi
+_XMAX = np.finfo(float).max
 
 
 def _check_t_theta(t: float, theta: float):
@@ -47,7 +48,11 @@ def sigma_kappa_vec(kappa: float, t, theta) -> np.ndarray:
         raise DomainError(f"kappa={kappa} must be finite")
     ts = np.asarray(t, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    x = kappa * theta * theta
+    with np.errstate(over="ignore"):
+        # an overflowed -inf is held at the most negative double, where the
+        # sinh ratio below already has its limit and t = 0, 1 stay exact
+        # (+inf needs nothing: it lies past the pi^2 threshold)
+        x = np.maximum(kappa * theta * theta, -_XMAX)
     tc = ts[..., None]  # the times as a column against the angles
     rows = (slice(None),) * ts.ndim  # every row, ahead of an angle mask
     out = np.empty(ts.shape + x.shape)

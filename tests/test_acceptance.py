@@ -14,12 +14,11 @@ import numpy as np
 import pytest
 
 from cdknlab.cdcheck import (
-    OmegaTable,
     cd_suite,
     default_nprime_grid,
+    estimate_Omega,
     estimate_omega,
     hierarchy_check,
-    omega_to_Omega,
     richardson_check,
     sample_pair_specs,
 )
@@ -310,15 +309,11 @@ def test_criterion_11_regular_region_escape():
     assert all(b <= a + 1e-12 for a, b in zip(omegas, omegas[1:]))
     assert omegas[-1] <= 0.05
 
-    table = OmegaTable()
     h_top = k + 6
-    scaled_M = 2.0 ** (1.0 - 1.0 / -2.0) * M
-    estimate_omega(glued, k, h_top, scaled_M, n_samples=50, seed=0,
-                   table=table)
     delta = 0.004
-    Om = omega_to_Omega(table, k, h_top, M, delta)
+    Om = estimate_Omega(glued, k, h_top, M, delta, n_samples=50, seed=0)
     assert Om - 2.0 * delta <= 1e-2
-    assert omega_to_Omega(table, k, h_top, M, 0.3) == 1.0
+    assert estimate_Omega(glued, k, h_top, M, 0.3, n_samples=50, seed=0) == 1.0
 
 
 def test_criterion_12_deterministic_cli_reports(tmp_path):

@@ -8,28 +8,31 @@ import pytest
 
 from cdknlab.cdcheck import (
     DEFAULT_TOL,
+    MAX_TRIES,
     OMEGA_T_GRID,
     REFINE_FACTOR,
+    SPEC_KINDS,
     STATUS_OK,
     STATUS_SKIPPED,
     STATUS_VACUOUS,
     STATUS_VIOLATED,
     CdRow,
-    OmegaTable,
-    _default_block_sampler,
+    _one_spec,
+    _pair_sampler,
     _support_in_intervals,
     cd_suite,
     default_nprime_grid,
     default_t_grid,
+    estimate_Omega,
     estimate_omega,
     hierarchy_check,
     kn_convexity_check,
     margin_scale,
     mass_in_intervals,
-    omega_to_Omega,
     regular_intervals,
     richardson_check,
     sample_pair_specs,
+    sampling_intervals,
     t_functional,
     verify_cd,
 )
@@ -415,14 +418,104 @@ def test_sample_pair_specs_deterministic(lebesgue):
     assert a != c
 
 
-def test_sample_pair_specs_entropy_cap(lebesgue):
-    specs = sample_pair_specs(lebesgue, -2.0, 4, seed=1, entropy_cap=3.0)
-    for s0, s1 in specs:
-        for s in (s0, s1):
-            mu = measure_from_dict(lebesgue.grid, s)
+def test_pair_sampler_entropy_cap(lebesgue):
+    draw = _pair_sampler(lebesgue, -2.0, 3.0)
+    rng = np.random.default_rng(1)
+    for _ in range(4):
+        specs, mus = draw(rng)
+        for s, mu in zip(specs, mus):
+            assert np.array_equal(mu.masses,
+                                  measure_from_dict(lebesgue.grid, s).masses)
             assert renyi_entropy(mu, lebesgue, -2.0) <= 3.0
     with pytest.raises(SamplerEntropyViolation):
-        sample_pair_specs(lebesgue, -2.0, 1, seed=1, entropy_cap=0.5)
+        _pair_sampler(lebesgue, -2.0, 0.5)(np.random.default_rng(1))
+
+
+def _sample_pair_specs_as_written(space, N, n_pairs, seed):
+    """sample_pair_specs' own rejection loop as it was written, before the
+    pair sampler served it (with no entropy cap)."""
+    rng = np.random.default_rng(seed)
+    ivs = sampling_intervals(space)
+    pairs = []
+    for _ in range(n_pairs):
+        for attempt in range(MAX_TRIES):
+            spec = (_one_spec(rng, ivs, str(rng.choice(SPEC_KINDS))),
+                    _one_spec(rng, ivs, str(rng.choice(SPEC_KINDS))))
+            try:
+                mus = [measure_from_dict(space.grid, s) for s in spec]
+                ents = [renyi_entropy(mu, space, N) for mu in mus]
+            except InvalidParams:
+                continue
+            if all(math.isfinite(e) for e in ents):
+                pairs.append(spec)
+                break
+        else:
+            raise SamplerEntropyViolation("could not sample a pair")
+    return pairs
+
+
+def _block_sampler_as_written(space, k, N, M):
+    """estimate_omega's default sampler as it was written, before the pair
+    sampler served it."""
+    ivs_k = regular_intervals(space, k)
+    ivs = sampling_intervals(space, base=ivs_k)
+
+    def sampler(rng):
+        for _ in range(MAX_TRIES):
+            specs = (_one_spec(rng, ivs, "uniform_block"),
+                     _one_spec(rng, ivs, "uniform_block"))
+            mus = [measure_from_dict(space.grid, s) for s in specs]
+            if all(_support_in_intervals(mu, ivs_k)
+                   and renyi_entropy(mu, space, N) <= M for mu in mus):
+                return mus[0], mus[1]
+        raise SamplerEntropyViolation(
+            f"default sampler cannot satisfy S_N <= {M} on this space")
+
+    return sampler
+
+
+_PINNED_SPACES = {
+    "cos_n": dict(kind="cos_n", K=-2.0, N=-2.0, grid_n=256),
+    "cauchy": dict(kind="cauchy", alpha=1.0, domain=(-4.0, 4.0), grid_n=256),
+    "glued_cos_n": dict(kind="glued_cos_n", K=-2.0, N=-2.0, J=2, grid_n=256),
+}
+
+
+@pytest.mark.parametrize("name", list(_PINNED_SPACES))
+def test_pair_sampler_equals_both_loops_as_written(name):
+    sp = build_model_space(ModelSpec(**_PINNED_SPACES[name]))
+    N, k = -2.0, 1
+    for seed in range(6):
+        assert (sample_pair_specs(sp, N, 5, seed)
+                == _sample_pair_specs_as_written(sp, N, 5, seed))
+        for M in (10.0, 2.0 ** (1.0 - 1.0 / N) * 10.0):  # omega's plain and scaled M
+            draw = _pair_sampler(sp, N, M, k, "uniform_block")
+            want = _block_sampler_as_written(sp, k, N, M)
+            rng, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(5):
+                specs, mus = draw(rng)
+                assert [mu.masses.tolist() for mu in mus] == \
+                    [mu.masses.tolist() for mu in want(rng_want)]
+                assert [mu.masses.tolist() for mu in mus] == \
+                    [measure_from_dict(sp.grid, s).masses.tolist() for s in specs]
+            assert rng.random() == rng_want.random()  # the same stream used
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_restricted_specs_stay_in_the_regular_region(k):
+    for sp in (build_model_space(ModelSpec(kind="cos_n", K=-2.0, N=-2.0,
+                                           grid_n=256)),
+               build_model_space(ModelSpec(kind="power_n", N=-2.0,
+                                           domain=(0.0, 4.0), grid_n=512))):
+        ivs = regular_intervals(sp, k)
+        for seed in range(3):
+            specs = sample_pair_specs(sp, -2.0, 6, seed, restrict_to_regular_k=k)
+            assert len(specs) == 6
+            for s in (s for pair in specs for s in pair):
+                assert _support_in_intervals(measure_from_dict(sp.grid, s), ivs)
+            suite = cd_suite(sp, -2.0, -2.0, 6, seed, t_grid=3, nprime_grid=2,
+                             restrict_to_regular_k=k)
+            assert suite.pair_specs == tuple(specs)
 
 
 def test_suite_reuses_specs_across_grids():
@@ -713,7 +806,7 @@ def _omega_per_time(space, k, hs, M, n_samples, N, seed):
     """estimate_omega with the default sampler as it was written: one
     slice and one mass_in_intervals call per time, per sampled pair."""
     rng = np.random.default_rng(seed)
-    sampler = _default_block_sampler(space, k, N, M)
+    sampler = _block_sampler_as_written(space, k, N, M)
     ivs_h = [regular_intervals(space, h) for h in hs]
     worst = np.zeros(len(hs))
     for _ in range(n_samples):
@@ -759,12 +852,10 @@ def test_omega_over_levels_equals_one_level_at_a_time():
                                      grid_n=256))
     hs = [4, 2, 5, 3]
     kw = dict(n_samples=6, N=-2.0, seed=3)
-    t_vec, t_one = OmegaTable(), OmegaTable()
-    got = estimate_omega(sp, 2, hs, 10.0, table=t_vec, **kw)
-    want = [estimate_omega(sp, 2, h, 10.0, table=t_one, **kw) for h in hs]
+    got = estimate_omega(sp, 2, hs, 10.0, **kw)
+    want = [estimate_omega(sp, 2, h, 10.0, **kw) for h in hs]
     assert got == want
     assert all(type(v) is float for v in got + want)
-    assert t_vec.entries == t_one.entries and len(t_vec.entries) == len(hs)
     assert got[1] > 0  # h = k still loses mass across the joints
     for bad in ([], [3, 1, 4], (2, 1)):
         with pytest.raises(InvalidParams):
@@ -788,17 +879,25 @@ def test_omega_guards():
         estimate_omega(sp, 2, 2, 1e-6, n_samples=1, seed=1)
 
 
-def test_omega_table_and_Omega():
-    table = OmegaTable()
-    table.add(2, 8, 28.284271247461902, 0.01, 50)
-    assert table.value(2, 8, 28.284271247461902 * (1 + 1e-12)) == 0.01
-    with pytest.raises(InvalidParams):
-        table.value(2, 9, 28.28)
-    assert omega_to_Omega(table, 2, 8, 10.0, delta=0.004, N=-2.0) == \
-        pytest.approx(0.018)
-    assert omega_to_Omega(table, 2, 8, 10.0, delta=0.3, N=-2.0) == 1.0
-    assert omega_to_Omega(table, 2, 8, 10.0, delta=0.25, N=-2.0) == 1.0
-    table.add(2, 8, 28.284271247461902, 0.9, 50)
-    assert omega_to_Omega(table, 2, 8, 10.0, delta=0.1, N=-2.0) == 1.0
-    with pytest.raises(InvalidParams):
-        omega_to_Omega(table, 2, 8, 10.0, delta=-0.1, N=-2.0)
+def test_Omega_is_omega_at_the_scaled_cap():
+    sp = build_model_space(ModelSpec(kind="glued_cos_n", K=-2.0, N=-2.0, J=2,
+                                     grid_n=256))
+    hs = [2, 3, 4]
+    for N, seed in ((-2.0, 3), (-0.5, 4)):
+        kw = dict(n_samples=6, N=N, seed=seed)
+        omega = estimate_omega(sp, 2, hs, 2.0 ** (1.0 - 1.0 / N) * 10.0, **kw)
+        assert omega[0] > 0
+        for delta in (0.0, 0.004, 0.1, 0.2):
+            want = [min(1.0, v + 2.0 * delta) for v in omega]
+            assert estimate_Omega(sp, 2, hs, 10.0, delta, **kw) == want
+            assert estimate_Omega(sp, 2, 3, 10.0, delta, **kw) == want[1]
+        for delta in (0.25, 0.3):
+            assert estimate_Omega(sp, 2, hs, 10.0, delta, **kw) == [1.0] * 3
+            assert estimate_Omega(sp, 2, 3, 10.0, delta, **kw) == 1.0
+    with pytest.raises(InvalidParams, match="delta must be nonnegative"):
+        estimate_Omega(sp, 2, hs, 10.0, -0.1)
+    # the scaled cap is sampled for every delta, and a failing sampler names it
+    for delta in (0.1, 0.3):
+        with pytest.raises(SamplerEntropyViolation,
+                           match=r"S_N <= 2\.8284271247461903e-06 on"):
+            estimate_Omega(sp, 2, hs, 1e-6, delta, n_samples=1, seed=1)

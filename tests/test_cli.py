@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import cdknlab
-from cdknlab.cdcheck import OmegaTable, estimate_omega, omega_to_Omega
+from cdknlab.cdcheck import estimate_Omega, estimate_omega
 from cdknlab.cli import (EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, MAX_GRID_COUNT,
                          MAX_SAMPLES, MAX_TRIPLES, _fmt, _load_space,
                          build_parser, main)
@@ -148,12 +148,45 @@ def test_convexity_pass_and_fail(tmp_path):
     assert float(doc["min_margin"]) < -0.01
 
 
-def test_convexity_bad_psi_file_is_usage_error(tmp_path):
+_BAD_PSI = {
+    "psi_missing": ({"x": [0, 1]}, "0"),
+    # e^(-psi/N) is NaN or +inf at a node: no inequality can be checked there
+    "psi_nan": ({"x": [0.0, 0.5, 1.0], "psi": [0.0, math.nan, 0.0]}, "0"),
+    "psi_inf": ({"x": [0.0, 0.5, 1.0], "psi": [0.0, math.inf, 0.0]}, "0"),
+    "psi_exp_overflows": ({"x": [0.0, 0.5, 1.0], "psi": [0.0, 2000.0, 0.0]}, "0"),
+    "x_nan": ({"x": [0.0, math.nan, 1.0], "psi": [0.0, 0.0, 0.0]}, "0"),
+    "x_span_overflows": ({"x": [-1.5e308, 0.0, 1.5e308], "psi": [0.0] * 3}, "0"),
+    # beyond the doubles: float() overflows while the file is read
+    "x_10_400": ({"x": [0, 10 ** 400, 2 * 10 ** 400], "psi": [0, 0, 0]}, "0"),
+    "psi_10_400": ({"x": [0, 1, 2], "psi": [0, 10 ** 400, 0]}, "1"),
+}
+
+
+@pytest.mark.parametrize("name", list(_BAD_PSI))
+def test_convexity_bad_psi_file_is_usage_error(tmp_path, name):
+    content, K = _BAD_PSI[name]
     p = tmp_path / "bad.json"
-    p.write_text(json.dumps({"x": [0, 1]}))  # psi missing
-    rc = main(["convexity", "--psi", str(p), "--K", "0.0", "--N", "-2.0",
-               "--seed", "1"])
+    p.write_text(json.dumps(content))
+    out = tmp_path / "c.json"
+    rc = main(["convexity", "--psi", str(p), "--K", K, "--N", "-2.0",
+               "--seed", "1", "--out", str(out)])
     assert rc == EXIT_USAGE
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("x, K", [([0.0, 5e299, 1e300], "1"),
+                                  ([0.0, 1e150, 1e300], "1"),
+                                  ([-1e300, -1e300, 1e300], "1"),
+                                  ([0.0, 1.0, 2.0], "1e308")])
+def test_convexity_far_nodes_run_quietly(tmp_path, x, K):
+    # K theta^2 / N overflows; sigma then takes its limit, without a warning
+    p = tmp_path / "far.json"
+    p.write_text(json.dumps({"x": x, "psi": [0.0, 0.0, 0.0]}))
+    out = tmp_path / "c.json"
+    rc = main(["convexity", "--psi", str(p), "--K", K, "--N", "-2.0",
+               "--seed", "1", "--triples", "5", "--out", str(out)])
+    assert rc in (EXIT_OK, EXIT_VIOLATION)
+    assert math.isfinite(float(json.loads(out.read_text())["min_margin"]))
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +281,19 @@ def test_omega_sampler_stays_in_the_regular_region(tmp_path):
     assert [r["h"] for r in csv.DictReader(out.open())] == ["0", "1", "2", "3", "4"]
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_cdcheck_restrict_k_draws_inside_the_regular_region(tmp_path, seed):
+    # the pairs are drawn inside R^1, so verify_cd's support check holds
+    sp = _space_file(tmp_path, grid_n=256)
+    out = tmp_path / "cd.csv"
+    rc = main(["cdcheck", "--space", sp, "--K", "-2", "--N", "-2",
+               "--samples", "20", "--seed", str(seed), "--restrict-k", "1",
+               "--out", str(out)])
+    assert rc == EXIT_OK
+    summary = json.loads((tmp_path / "cd.csv.summary.json").read_text())
+    assert summary["passed"] is True and summary["samples"] == 20
+
+
 def test_omega_cells_equal_one_level_at_a_time(tmp_path):
     sp = _space_file(tmp_path, kind="glued_cos_n",
                      params={"K": -2.0, "N": -2.0, "J": 2}, grid_n=256)
@@ -258,13 +304,11 @@ def test_omega_cells_equal_one_level_at_a_time(tmp_path):
     rows = list(csv.DictReader(out.read_text().splitlines()))
     assert [r["h"] for r in rows] == ["2", "3", "4", "5"]
     space = _load_space(sp)
-    scaled = 2.0 ** 1.5 * 10.0
     kw = dict(n_samples=6, N=-2.0, seed=9)
     for r in rows:
-        h, table = int(r["h"]), OmegaTable()
-        estimate_omega(space, 2, h, scaled, table=table, **kw)
+        h = int(r["h"])
         assert r["omega"] == _fmt(estimate_omega(space, 2, h, 10.0, **kw))
-        assert r["Omega"] == _fmt(omega_to_Omega(table, 2, h, 10.0, 0.1, N=-2.0))
+        assert r["Omega"] == _fmt(estimate_Omega(space, 2, h, 10.0, 0.1, **kw))
 
 
 def test_many_short_arches_leave_room_for_marginals(tmp_path):
@@ -443,9 +487,18 @@ def test_runs_that_check_nothing_are_usage_errors(tmp_path, argv):
      "--seed", "0", "--M", "5"],
     ["ikrw", "--space-a", "{space}", "--space-b", "{space}",
      "--k-bar", "1024", "--k-max", "1024"],
+    ["cdcheck", "--space", "{space}", "--K", "-2", "--N", "-2", "--seed", "-1"],
+    ["convexity", "--psi", "{psi}", "--K", "0", "--N", "-2", "--seed", "-1"],
+    ["converge", "--seq", "{seq}", "--seed", "-1"],
+    ["omega", "--space", "{space}", "--k", "2", "--h-max", "3", "--M", "5",
+     "--seed", "-1"],
+    ["omega", "--space", "{space}", "--k", "2", "--h-max", "3", "--M", "5",
+     "--seed", "1.5"],
 ], ids=["K_nan", "N_neg_inf", "tol_neg", "tol_nan", "restrict_k_2000",
         "convexity_K_inf", "converge_tol_inf", "omega_M_nan", "omega_N_0",
-        "omega_delta_inf", "omega_k_1100", "ikrw_k_1024"])
+        "omega_delta_inf", "omega_k_1100", "ikrw_k_1024", "cdcheck_seed_neg",
+        "convexity_seed_neg", "converge_seed_neg", "omega_seed_neg",
+        "omega_seed_float"])
 def test_non_finite_or_out_of_range_numbers_are_usage_errors(tmp_path, argv):
     psi = tmp_path / "psi.json"
     psi.write_text(json.dumps({"x": [0.0, 0.5, 1.0], "psi": [0.0, 0.0, 0.0]}))

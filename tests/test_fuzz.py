@@ -1,5 +1,6 @@
-"""Property-based fuzz of the input files that reach the model table: space
-descriptors (`model`) and sequence files (`converge --no-cd`).
+"""Property-based fuzz of the input files: space descriptors (`model`) and
+sequence files (`converge --no-cd`), which reach the model table, and weight
+files (`convexity`).
 
 Each drawn file is a valid one with up to three fields replaced by junk.
 Whatever the junk, the command must end in an exit code, never in a
@@ -8,6 +9,7 @@ traceback or a RuntimeWarning (which the suite's filter makes an error).
 
 import copy
 import json
+import math
 import os
 import sys
 import tempfile
@@ -68,6 +70,12 @@ _SEQUENCE_JUNK = {
     "k_range": JUNK | st.lists(st.integers(-3, 4), max_size=3),
 }
 
+VALID_PSI_FILES = [
+    {"x": [0.0, 0.5, 1.0], "psi": [0.0, 0.0, 0.0]},
+    {"x": [0.0, 0.25, 0.5, 0.75, 1.0], "psi": [0.0, -0.5, -1.0, -0.5, 0.0]},
+    {"x": [0.0, 1.0, 2.0, 3.0], "psi": [1.0, -math.inf, 0.5, 2.0]},
+]
+
 _FUZZ = settings(derandomize=True, database=None, deadline=None,
                  suppress_health_check=[HealthCheck.too_slow])
 
@@ -111,3 +119,21 @@ def test_fuzzed_sequence_files_exit_cleanly(seq):
     rc = _run(lambda p, out: ["converge", "--seq", p, "--no-cd", "--seed",
                               "0", "--out", out], seq)
     assert rc in (EXIT_OK, EXIT_USAGE, EXIT_VIOLATION)
+
+
+def _blows_up(psi) -> bool:
+    """Whether a psi list holds a NaN or a +inf, where e^(-psi/N) is
+    undefined or infinite."""
+    return isinstance(psi, list) and any(
+        isinstance(v, float) and (math.isnan(v) or v == math.inf) for v in psi)
+
+
+@settings(_FUZZ, max_examples=300)
+@given(_junked(VALID_PSI_FILES), st.sampled_from(["0", "1", "-1"]))
+def test_fuzzed_psi_files_exit_cleanly(psi_file, K):
+    rc = _run(lambda p, out: ["convexity", "--psi", p, "--K", K, "--N", "-2",
+                              "--seed", "0", "--triples", "50", "--out", out],
+              psi_file)
+    assert rc in (EXIT_OK, EXIT_USAGE, EXIT_VIOLATION)
+    if _blows_up(psi_file["psi"]):
+        assert rc == EXIT_USAGE
