@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .distortion import sigma_kappa, tau_KN_vec
+from .distortion import sigma_kappa_lengths, tau_KN_vec
 from .errors import (
     DomainError,
     InvalidParams,
@@ -106,7 +106,9 @@ def t_functional(coupling: Coupling, rho0: DensityWrtM, rho1: DensityWrtM,
             "coupling carries mass where a marginal density vanishes")
     ts = np.asarray(t, dtype=float).reshape(-1)
     d = np.abs(coupling.x - coupling.y)
-    tau = tau_KN_vec(K, N, np.concatenate([1.0 - ts, ts]), d)
+    # tau once per distinct time: 1 - t repeats most times of a symmetric grid
+    times, back = np.unique(np.concatenate([1.0 - ts, ts]), return_inverse=True)
+    tau = tau_KN_vec(K, N, times, d)[back]
     tau0, tau1 = tau[:ts.size], tau[ts.size:]
     expo = -1.0 / N
     with np.errstate(over="ignore", invalid="ignore"):
@@ -320,33 +322,53 @@ def _one_spec(rng: np.random.Generator, intervals, kind: str) -> dict:
     return {"type": "mixture", "parts": parts}
 
 
-def _pair_sampler(space: PointedSpace1D, N: float, cap: float,
+def _pair_sampler(space: PointedSpace1D, N: float, caps: Sequence[float],
                   k: Optional[int] = None, kind: Optional[str] = None):
-    """draw(rng) -> (specs, measures): a pair of `kind` marginals (of shapes
-    drawn from SPEC_KINDS when kind is None), drawn again up to MAX_TRIES
-    times until each has a finite S_N <= cap and, given k, lies in R^k."""
+    """draws(rng, n) -> iterator of (specs, measures, takes), one per drawn
+    pair of `kind` marginals (of shapes drawn from SPEC_KINDS when kind is
+    None) that some cap takes.  Cap c takes a pair, until it has n, when each
+    marginal has a finite S_N <= caps[c] and, given k, lies in R^k; takes[c]
+    says whether it did.  Every cap sees the one stream of pairs, and takes
+    what a loop of redraws at that cap alone would return.  A cap that
+    rejects MAX_TRIES pairs in a row fails: the first failed cap in the
+    order of caps raises once every cap before it has its n pairs, and no
+    pair is yielded after a cap has failed."""
     ivs_k = None if k is None else regular_intervals(space, k)
     ivs = sampling_intervals(space, base=ivs_k)
 
-    def ok(mu: DiscreteMeasure) -> bool:
-        # a block near an end of R^k can charge a cell centred outside it
-        return ((ivs_k is None or _support_in_intervals(mu, ivs_k))
-                and math.isfinite(s := renyi_entropy(mu, space, N)) and s <= cap)
+    def entropy(mu: DiscreteMeasure) -> float:
+        # a block near an end of R^k can charge a cell centred outside it;
+        # such a marginal gets NaN, which no cap takes
+        if ivs_k is not None and not _support_in_intervals(mu, ivs_k):
+            return math.nan
+        return renyi_entropy(mu, space, N)
 
-    def draw(rng: np.random.Generator):
-        for _ in range(MAX_TRIES):
+    def draws(rng: np.random.Generator, n: int):
+        got, misses = [0] * len(caps), [0] * len(caps)
+        while any(g < n for g in got):
+            first = next(c for c, g in enumerate(got) if g < n)
+            if misses[first] >= MAX_TRIES:
+                raise SamplerEntropyViolation(
+                    f"default sampler cannot satisfy S_N <= {caps[first]} on this space")
+            pending = [g < n and m < MAX_TRIES for g, m in zip(got, misses)]
             specs = tuple(_one_spec(rng, ivs, kind or str(rng.choice(SPEC_KINDS)))
                           for _ in range(2))
             try:
                 mus = tuple(measure_from_dict(space.grid, s) for s in specs)
-                if all(ok(mu) for mu in mus):
-                    return specs, mus
             except InvalidParams:
-                continue
-        raise SamplerEntropyViolation(
-            f"default sampler cannot satisfy S_N <= {cap} on this space")
+                mus = ()
+            takes = pending if mus else [False] * len(caps)
+            for mu in mus:
+                if any(takes):  # S_N only while some cap may take the pair
+                    s = entropy(mu)
+                    takes = [tk and math.isfinite(s) and s <= cap
+                             for tk, cap in zip(takes, caps)]
+            got = [g + tk for g, tk in zip(got, takes)]
+            misses = [0 if tk else m + p for m, tk, p in zip(misses, takes, pending)]
+            if any(takes) and max(misses) < MAX_TRIES:
+                yield specs, mus, np.array(takes)
 
-    return draw
+    return draws
 
 
 def sample_pair_specs(space: PointedSpace1D, N: float, n_pairs: int,
@@ -354,9 +376,8 @@ def sample_pair_specs(space: PointedSpace1D, N: float, n_pairs: int,
                       ) -> list[tuple[dict, dict]]:
     """Draw marginal pairs as grid-free descriptors with finite entropy,
     inside R^k when restrict_to_regular_k is k."""
-    rng = np.random.default_rng(seed)
-    draw = _pair_sampler(space, N, math.inf, restrict_to_regular_k)
-    return [draw(rng)[0] for _ in range(n_pairs)]
+    draws = _pair_sampler(space, N, [math.inf], restrict_to_regular_k)
+    return [specs for specs, _, _ in draws(np.random.default_rng(seed), n_pairs)]
 
 
 @dataclass(frozen=True)
@@ -492,10 +513,13 @@ def kn_convexity_check(psi_samples, K: float, N: float,
             raise InvalidParams("triple must be increasing")
         if d >= d_max * (1 - 1e-12):
             raise DomainError(f"triple distance {d} out of range for K<0")
-        t = (x[im] - x[i0]) / d
+        # each coefficient from the sub-lengths, not from 1 - t, which
+        # rounds to 1 when x[im] is far nearer x[i0] than x[i1]
+        a, b = float(x[im] - x[i0]), float(x[i1] - x[im])
+        t = a / d
         with np.errstate(over="ignore"):  # a bound past the doubles passes
-            bound = (sigma_kappa(kappa, 1.0 - t, d) * fN[i0]
-                     + sigma_kappa(kappa, t, d) * fN[i1])
+            bound = (sigma_kappa_lengths(kappa, b, a) * fN[i0]
+                     + sigma_kappa_lengths(kappa, a, b) * fN[i1])
         margin = bound - fN[im]
         if margin < min_margin:
             min_margin, worst = margin, (float(x[i0]), float(x[im]), float(x[i1]), t)
@@ -508,9 +532,9 @@ def kn_convexity_check(psi_samples, K: float, N: float,
 
 
 def estimate_omega(space: PointedSpace1D, k: int, h: Union[int, Sequence[int]],
-                   M: float, sampler: Optional[Callable] = None,
-                   n_samples: int = 40, N: float = -2.0, seed: int = 0
-                   ) -> Union[float, list[float]]:
+                   M: Union[float, Sequence[float]],
+                   sampler: Optional[Callable] = None, n_samples: int = 40,
+                   N: float = -2.0, seed: int = 0) -> Union[float, list]:
     """Estimated sup over sampled pairs of max_t mu_t(complement of R^h).
 
     `h` is one level (a float is returned) or a sequence of levels (a list in
@@ -518,48 +542,76 @@ def estimate_omega(space: PointedSpace1D, k: int, h: Union[int, Sequence[int]],
     seed draws, so the h-monotonicity of the regular regions transfers
     exactly to the estimates, and a level's value does not depend on which
     other levels are asked for.
-    The sampler must emit probability pairs supported in R^k with entropy
-    at most M; violations raise.
+    `M` is one entropy cap or a sequence of caps (a list with one entry per
+    cap, each what that cap alone gives).  All caps share one stream of
+    candidate pairs, each pair drawn, checked and sliced once; when several
+    caps fail, the first in the order of `M` raises.  The sampler must emit
+    probability pairs supported in R^k with entropy at most every cap;
+    violations raise.
     """
-    scalar = np.ndim(h) == 0
-    hs = [h] if scalar else list(h)
+    scalar_h, scalar_M = np.ndim(h) == 0, np.ndim(M) == 0
+    hs = [h] if scalar_h else list(h)
+    Ms = [M] if scalar_M else list(M)
     if not hs or min(hs) < k:
         raise InvalidParams("need at least one h, and h >= k for each")
+    if not Ms:
+        raise InvalidParams("need at least one entropy cap M")
     rng = np.random.default_rng(seed)
-    # the default sampler returns only pairs that pass the checks below
-    custom = sampler is not None
-    if not custom:
-        draw = _pair_sampler(space, N, M, k, "uniform_block")
-        sampler = lambda rng: draw(rng)[1]
-    ivs_k = regular_intervals(space, k)
+    if sampler is None:
+        pairs = _pair_sampler(space, N, Ms, k, "uniform_block")(rng, n_samples)
+    else:
+        pairs = _checked_pairs(space, k, N, Ms, sampler, rng, n_samples)
     ivs_h = [regular_intervals(space, hh) for hh in hs]
     ts = np.linspace(0.0, 1.0, OMEGA_T_GRID)
-    worst = np.zeros(len(hs))
-    for _ in range(n_samples):
-        mu0, mu1 = sampler(rng)
-        for mu in (mu0, mu1):
-            if custom and not _support_in_intervals(mu, ivs_k):
-                raise SupportViolation("sampled marginal leaves R^k")
-            if custom and renyi_entropy(mu, space, N) > M * (1 + 1e-12):
-                raise SamplerEntropyViolation("sampled marginal exceeds the entropy cap")
+    worst = np.zeros((len(Ms), len(hs)))
+    for _, (mu0, mu1), takes in pairs:
         u0, u1, w = monotone_map(mu0, mu1).interpolate_blocks(ts)
         out = 1.0 - mass_in_intervals(u0, u1, w, ivs_h) / float(np.sum(w))
-        worst = np.fmax(worst, np.fmax.reduce(out, axis=0))
-    worst = np.clip(worst, 0.0, 1.0).tolist()
-    return worst[0] if scalar else worst
+        worst[takes] = np.fmax(worst[takes], np.fmax.reduce(out, axis=0))
+    per_cap = [row[0] if scalar_h else row
+               for row in np.clip(worst, 0.0, 1.0).tolist()]
+    return per_cap[0] if scalar_M else per_cap
+
+
+def _checked_pairs(space: PointedSpace1D, k: int, N: float, caps,
+                   sampler: Callable, rng: np.random.Generator, n: int):
+    """A caller's n sampled pairs in the pair sampler's form, each taken by
+    every cap: each marginal must lie in R^k with S_N at most every cap."""
+    ivs_k = regular_intervals(space, k)
+    for _ in range(n):
+        mus = tuple(sampler(rng))
+        for mu in mus:
+            if not _support_in_intervals(mu, ivs_k):
+                raise SupportViolation("sampled marginal leaves R^k")
+            s = renyi_entropy(mu, space, N)
+            if any(s > cap * (1 + 1e-12) for cap in caps):
+                raise SamplerEntropyViolation("sampled marginal exceeds the entropy cap")
+        yield None, mus, np.ones(len(caps), dtype=bool)
+
+
+def Omega_cap(M: float, N: float) -> float:
+    """The entropy cap 2^(1 - 1/N) M at which Omega(k, h, M, delta) samples
+    omega."""
+    return 2.0 ** (1.0 - 1.0 / N) * M
+
+
+def Omega_bound(delta: float) -> Callable[[float], float]:
+    """omega -> Omega = omega + 2 delta, capped at 1, and 1 whenever
+    delta >= 1/4 (the bound is then trivially available)."""
+    if delta < 0:
+        raise InvalidParams("delta must be nonnegative")
+    return lambda omega: 1.0 if delta >= 0.25 else min(1.0, omega + 2.0 * delta)
 
 
 def estimate_Omega(space: PointedSpace1D, k: int,
                    h: Union[int, Sequence[int]], M: float, delta: float,
                    n_samples: int = 40, N: float = -2.0, seed: int = 0
                    ) -> Union[float, list[float]]:
-    """Omega(k, h, M, delta) = omega(k, h, 2^(1 - 1/N) M) + 2 delta, capped
-    at 1, and 1 whenever delta >= 1/4 (the bound is then trivially available).
-    omega is estimate_omega at the scaled cap, for one level h or a sequence;
-    it is sampled for every delta, so failing to reach that cap raises."""
-    if delta < 0:
-        raise InvalidParams("delta must be nonnegative")
-    omega = estimate_omega(space, k, h, 2.0 ** (1.0 - 1.0 / N) * M,
+    """Omega(k, h, M, delta): Omega_bound(delta) of omega at Omega_cap(M, N).
+    omega is estimate_omega at that scaled cap, for one level h or a
+    sequence; it is sampled for every delta, so failing to reach the cap
+    raises."""
+    bound = Omega_bound(delta)
+    omega = estimate_omega(space, k, h, Omega_cap(M, N),
                            n_samples=n_samples, N=N, seed=seed)
-    bound = lambda v: 1.0 if delta >= 0.25 else min(1.0, v + 2.0 * delta)
     return bound(omega) if np.ndim(h) == 0 else [bound(v) for v in omega]

@@ -228,11 +228,14 @@ def _cmd_omega(args) -> int:
     space = _load_space(args.space)
     header = ["k", "h", "M", "omega", "n_samples", "Omega"]
     hs = list(range(args.k, args.h_max + 1))
-    kw = dict(n_samples=args.samples, N=args.N, seed=args.seed)
-    Omegas = cdc.estimate_Omega(space, args.k, hs, args.M, args.delta, **kw)
-    omegas = cdc.estimate_omega(space, args.k, hs, args.M, **kw)
-    rows = [[args.k, h, args.M, om, args.samples, Om]
-            for h, om, Om in zip(hs, omegas, Omegas)]
+    bound = cdc.Omega_bound(args.delta)
+    # one sampling pass for both caps; Omega's first, so that its failure is
+    # the one reported when both caps fail
+    scaled, omegas = cdc.estimate_omega(
+        space, args.k, hs, [cdc.Omega_cap(args.M, args.N), args.M],
+        n_samples=args.samples, N=args.N, seed=args.seed)
+    rows = [[args.k, h, args.M, om, args.samples, bound(om_scaled)]
+            for h, om, om_scaled in zip(hs, omegas, scaled)]
     summary = {"k": args.k, "h_max": args.h_max, "M": args.M,
                "delta": args.delta, "N": args.N, "seed": args.seed,
                "samples": args.samples}

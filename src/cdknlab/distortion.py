@@ -73,6 +73,30 @@ def sigma_kappa_vec(kappa: float, t, theta) -> np.ndarray:
     return out
 
 
+def sigma_kappa_lengths(kappa: float, a: float, b: float) -> float:
+    """sigma_kappa^(t)(theta) for theta = a + b > 0 and t = a / theta, from
+    the two lengths a, b >= 0 themselves.  Neither t nor 1 - t is formed, so
+    a point 1e150 from one end of a 1e300 segment keeps the ~0 coefficient
+    that 1 - 1e-150, rounded to 1, would turn into 1."""
+    if not math.isfinite(kappa):
+        raise DomainError(f"kappa={kappa} must be finite")
+    if not (a >= 0.0 and b >= 0.0):
+        raise DomainError(f"lengths a={a}, b={b} must be nonnegative")
+    theta = a + b
+    x = kappa * theta * theta
+    if x >= _PI2 - _THRESHOLD_TOL:
+        return math.inf
+    if x == 0.0:
+        return a / theta
+    if x > 0.0:
+        r = math.sqrt(kappa)
+        return math.sin(a * r) / math.sin(theta * r)
+    r = math.sqrt(-kappa)
+    # the sinh ratio in the stable form of sigma_kappa_vec, with b theta
+    # standing for (1 - t) theta
+    return math.exp(-b * r) * -math.expm1(-2.0 * a * r) / -math.expm1(-2.0 * theta * r)
+
+
 def sigma_KN(K: float, N: float, t: float, theta: float) -> float:
     """sigma in (K, N) bookkeeping: infinite iff K theta^2 <= N pi^2 (N < 0)."""
     if N >= 0:

@@ -2,14 +2,17 @@
 of weights, and the regular-region escape estimates."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
+from cdknlab import cdcheck
 from cdknlab.cdcheck import (
     DEFAULT_TOL,
     MAX_TRIES,
     OMEGA_T_GRID,
+    Omega_cap,
     REFINE_FACTOR,
     SPEC_KINDS,
     STATUS_OK,
@@ -122,13 +125,16 @@ def test_t_functional_over_times_equals_one_time_at_a_time(lebesgue):
     rho0 = radon_nikodym(mu0, lebesgue)
     rho1 = radon_nikodym(mu1, lebesgue)
     ts = np.array([0.0, 1.0, 0.5, 0.1, 1.0 - 0.1, 1e-9, 0.73])
+    # not symmetric, with repeats: 1 - t meets a time of the grid only at 0.25
+    lopsided = np.array([0.75, 0.3, 0.3, 0.25, 0.99, 1e-300, 0.6180339887])
     for K, N in ((1.5, -2.0), (-3.0, -0.4), (0.0, -1.0), (-200.0, -1.0),
                  (2.0, -1e-3)):
-        got = t_functional(coup, rho0, rho1, K, N, ts)
-        assert isinstance(got, np.ndarray) and got.shape == ts.shape
-        want = [t_functional(coup, rho0, rho1, K, N, float(t)) for t in ts]
-        assert got.tolist() == want
-        assert all(type(v) is float for v in want)
+        for grid in (ts, lopsided):
+            got = t_functional(coup, rho0, rho1, K, N, grid)
+            assert isinstance(got, np.ndarray) and got.shape == grid.shape
+            want = [t_functional(coup, rho0, rho1, K, N, float(t)) for t in grid]
+            assert got.tolist() == want
+            assert all(type(v) is float for v in want)
     # K / (N - 1) = 100 puts the distances past 0.31 beyond pi^2 (tau = inf)
     assert np.isinf(t_functional(coup, rho0, rho1, -200.0, -1.0, ts)).all()
     mixed = t_functional(coup, rho0, rho1, 2.0, -1e-3, ts)
@@ -419,16 +425,33 @@ def test_sample_pair_specs_deterministic(lebesgue):
 
 
 def test_pair_sampler_entropy_cap(lebesgue):
-    draw = _pair_sampler(lebesgue, -2.0, 3.0)
-    rng = np.random.default_rng(1)
-    for _ in range(4):
-        specs, mus = draw(rng)
+    draws = _pair_sampler(lebesgue, -2.0, [3.0])
+    pairs = list(draws(np.random.default_rng(1), 4))
+    assert len(pairs) == 4
+    for specs, mus, takes in pairs:
+        assert takes.tolist() == [True]
         for s, mu in zip(specs, mus):
             assert np.array_equal(mu.masses,
                                   measure_from_dict(lebesgue.grid, s).masses)
             assert renyi_entropy(mu, lebesgue, -2.0) <= 3.0
     with pytest.raises(SamplerEntropyViolation):
-        _pair_sampler(lebesgue, -2.0, 0.5)(np.random.default_rng(1))
+        list(_pair_sampler(lebesgue, -2.0, [0.5])(np.random.default_rng(1), 1))
+
+
+def test_pair_sampler_keeps_a_failed_cap_failed(lebesgue, monkeypatch):
+    # scripted S_N per marginal against caps (2, 1): 0.5 passes both, 1.5
+    # only the first, 3.0 neither.  The second cap fails on its MAX_TRIES-th
+    # rejection in a row while the first still needs a pair; the pairs drawn
+    # for the first after that must neither revive it nor be yielded
+    script = iter([0.5, 0.5] + [3.0] * (MAX_TRIES - 1) + [1.5, 1.5]
+                  + [0.5, 0.5] * 3)
+    monkeypatch.setattr(cdcheck, "renyi_entropy", lambda mu, space, N: next(script))
+    draws = _pair_sampler(lebesgue, -2.0, [2.0, 1.0], kind="uniform_block")
+    yielded = []
+    with pytest.raises(SamplerEntropyViolation, match=r"S_N <= 1\.0 on"):
+        for _, _, takes in draws(np.random.default_rng(0), 3):
+            yielded.append(takes.tolist())
+    assert yielded == [[True, True]]
 
 
 def _sample_pair_specs_as_written(space, N, n_pairs, seed):
@@ -489,11 +512,10 @@ def test_pair_sampler_equals_both_loops_as_written(name):
         assert (sample_pair_specs(sp, N, 5, seed)
                 == _sample_pair_specs_as_written(sp, N, 5, seed))
         for M in (10.0, 2.0 ** (1.0 - 1.0 / N) * 10.0):  # omega's plain and scaled M
-            draw = _pair_sampler(sp, N, M, k, "uniform_block")
+            draws = _pair_sampler(sp, N, [M], k, "uniform_block")
             want = _block_sampler_as_written(sp, k, N, M)
             rng, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
-            for _ in range(5):
-                specs, mus = draw(rng)
+            for specs, mus, _ in draws(rng, 5):
                 assert [mu.masses.tolist() for mu in mus] == \
                     [mu.masses.tolist() for mu in want(rng_want)]
                 assert [mu.masses.tolist() for mu in mus] == \
@@ -877,6 +899,74 @@ def test_omega_guards():
         estimate_omega(sp, 0, 0, 100.0, sampler=bad_sampler, n_samples=1)
     with pytest.raises(SamplerEntropyViolation):
         estimate_omega(sp, 2, 2, 1e-6, n_samples=1, seed=1)
+
+
+# (space, k, caps): at each M only some of the candidates pass, and at the
+# scaled cap 2^(1 - 1/N) M all of them do
+_DIVERGING_CAPS = [
+    (dict(kind="glued_cos_n", K=-2.0, N=-2.0, J=2, grid_n=256), 2, [1.01, 1.05, 1.2]),
+    (dict(kind="cos_n", K=-2.0, N=-2.0, grid_n=256), 1, [1.02]),
+]
+
+
+@pytest.mark.parametrize("spec, k, Ms", _DIVERGING_CAPS,
+                         ids=["glued_cos_n", "cos_n"])
+def test_omega_over_caps_equals_one_cap_at_a_time(spec, k, Ms):
+    sp = build_model_space(ModelSpec(**spec))
+    N = -2.0
+    caps = [c for M in Ms for c in (Omega_cap(M, N), M)]
+    hs = [k + 2, k, k + 1]
+    for seed in range(3):
+        kw = dict(n_samples=6, N=N, seed=seed)
+        for h in (hs, k + 1):
+            got = estimate_omega(sp, k, h, caps, **kw)
+            assert got == [estimate_omega(sp, k, h, M, **kw) for M in caps]
+        assert estimate_omega(sp, k, hs, caps[0], **kw) == \
+            estimate_omega(sp, k, hs, caps[:1], **kw)[0]
+        # each cap takes its 6 pairs, and they are not the same 6
+        takes = np.array([t.tolist() for _, _, t in _pair_sampler(
+            sp, N, caps, k, "uniform_block")(np.random.default_rng(seed), 6)])
+        assert takes.sum(axis=0).tolist() == [6] * len(caps)
+        assert len(takes) > 6
+    with pytest.raises(InvalidParams, match="at least one entropy cap"):
+        estimate_omega(sp, k, k, [], n_samples=2)
+
+
+def test_omega_first_failing_cap_is_named():
+    sp = build_model_space(ModelSpec(kind="glued_cos_n", K=-2.0, N=-2.0, J=2,
+                                     grid_n=256))
+    kw = dict(n_samples=5, N=-2.0, seed=1)
+    # S_N <= 0.5 fails after the scaled cap 2^1.5 * 0.5 has filled
+    assert estimate_omega(sp, 2, 2, Omega_cap(0.5, -2.0), **kw) >= 0.0
+    for caps, named in (([Omega_cap(0.5, -2.0), 0.5], "0.5"),
+                        ([0.5, 1e-6], "0.5"), ([1e-6, 0.5], "1e-06"),
+                        ([10.0, 1e-6, 10.0], "1e-06")):
+        with pytest.raises(SamplerEntropyViolation,
+                           match=rf"cannot satisfy S_N <= {re.escape(named)} on"):
+            estimate_omega(sp, 2, [2, 3], caps, **kw)
+    with pytest.raises(SamplerEntropyViolation, match=r"S_N <= 0\.5 on"):
+        estimate_omega(sp, 2, [2, 3], 0.5, **kw)
+
+
+def test_omega_checks_a_callers_sampler_against_every_cap():
+    sp = build_model_space(ModelSpec(kind="glued_cos_n", K=-2.0, N=-2.0, J=2,
+                                     grid_n=256))
+    ivs = regular_intervals(sp, 2)
+    a, b = ivs[0]
+
+    def sampler(rng):
+        lo = a + (b - a) * (0.1 + 0.2 * rng.random())
+        return (uniform_block(sp.grid, lo, lo + 0.3 * (b - a)),
+                uniform_block(sp.grid, a + 0.6 * (b - a), a + 0.9 * (b - a)))
+
+    s = max(renyi_entropy(mu, sp, -2.0) for mu in sampler(np.random.default_rng(0)))
+    hi = abs(s) + 1.0
+    kw = dict(sampler=sampler, n_samples=3, N=-2.0, seed=0)
+    got = estimate_omega(sp, 2, [2, 3], [s + hi, s + 2 * hi], **kw)
+    assert got == [estimate_omega(sp, 2, [2, 3], M, **kw) for M in (s + hi, s + 2 * hi)]
+    for caps in ([s + hi, s - hi], [s - hi, s + hi]):
+        with pytest.raises(SamplerEntropyViolation, match="exceeds the entropy cap"):
+            estimate_omega(sp, 2, [2, 3], caps, **kw)
 
 
 def test_Omega_is_omega_at_the_scaled_cap():

@@ -189,6 +189,25 @@ def test_convexity_far_nodes_run_quietly(tmp_path, x, K):
     assert math.isfinite(float(json.loads(out.read_text())["min_margin"]))
 
 
+@pytest.mark.parametrize("x, K, rc", [
+    ([0.0, 5e299, 1e300], "1", EXIT_VIOLATION),
+    ([0.0, 1e150, 1e300], "1", EXIT_VIOLATION),
+    ([-1e300, -1e150, 0.0], "1", EXIT_VIOLATION),
+    ([0.0, 1e150, 1e300], "0", EXIT_OK),
+], ids=["middle", "near_start", "near_end", "near_start_K_0"])
+def test_convexity_far_interior_node_keeps_its_coefficient(tmp_path, x, K, rc):
+    # at K = 1 both coefficients of a far triple are ~0, so the flat weight
+    # fails by 1 wherever the interior node is; forming 1 - t rounded the
+    # coefficient of the nearer end to 1 and passed the triple
+    p = tmp_path / "far.json"
+    p.write_text(json.dumps({"x": x, "psi": [0.0, 0.0, 0.0]}))
+    out = tmp_path / "c.json"
+    assert main(["convexity", "--psi", str(p), "--K", K, "--N", "-2.0",
+                 "--seed", "1", "--triples", "5", "--out", str(out)]) == rc
+    assert json.loads(out.read_text())["min_margin"] == \
+        ("-1" if rc == EXIT_VIOLATION else "0")
+
+
 # ---------------------------------------------------------------------------
 # ikrw / converge / omega
 
@@ -309,6 +328,37 @@ def test_omega_cells_equal_one_level_at_a_time(tmp_path):
         h = int(r["h"])
         assert r["omega"] == _fmt(estimate_omega(space, 2, h, 10.0, **kw))
         assert r["Omega"] == _fmt(estimate_Omega(space, 2, h, 10.0, 0.1, **kw))
+
+
+def test_omega_draws_one_candidate_stream_for_both_caps(tmp_path, monkeypatch):
+    # at M = 1.05 about half the candidates pass, at the scaled cap all do:
+    # the table draws as many as the longer of the two one-cap passes
+    from cdknlab import cdcheck
+    sp = _space_file(tmp_path, kind="glued_cos_n",
+                     params={"K": -2.0, "N": -2.0, "J": 2}, grid_n=256)
+    space = _load_space(sp)
+    calls = []
+    one_spec = cdcheck._one_spec
+    monkeypatch.setattr(cdcheck, "_one_spec",
+                        lambda *a: calls.append(a[2]) or one_spec(*a))
+    out = tmp_path / "om.csv"
+    assert main(["omega", "--space", sp, "--k", "2", "--h-max", "4",
+                 "--M", "1.05", "--samples", "8", "--seed", "2",
+                 "--out", str(out)]) == EXIT_OK
+    table = len(calls)
+    kw = dict(n_samples=8, N=-2.0, seed=2)
+    passes = []
+    for M in (cdcheck.Omega_cap(1.05, -2.0), 1.05):
+        calls.clear()
+        estimate_omega(space, 2, [2, 3, 4], M, **kw)
+        passes.append(len(calls))
+    assert table == max(passes) < sum(passes)
+    assert passes[0] < passes[1]
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    omegas = estimate_omega(space, 2, [2, 3, 4], 1.05, **kw)
+    Omegas = estimate_Omega(space, 2, [2, 3, 4], 1.05, 0.1, **kw)
+    assert [r["omega"] for r in rows] == [_fmt(v) for v in omegas]
+    assert [r["Omega"] for r in rows] == [_fmt(v) for v in Omegas]
 
 
 def test_many_short_arches_leave_room_for_marginals(tmp_path):

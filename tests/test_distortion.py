@@ -13,6 +13,7 @@ import pytest
 from cdknlab.distortion import (
     sigma_KN,
     sigma_kappa,
+    sigma_kappa_lengths,
     sigma_kappa_vec,
     tau_KN,
     tau_KN_vec,
@@ -57,6 +58,36 @@ def test_sigma_matches_oracle():
             assert math.isinf(got)
         else:
             assert got == pytest.approx(float(want), rel=1e-13, abs=1e-300)
+
+
+def test_sigma_from_lengths_matches_oracle():
+    rng = np.random.default_rng(2)
+    for _ in range(120):
+        kappa = float(rng.uniform(-30.0, 30.0))
+        a, b = (float(v) for v in rng.uniform(0.0, 1.25, size=2))
+        theta = mpmath.mpf(a) + mpmath.mpf(b)
+        got = sigma_kappa_lengths(kappa, a, b)
+        want = sigma_oracle(kappa, mpmath.mpf(a) / theta, theta)
+        if mpmath.isinf(want):
+            assert math.isinf(got)
+        else:
+            assert got == pytest.approx(float(want), rel=1e-13, abs=1e-300)
+
+
+def test_sigma_from_lengths_keeps_far_splits():
+    # 1 - 1e-150 rounds to 1, where the t form gives sigma = 1
+    assert sigma_kappa(-0.5, 1.0 - 1e-150, 1e300) == 1.0
+    for a, b in ((1e300, 1e150), (1e150, 1e300)):
+        assert sigma_kappa_lengths(-0.5, a, b) == 0.0
+    assert sigma_kappa_lengths(0.0, 1e300, 1e150) == 1.0
+    for kappa in (-0.5, 0.0, 0.5):
+        assert sigma_kappa_lengths(kappa, 0.0, 2.0) == 0.0
+        assert sigma_kappa_lengths(kappa, 2.0, 0.0) == 1.0
+    for a, b in ((-1e-9, 1.0), (1.0, -1e-9)):
+        with pytest.raises(DomainError):
+            sigma_kappa_lengths(-0.5, a, b)
+    with pytest.raises(DomainError):
+        sigma_kappa_lengths(math.inf, 1.0, 1.0)
 
 
 def test_sigma_large_negative_kappa_stable():
