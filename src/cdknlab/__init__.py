@@ -3,13 +3,20 @@ generalized dimension on one-dimensional metric measure spaces."""
 
 import os
 
+
+def _thread_count(text):
+    """CDKNLAB_THREADS as a thread count: an integer >= 1, else None."""
+    return int(text) if text and text.isdecimal() and int(text) >= 1 else None
+
+
 # CDKNLAB_THREADS caps the worker pools of the numeric backends.  It has to be
-# exported before the submodules below import numpy, which reads it once.
-_threads = os.environ.get("CDKNLAB_THREADS")
-if _threads:
+# exported before the submodules below import numpy, which reads it once; any
+# value but an integer >= 1 is not passed on (the CLI then exits 1).
+_threads = _thread_count(os.environ.get("CDKNLAB_THREADS"))
+if _threads is not None:
     for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                  "MKL_NUM_THREADS", "HIGHS_NUM_THREADS"):
-        os.environ.setdefault(_var, _threads)
+        os.environ.setdefault(_var, str(_threads))
 
 from .cdcheck import (
     CdReport,
@@ -77,7 +84,6 @@ from .mmspace import (
     k_cut,
     normalize_cut,
     refine,
-    regular_set,
     space_from_dict,
     space_summary,
     total_mass,

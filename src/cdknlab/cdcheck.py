@@ -412,13 +412,12 @@ def cd_suite(space: PointedSpace1D, K: float, N: float, n_samples: int,
 
 def richardson_check(make_space: Callable[[int], PointedSpace1D], K: float,
                      N: float, n_samples: int, seed: int,
-                     grids: tuple[int, int] = (512, 1024),
-                     **suite_kw) -> dict:
+                     grids: tuple[int, int] = (512, 1024)) -> dict:
     """Scaled negative margins must shrink by RICHARDSON_SHRINK, up to
     RICHARDSON_SLACK, when the grid doubles."""
-    coarse = cd_suite(make_space(grids[0]), K, N, n_samples, seed, **suite_kw)
+    coarse = cd_suite(make_space(grids[0]), K, N, n_samples, seed)
     fine = cd_suite(make_space(grids[1]), K, N, n_samples, seed,
-                    pair_specs=coarse.pair_specs, **suite_kw)
+                    pair_specs=coarse.pair_specs)
     neg_c = coarse.worst_deficit()
     neg_f = fine.worst_deficit()
     return {"neg_coarse": neg_c, "neg_fine": neg_f,
@@ -463,16 +462,14 @@ class ConvexityReport:
 
 
 def kn_convexity_check(psi_samples, K: float, N: float,
-                       triple_sampler: Optional[Callable] = None,
                        n_triples: int = 400, seed: int = 0) -> ConvexityReport:
     """Sampled test of the sigma-combination inequality for e^(-psi/N).
 
-    psi_samples is a pair (x, psi) of node positions, finite with a finite
-    span, and weight values with a finite e^(-psi/N) (psi = -inf gives 0
-    there).  Interpolation points are always taken at nodes so no
-    interpolation error enters.  For K < 0 only triples with
-    d < pi sqrt(N/K) are admissible; an explicit sampler emitting a longer
-    triple raises DomainError.
+    psi_samples is a pair (x, psi) of node positions, nondecreasing and
+    finite with a finite span, and weight values with a finite e^(-psi/N)
+    (psi = -inf gives 0 there).  Interpolation points are always taken at
+    nodes so no interpolation error enters.  Only triples of length
+    0 < d < pi sqrt(N/K) (no upper bound for K >= 0) are sampled.
     """
     if N >= 0:
         raise DomainError("requires N < 0")
@@ -485,17 +482,17 @@ def kn_convexity_check(psi_samples, K: float, N: float,
     if not (math.isfinite(span) and np.isfinite(fN).all()):
         raise InvalidParams("need finite x with a finite span, and a finite "
                             "e^(-psi/N) at every node")
+    if np.any(np.diff(x) < 0):
+        raise InvalidParams("x must be nondecreasing")
     kappa = K / N
     d_max = math.pi / math.sqrt(kappa) if kappa > 0 else math.inf
 
     rng = np.random.default_rng(seed)
 
-    def default_sampler():
+    def sample_triple():
         for _ in range(200):
             i0, i1 = sorted(rng.choice(x.size, size=2, replace=False))
-            if i1 - i0 < 2:
-                continue
-            if x[i1] - x[i0] >= d_max * (1 - 1e-12):
+            if i1 - i0 < 2 or not 0 < x[i1] - x[i0] < d_max * (1 - 1e-12):
                 continue
             im = int(rng.integers(i0 + 1, i1))
             return i0, im, i1
@@ -504,19 +501,11 @@ def kn_convexity_check(psi_samples, K: float, N: float,
     worst = None
     min_margin = math.inf
     for _ in range(n_triples):
-        if triple_sampler is not None:
-            i0, im, i1 = triple_sampler(rng)
-        else:
-            i0, im, i1 = default_sampler()
-        d = x[i1] - x[i0]
-        if d <= 0:
-            raise InvalidParams("triple must be increasing")
-        if d >= d_max * (1 - 1e-12):
-            raise DomainError(f"triple distance {d} out of range for K<0")
+        i0, im, i1 = sample_triple()
         # each coefficient from the sub-lengths, not from 1 - t, which
         # rounds to 1 when x[im] is far nearer x[i0] than x[i1]
         a, b = float(x[im] - x[i0]), float(x[i1] - x[im])
-        t = a / d
+        t = a / (x[i1] - x[i0])
         with np.errstate(over="ignore"):  # a bound past the doubles passes
             bound = (sigma_kappa_lengths(kappa, b, a) * fN[i0]
                      + sigma_kappa_lengths(kappa, a, b) * fN[i1])
@@ -532,8 +521,7 @@ def kn_convexity_check(psi_samples, K: float, N: float,
 
 
 def estimate_omega(space: PointedSpace1D, k: int, h: Union[int, Sequence[int]],
-                   M: Union[float, Sequence[float]],
-                   sampler: Optional[Callable] = None, n_samples: int = 40,
+                   M: Union[float, Sequence[float]], n_samples: int = 40,
                    N: float = -2.0, seed: int = 0) -> Union[float, list]:
     """Estimated sup over sampled pairs of max_t mu_t(complement of R^h).
 
@@ -544,10 +532,9 @@ def estimate_omega(space: PointedSpace1D, k: int, h: Union[int, Sequence[int]],
     other levels are asked for.
     `M` is one entropy cap or a sequence of caps (a list with one entry per
     cap, each what that cap alone gives).  All caps share one stream of
-    candidate pairs, each pair drawn, checked and sliced once; when several
-    caps fail, the first in the order of `M` raises.  The sampler must emit
-    probability pairs supported in R^k with entropy at most every cap;
-    violations raise.
+    candidate pairs of uniform blocks in R^k, each drawn, checked and sliced
+    once; a cap keeps the first n_samples pairs with S_N at most that cap,
+    and when several caps fail, the first in the order of `M` raises.
     """
     scalar_h, scalar_M = np.ndim(h) == 0, np.ndim(M) == 0
     hs = [h] if scalar_h else list(h)
@@ -556,11 +543,8 @@ def estimate_omega(space: PointedSpace1D, k: int, h: Union[int, Sequence[int]],
         raise InvalidParams("need at least one h, and h >= k for each")
     if not Ms:
         raise InvalidParams("need at least one entropy cap M")
-    rng = np.random.default_rng(seed)
-    if sampler is None:
-        pairs = _pair_sampler(space, N, Ms, k, "uniform_block")(rng, n_samples)
-    else:
-        pairs = _checked_pairs(space, k, N, Ms, sampler, rng, n_samples)
+    pairs = _pair_sampler(space, N, Ms, k, "uniform_block")(
+        np.random.default_rng(seed), n_samples)
     ivs_h = [regular_intervals(space, hh) for hh in hs]
     ts = np.linspace(0.0, 1.0, OMEGA_T_GRID)
     worst = np.zeros((len(Ms), len(hs)))
@@ -571,22 +555,6 @@ def estimate_omega(space: PointedSpace1D, k: int, h: Union[int, Sequence[int]],
     per_cap = [row[0] if scalar_h else row
                for row in np.clip(worst, 0.0, 1.0).tolist()]
     return per_cap[0] if scalar_M else per_cap
-
-
-def _checked_pairs(space: PointedSpace1D, k: int, N: float, caps,
-                   sampler: Callable, rng: np.random.Generator, n: int):
-    """A caller's n sampled pairs in the pair sampler's form, each taken by
-    every cap: each marginal must lie in R^k with S_N at most every cap."""
-    ivs_k = regular_intervals(space, k)
-    for _ in range(n):
-        mus = tuple(sampler(rng))
-        for mu in mus:
-            if not _support_in_intervals(mu, ivs_k):
-                raise SupportViolation("sampled marginal leaves R^k")
-            s = renyi_entropy(mu, space, N)
-            if any(s > cap * (1 + 1e-12) for cap in caps):
-                raise SamplerEntropyViolation("sampled marginal exceeds the entropy cap")
-        yield None, mus, np.ones(len(caps), dtype=bool)
 
 
 def Omega_cap(M: float, N: float) -> float:

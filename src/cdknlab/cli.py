@@ -20,6 +20,7 @@ import sys
 import tempfile
 from typing import Optional
 
+from . import _thread_count
 from . import cdcheck as cdc
 from .errors import CdknLabError, InvalidParams
 from .ikrw import convergence_experiment, ikrw_series
@@ -377,6 +378,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one command from its argument list (default: sys.argv[1:]) and
     return its exit code."""
+    threads = os.environ.get("CDKNLAB_THREADS")
+    if threads and _thread_count(threads) is None:
+        sys.stderr.write(f"error: CDKNLAB_THREADS={threads!r} is not an "
+                         "integer >= 1\n")
+        return EXIT_USAGE
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -67,13 +67,6 @@ class GeodesicSlice:
     density_wrt_m: Optional[DensityWrtM] = None
 
 
-def slice_blocks(tmap: MonotoneMap, t: float):
-    """Block form (u0, u1, w) of the time-t measure, before any binning."""
-    if not 0.0 <= t <= 1.0:
-        raise InvalidParams(f"t={t} outside [0, 1]")
-    return tmap.interpolate_blocks(float(t))
-
-
 def displacement_interpolate(mu0: DiscreteMeasure, mu1: DiscreteMeasure,
                              t: float, out_grid: Optional[Grid1D] = None,
                              space: Optional[PointedSpace1D] = None,
@@ -84,13 +77,15 @@ def displacement_interpolate(mu0: DiscreteMeasure, mu1: DiscreteMeasure,
     (default: the union grid refined 4x).  When `space` is given its grid is
     used and the slice's density w.r.t. the reference measure is attached.
     """
+    if not 0.0 <= t <= 1.0:
+        raise InvalidParams(f"t={t} outside [0, 1]")
     if tmap is None:
         tmap = monotone_map(mu0, mu1)
     if space is not None:
         out_grid = space.grid
     elif out_grid is None:
         out_grid = union_refined_grid(mu0.grid, mu1.grid)
-    u0, u1, w = slice_blocks(tmap, t)
+    u0, u1, w = tmap.interpolate_blocks(float(t))
     measure = bin_blocks(u0, u1, w, out_grid)
     dens = radon_nikodym(measure, space) if space is not None else None
     return GeodesicSlice(t=float(t), measure=measure, density_wrt_m=dens)

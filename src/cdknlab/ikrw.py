@@ -4,10 +4,10 @@ All values here are computed at the identity embedding of the spaces into
 the line, which realizes (and upper-bounds) the intrinsic infimum over
 isometric embeddings; for subsets of R with the inherited metric this is the
 canonical realization, so convergence verdicts are unaffected.  The
-transport term between normalized cuts is solved exactly by LP after
-rebinning both measures onto a common grid of DEFAULT_WC_GRID cells
-(aggregation to a shared coarse grid, so the term vanishes when the cuts
-agree).
+transport term between normalized cuts is an LP solved by HiGHS at its
+default tolerances, so it is good to about 1e-7, after rebinning both
+measures onto a common grid of DEFAULT_WC_GRID cells (aggregation to a
+shared coarse grid, so the term vanishes when the cuts agree).
 """
 
 from __future__ import annotations
@@ -311,7 +311,7 @@ class ConvergenceTable:
         return all(b <= a + slack for a, b in zip(vals, vals[1:]))
 
 
-def _family_members(sequence_spec: dict, n_range):
+def _family_members(sequence_spec: dict):
     """(members, limit, K, N, member indices) of a sequence file; n_range
     is read from the file only for the families that are indexed by n."""
     family = sequence_spec.get("family")
@@ -324,7 +324,7 @@ def _family_members(sequence_spec: dict, n_range):
         if family == "custom_list":
             space_dicts = list(sequence_spec["spaces"])
             limit_d = sequence_spec["limit"]
-        elif n_range is None:
+        else:
             a, b = sequence_spec["n_range"]
             n_range = range(check_level("n", int(a)),
                             check_level("n", int(b)) + 1)
@@ -346,9 +346,9 @@ def _family_members(sequence_spec: dict, n_range):
     return [make(n) for n in n_range], make(None), K, N, list(n_range)
 
 
-def convergence_experiment(sequence_spec: dict, k_range=None, n_range=None,
-                           run_cd: bool = True, cd_samples: int = 4,
-                           seed: int = 0, tol: float = DEFAULT_TOL,
+def convergence_experiment(sequence_spec: dict, run_cd: bool = True,
+                           cd_samples: int = 4, seed: int = 0,
+                           tol: float = DEFAULT_TOL,
                            ) -> tuple[ConvergenceTable, Optional[SuiteReport]]:
     """Per-(n, k) gap table for a converging family, plus the limit CD run.
 
@@ -359,13 +359,11 @@ def convergence_experiment(sequence_spec: dict, k_range=None, n_range=None,
     if not isinstance(sequence_spec, dict):
         raise InvalidParams("sequence spec must be an object")
     try:
-        if k_range is None:
-            a, b = sequence_spec.get("k_range", (0, 2))
-            k_range = range(check_level("k", int(a)),
-                            check_level("k", int(b)) + 1)
+        a, b = sequence_spec.get("k_range", (0, 2))
+        k_range = range(check_level("k", int(a)), check_level("k", int(b)) + 1)
     except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise InvalidParams(f"bad sequence field: {e}") from e
-    spaces, limit, K, N, ns = _family_members(sequence_spec, n_range)
+    spaces, limit, K, N, ns = _family_members(sequence_spec)
     if not ns or not k_range:
         raise InvalidParams("empty n or k range: the run would check nothing")
 

@@ -177,7 +177,8 @@ class PointedSpace1D:
             raise InvalidParams("scale must be positive")
         fn = self.density_fn
         new_fn = (lambda x, _f=fn, _c=c: _c * _f(x)) if fn is not None else None
-        return replace(self, density=self.density * c, density_fn=new_fn)
+        return replace(self, density=self.density * c, density_fn=new_fn,
+                       truncated_tail_mass=self.truncated_tail_mass * c)
 
 
 def _require_on_edge(grid: Grid1D, points: Sequence[float]):
@@ -432,14 +433,6 @@ def carve(pieces: Sequence[tuple[float, float]], points: Sequence[float],
         if a < b:
             out.append((a, b))
     return out
-
-
-def regular_set(space: PointedSpace1D, k: int) -> np.ndarray:
-    """Indices of cells whose centers lie in the k-th regular region."""
-    c = space.grid.centers
-    mask = np.abs(c - space.base_point) < 2.0 ** (k + 1)
-    mask &= _dist_to_set(c, space.anchors) > 2.0 ** (-(k + 1))
-    return np.nonzero(mask)[0]
 
 
 def _cut_factor(x: np.ndarray, base_point: float, anchors: Sequence[float],

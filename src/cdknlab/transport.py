@@ -1,8 +1,10 @@
-"""Optimal transport on the line: exact LP, quantile fast path, concave costs.
+"""Optimal transport on the line: LP, quantile fast path, concave costs.
 
 Measures are treated as atoms at cell centers for cost/oracle comparisons and
 as uniform blocks over their cells for geodesic constructions; the monotone
 (quantile) coupling is the optimal one for convex costs in one dimension.
+The transportation LP is solved by HiGHS at its default tolerances, so its
+values are good to about 1e-7, not to rounding.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ from .measure import DiscreteMeasure
 from .mmspace import Grid1D
 
 _BALANCE_TOL = 1e-12
+# Largest support of either marginal of optimal_coupling_lp (m x n LP variables)
+MAX_LP_SUPPORT = 2000
 
 
 @dataclass(frozen=True)
@@ -211,14 +215,13 @@ def _transport_lp(a: np.ndarray, b: np.ndarray, C: np.ndarray):
 
 
 def optimal_coupling_lp(mu: DiscreteMeasure, nu: DiscreteMeasure,
-                        cost: Optional[CostSpec] = None,
-                        max_support: int = 2000):
-    """Exact transportation LP on the measure supports: (value, Coupling)."""
+                        cost: Optional[CostSpec] = None):
+    """Transportation LP on the measure supports: (value, Coupling)."""
     cost = cost or CostSpec("w2")
     _check_balanced(mu, nu)
     si, sj = mu.support, nu.support
-    if si.size > max_support or sj.size > max_support:
-        raise SizeCap(f"support sizes {si.size} x {sj.size} exceed {max_support}")
+    if si.size > MAX_LP_SUPPORT or sj.size > MAX_LP_SUPPORT:
+        raise SizeCap(f"support sizes {si.size} x {sj.size} exceed {MAX_LP_SUPPORT}")
     x, y = mu.grid.centers[si], nu.grid.centers[sj]
     C = cost.matrix(x, y)
     plan = _transport_lp(mu.masses[si], nu.masses[sj], C)

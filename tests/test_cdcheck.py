@@ -592,7 +592,7 @@ def test_richardson_check_runs():
     mk = lambda n: build_model_space(ModelSpec(kind="cosh_n", K=1.0, N=-2.0,
                                                domain=(-2.0, 2.0), grid_n=n))
     out = richardson_check(mk, 1.0, -1.0, n_samples=2, seed=8,
-                           grids=(128, 256), t_grid=3)
+                           grids=(128, 256))
     assert out["ok"]
     assert out["neg_fine"] <= out["neg_coarse"] / 1.5 + 1e-4
 
@@ -696,14 +696,25 @@ def test_convexity_domain_guards():
         kn_convexity_check((x, psi), K=0.0, N=2.0)
     with pytest.raises(InvalidParams):
         kn_convexity_check((x, psi[:-1]), K=0.0, N=-2.0)
+    # K < 0 bounds admissible triple lengths by pi sqrt(N/K) = pi here; the
+    # sampler skips longer triples and fails when it finds no other
+    rep = kn_convexity_check((x, psi), K=-2.0, N=-2.0, n_triples=300, seed=0)
+    assert rep.worst[2] - rep.worst[0] < math.pi
+    with pytest.raises(InvalidParams, match="could not sample"):
+        kn_convexity_check(([0.0, 5.0, 10.0], [0.0] * 3), K=-2.0, N=-2.0)
 
-    # K < 0 bounds admissible triple lengths by pi sqrt(N/K)
-    def too_long(rng):
-        return 0, 50, 100  # spans 10.0 > pi
 
-    with pytest.raises(DomainError):
-        kn_convexity_check((x, psi), K=-2.0, N=-2.0,
-                           triple_sampler=too_long, n_triples=1)
+def test_convexity_needs_nondecreasing_nodes():
+    with pytest.raises(InvalidParams, match="nondecreasing"):
+        kn_convexity_check(([0, 1, 2, 3, 2.5, 4, 5], [0.0] * 7), K=0.0, N=-2.0)
+    # repeated nodes are valid; a triple of zero length is skipped, and a
+    # file with no other triple has nothing to check
+    rep = kn_convexity_check(([0, 1, 1, 1, 2], [0.0] * 5), K=0.0, N=-2.0,
+                             n_triples=50, seed=0)
+    assert abs(rep.min_margin) <= 1e-12
+    assert rep.worst[2] > rep.worst[0]
+    with pytest.raises(InvalidParams, match="could not sample"):
+        kn_convexity_check(([1.0, 1.0, 1.0], [0.0] * 3), K=0.0, N=-2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -889,14 +900,6 @@ def test_omega_guards():
                                      grid_n=256))
     with pytest.raises(InvalidParams):
         estimate_omega(sp, 3, 2, 10.0)
-
-    def bad_sampler(rng):
-        g = sp.grid
-        return (uniform_block(g, g.a + 0.01, g.a + 0.05),
-                uniform_block(g, g.b - 0.05, g.b - 0.01))
-
-    with pytest.raises(SupportViolation):
-        estimate_omega(sp, 0, 0, 100.0, sampler=bad_sampler, n_samples=1)
     with pytest.raises(SamplerEntropyViolation):
         estimate_omega(sp, 2, 2, 1e-6, n_samples=1, seed=1)
 
@@ -946,27 +949,6 @@ def test_omega_first_failing_cap_is_named():
             estimate_omega(sp, 2, [2, 3], caps, **kw)
     with pytest.raises(SamplerEntropyViolation, match=r"S_N <= 0\.5 on"):
         estimate_omega(sp, 2, [2, 3], 0.5, **kw)
-
-
-def test_omega_checks_a_callers_sampler_against_every_cap():
-    sp = build_model_space(ModelSpec(kind="glued_cos_n", K=-2.0, N=-2.0, J=2,
-                                     grid_n=256))
-    ivs = regular_intervals(sp, 2)
-    a, b = ivs[0]
-
-    def sampler(rng):
-        lo = a + (b - a) * (0.1 + 0.2 * rng.random())
-        return (uniform_block(sp.grid, lo, lo + 0.3 * (b - a)),
-                uniform_block(sp.grid, a + 0.6 * (b - a), a + 0.9 * (b - a)))
-
-    s = max(renyi_entropy(mu, sp, -2.0) for mu in sampler(np.random.default_rng(0)))
-    hi = abs(s) + 1.0
-    kw = dict(sampler=sampler, n_samples=3, N=-2.0, seed=0)
-    got = estimate_omega(sp, 2, [2, 3], [s + hi, s + 2 * hi], **kw)
-    assert got == [estimate_omega(sp, 2, [2, 3], M, **kw) for M in (s + hi, s + 2 * hi)]
-    for caps in ([s + hi, s - hi], [s - hi, s + hi]):
-        with pytest.raises(SamplerEntropyViolation, match="exceeds the entropy cap"):
-            estimate_omega(sp, 2, [2, 3], caps, **kw)
 
 
 def test_Omega_is_omega_at_the_scaled_cap():

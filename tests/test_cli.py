@@ -174,6 +174,21 @@ def test_convexity_bad_psi_file_is_usage_error(tmp_path, name):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_convexity_x_out_of_order_is_usage_error_on_every_seed(tmp_path, seed,
+                                                              capsys):
+    # the order is checked before any triple is drawn, so the exit code does
+    # not depend on whether a drawn triple straddles the node out of order
+    p = tmp_path / "unsorted.json"
+    p.write_text(json.dumps({"x": [0, 1, 2, 3, 2.5, 4, 5], "psi": [0] * 7}))
+    out = tmp_path / "c.json"
+    rc = main(["convexity", "--psi", str(p), "--K", "0", "--N", "-2",
+               "--triples", "3", "--seed", str(seed), "--out", str(out)])
+    assert rc == EXIT_USAGE
+    assert "x must be nondecreasing" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("x, K", [([0.0, 5e299, 1e300], "1"),
                                   ([0.0, 1e150, 1e300], "1"),
                                   ([-1e300, -1e300, 1e300], "1"),
@@ -686,6 +701,33 @@ def test_threads_variable_is_exported_before_numpy_loads():
     out = subprocess.run([sys.executable, "-c", spy], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "1"
+
+
+@pytest.mark.parametrize("value, rc, forwarded", [
+    ("2", EXIT_OK, "2"), ("abc", EXIT_USAGE, None), ("0", EXIT_USAGE, None),
+    ("-3", EXIT_USAGE, None), ("1.5", EXIT_USAGE, None)])
+def test_threads_variable_takes_an_integer_of_at_least_one(tmp_path, value, rc,
+                                                           forwarded):
+    # any other value is neither passed to the backends nor run
+    run = textwrap.dedent("""
+        import os, sys
+        from cdknlab import cli
+        print(os.environ.get("OMP_NUM_THREADS"))
+        sys.exit(cli.main(sys.argv[1:]))
+    """)
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    env["CDKNLAB_THREADS"] = value
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cdknlab.__file__))
+    out = tmp_path / "m.json"
+    proc = subprocess.run([sys.executable, "-c", run, "model", "--space",
+                           _space_file(tmp_path), "--out", str(out)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == rc
+    assert proc.stdout.strip() == str(forwarded)
+    assert out.exists() == (rc == EXIT_OK)
+    if rc == EXIT_USAGE:
+        assert f"CDKNLAB_THREADS={value!r}" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 def test_failed_run_leaves_existing_report_intact(tmp_path):

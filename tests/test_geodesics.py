@@ -12,7 +12,6 @@ from cdknlab.geodesics1d import (
     blocks_cdf,
     displacement_interpolate,
     jacobi_density,
-    slice_blocks,
     union_refined_grid,
 )
 from cdknlab.measure import uniform_block
@@ -53,7 +52,7 @@ def test_blocks_cdf_matches_dense_sum_on_geodesic_slices(rng):
         tmap = monotone_map(random_measure(g, rng, sparsity=0.4),
                             random_measure(g, rng, sparsity=0.4))
         for t in (0.0, 0.3, 0.7, 1.0):
-            u0, u1, w = slice_blocks(tmap, t)
+            u0, u1, w = tmap.interpolate_blocks(t)
             np.testing.assert_allclose(blocks_cdf(u0, u1, w, edges),
                                        _dense_cdf(u0, u1, w, edges),
                                        rtol=0.0, atol=1e-15 * w.sum())
@@ -109,8 +108,9 @@ def test_union_refined_grid_contains_both_edge_sets():
 def test_slice_domain_check(rng):
     mu = random_measure(Grid1D.uniform(0.0, 1.0, 8), rng)
     tmap = monotone_map(mu, mu)
-    with pytest.raises(InvalidParams):
-        slice_blocks(tmap, 1.5)
+    for t in (1.5, -0.1, math.nan):
+        with pytest.raises(InvalidParams, match="outside"):
+            displacement_interpolate(mu, mu, t, tmap=tmap)
 
 
 def test_endpoints_recover_marginals(rng):
@@ -153,8 +153,8 @@ def test_mass_conserved_along_geodesic(rng):
     mu1 = random_measure(g, rng, total=3.0)
     tmap = monotone_map(mu0, mu1)
     for t in np.linspace(0.0, 1.0, 9):
-        u0, u1, w = slice_blocks(tmap, t)
-        assert w.sum() == pytest.approx(3.0, rel=1e-12)
+        sl = displacement_interpolate(mu0, mu1, t, tmap=tmap)
+        assert sl.measure.total_mass == pytest.approx(3.0, rel=1e-12)
 
 
 def test_interpolate_with_space_attaches_density(lebesgue):

@@ -314,15 +314,13 @@ def test_convergence_series_is_the_ikrw_series(spec, make):
 
 def test_convergence_experiment_regularity_guards():
     base = {"kind": "cos_n", "params": {"K": -2.0, "N": -2.0}, "grid_n": 128}
-    mixed = {"family": "custom_list",
+    mixed = {"family": "custom_list", "k_range": [2, 2],
              "spaces": [dict(base, regularity_k=0), dict(base, regularity_k=1)],
              "limit": dict(base, regularity_k=0)}
-    with pytest.raises(RegularityMismatch):
-        convergence_experiment(mixed, k_range=range(2, 3), n_range=[0, 1],
-                               run_cd=False)
-    shifted = {"family": "custom_list",
+    with pytest.raises(RegularityMismatch, match="mixed regularity"):
+        convergence_experiment(mixed, run_cd=False)
+    shifted = {"family": "custom_list", "k_range": [0, 1],
                "spaces": [dict(base, regularity_k=2)],
                "limit": dict(base, regularity_k=2)}
-    with pytest.raises(RegularityMismatch):
-        convergence_experiment(shifted, k_range=range(0, 2), n_range=[0],
-                               run_cd=False)
+    with pytest.raises(RegularityMismatch, match="below the shared"):
+        convergence_experiment(shifted, run_cd=False)

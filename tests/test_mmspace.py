@@ -14,6 +14,7 @@ from cdknlab.errors import (
     NotRefinable,
     SingularPointOffGrid,
 )
+from cdknlab.cdcheck import regular_intervals
 from cdknlab.ikrw import ikrw_fm
 from cdknlab.mmspace import (
     Grid1D,
@@ -29,7 +30,6 @@ from cdknlab.mmspace import (
     k_cut,
     normalize_cut,
     refine,
-    regular_set,
     space_from_dict,
     space_summary,
     total_mass,
@@ -138,6 +138,21 @@ def test_cauchy_truncation_bookkeeping():
     assert total_mass(sp) + sp.truncated_tail_mass == pytest.approx(1.0, rel=1e-3)
 
 
+def test_scaling_scales_the_truncated_tail():
+    # the tail is reference mass cut off the domain, so it scales with it
+    sp = build_model_space(ModelSpec(kind="cauchy", alpha=1.0,
+                                     domain=(-4.0, 4.0), grid_n=256))
+    assert sp.truncated_tail_mass == pytest.approx(0.156, abs=1e-3)
+    for c in (3.0, 0.25):
+        s = sp.scaled(c)
+        assert s.truncated_tail_mass == c * sp.truncated_tail_mass
+        assert total_mass(s) + s.truncated_tail_mass == pytest.approx(
+            c * (total_mass(sp) + sp.truncated_tail_mass), rel=1e-14)
+    inf_tail = build_model_space(ModelSpec(kind="power_n", N=-2.0,
+                                           domain=(0.5, 4.0)))
+    assert inf_tail.scaled(2.0).truncated_tail_mass == math.inf
+
+
 def test_tail_reaching_a_singular_point_is_inf():
     specs = [
         ModelSpec(kind="power_n", N=-2.0, domain=(0.5, 4.0)),
@@ -192,8 +207,10 @@ def power_space():
 def test_cut_support_inside_regular_set(power_space):
     for k in (0, 1, 2):
         cut = k_cut(power_space, k)
-        supp = np.nonzero(cut.cell_masses > 0)[0]
-        assert np.all(np.isin(supp, regular_set(power_space, k)))
+        centers = power_space.grid.centers[cut.cell_masses > 0]
+        ivs = regular_intervals(power_space, k)
+        assert centers.size
+        assert all(any(a <= c <= b for a, b in ivs) for c in centers)
 
 
 def test_cut_masses_nondecreasing_in_k(power_space):

@@ -17,6 +17,7 @@ from cdknlab.errors import (
 from cdknlab.measure import DiscreteMeasure, explicit, uniform_block
 from cdknlab.mmspace import Grid1D
 from cdknlab.transport import (
+    MAX_LP_SUPPORT,
     CostSpec,
     monotone_map,
     optimal_coupling_lp,
@@ -148,10 +149,11 @@ def test_unbalanced_inputs_raise():
 
 
 def test_size_cap():
-    g = Grid1D.uniform(0.0, 1.0, 64)
+    # one cell past MAX_LP_SUPPORT is refused before any LP is built
+    g = Grid1D.uniform(0.0, 1.0, MAX_LP_SUPPORT + 1)
     mu = uniform_block(g, 0.0, 1.0)
-    with pytest.raises(SizeCap):
-        optimal_coupling_lp(mu, mu, max_support=32)
+    with pytest.raises(SizeCap, match="2001 x 2001 exceed 2000"):
+        optimal_coupling_lp(mu, mu)
 
 
 def test_coupling_validate_detects_mismatch(rng):
