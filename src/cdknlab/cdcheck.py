@@ -559,8 +559,13 @@ def estimate_omega(space: PointedSpace1D, k: int, h: Union[int, Sequence[int]],
 
 def Omega_cap(M: float, N: float) -> float:
     """The entropy cap 2^(1 - 1/N) M at which Omega(k, h, M, delta) samples
-    omega."""
-    return 2.0 ** (1.0 - 1.0 / N) * M
+    omega.  Where 2^(1 - 1/N) is past the double range (N in (-1/1023, 0))
+    the cap is its limit as N -> 0-: +-inf, or 0 for M = 0."""
+    try:
+        scale = 2.0 ** (1.0 - 1.0 / N)
+    except OverflowError:
+        scale = math.inf
+    return scale * M if M else 0.0
 
 
 def Omega_bound(delta: float) -> Callable[[float], float]:

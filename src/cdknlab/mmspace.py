@@ -13,6 +13,7 @@ mass is infinite, and every k-cut annihilates them exactly.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
@@ -137,8 +138,9 @@ class PointedSpace1D:
     regularity_k: int = 0
     cut_anchors: Optional[tuple] = None
     density_fn: Optional[Callable] = None
-    domain_truncation: bool = False
-    truncated_tail_mass: float = 0.0
+    # the reference mass cut off the model's analytic support, integrated
+    # when called; None when the domain cuts nothing off
+    tail_mass_fn: Optional[Callable[[], float]] = None
     kind: Optional[str] = None
 
     def __post_init__(self):
@@ -167,6 +169,17 @@ class PointedSpace1D:
         return self.cut_anchors if self.cut_anchors is not None else self.singular_points
 
     @property
+    def domain_truncation(self) -> bool:
+        """Whether the domain cuts off part of the model's analytic support."""
+        return self.tail_mass_fn is not None
+
+    @property
+    def truncated_tail_mass(self) -> float:
+        """Reference mass of the model cut off the domain, 0 when nothing is
+        cut off.  A model space integrates it on the first read only."""
+        return self.tail_mass_fn() if self.tail_mass_fn is not None else 0.0
+
+    @property
     def cell_masses(self) -> np.ndarray:
         with np.errstate(invalid="ignore"):
             return self.density * self.grid.widths
@@ -175,10 +188,11 @@ class PointedSpace1D:
         """Space with reference measure multiplied by c > 0."""
         if not c > 0:
             raise InvalidParams("scale must be positive")
-        fn = self.density_fn
+        fn, tail = self.density_fn, self.tail_mass_fn
         new_fn = (lambda x, _f=fn, _c=c: _c * _f(x)) if fn is not None else None
+        new_tail = (lambda _t=tail, _c=c: _c * _t()) if tail is not None else None
         return replace(self, density=self.density * c, density_fn=new_fn,
-                       truncated_tail_mass=self.truncated_tail_mass * c)
+                       tail_mass_fn=new_tail)
 
 
 def _require_on_edge(grid: Grid1D, points: Sequence[float]):
@@ -221,20 +235,42 @@ def _quiet(fn):
 
 
 def _quad(fn, lo: float, hi: float) -> float:
-    """The integral of fn over (lo, hi) by scipy's quad.  Raises
-    InvalidParams with quad's message where quad reports that it failed,
-    in place of its IntegrationWarning and unreliable value."""
-    from scipy import integrate  # here, so that spaces without one skip it
+    """The integral of fn over (lo, hi) by scipy's quad, to a relative
+    tolerance only: an absolute one would pass a tail that is tiny only
+    because fn is scaled down.  Raises InvalidParams with quad's message
+    where quad reports that it failed, in place of its IntegrationWarning
+    and unreliable value."""
+    from scipy import integrate  # here, so that only a tail report loads it
 
-    out = integrate.quad(fn, lo, hi, full_output=1)
+    out = integrate.quad(fn, lo, hi, epsabs=0.0, full_output=1)
     if len(out) > 3:
         raise InvalidParams(f"integral over ({lo}, {hi}) failed: "
                             + " ".join(out[3].split()))
     return out[0]
 
 
+def _cauchy_norm(alpha: float) -> float:
+    """The integral of (1 + x^2)^-s over the line, s = (1 + alpha) / 2, in
+    closed form: sqrt(pi) Gamma(s - 1/2) / Gamma(s), with s - 1/2 = alpha / 2."""
+    s = 0.5 * (1.0 + alpha)
+    if s >= 1e3:
+        # the two lgammas cancel here, losing about s log(s) ulps; the
+        # ratio's asymptotic series does not (its next term is 0.05 / s^4)
+        u = 1.0 / s
+        return math.sqrt(math.pi * u) * (
+            1.0 + u * (3.0 / 8.0 + u * (25.0 / 128.0 + u * 105.0 / 1024.0)))
+    try:
+        return math.sqrt(math.pi) * math.exp(math.lgamma(0.5 * alpha)
+                                             - math.lgamma(s))
+    except (ValueError, OverflowError):
+        # Gamma(alpha / 2) ~ 2 / alpha is past the double range
+        raise InvalidParams(f"cauchy alpha {alpha} too small to normalise") from None
+
+
 def _model_density(spec: ModelSpec) -> tuple:
-    """Return (density_fn, analytic_domain, singular_points, default_p)."""
+    """Return (density_fn, analytic_domain, singular_points, default_p).
+    Nothing is integrated: the one normalising constant (cauchy's) is in
+    closed form."""
     K, N = spec.K, spec.N
     kind = spec.kind
     # a glued_ kind mirrors its one-sided model across the blow-up point 0
@@ -281,14 +317,10 @@ def _model_density(spec: ModelSpec) -> tuple:
         sing = tuple((2 * j - 1) * half for j in range(1, J + 2))
         return fn, (half, (2 * J + 1) * half), sing, 2.0 * half
     if kind == "cauchy":
-        if not spec.alpha > 0:
-            raise InvalidParams("cauchy needs alpha > 0")
+        if not 0 < spec.alpha < math.inf:
+            raise InvalidParams("cauchy needs a finite alpha > 0")
         expo = 0.5 * (1.0 + spec.alpha)
-        norm = _quad(lambda x: (1.0 + x * x) ** (-expo), -math.inf, math.inf)
-        if not norm > 0:
-            # (1 + x^2)^-expo underflows to 0 off x = 0 for a huge alpha
-            raise InvalidParams(f"cauchy alpha {spec.alpha} too large to normalise")
-        c = 1.0 / norm
+        c = 1.0 / _cauchy_norm(spec.alpha)
         return (lambda x: c * (1.0 + np.asarray(x, float) ** 2) ** (-expo),
                 (-math.inf, math.inf), (), 0.0)
     raise InvalidParams(f"unknown model kind {kind!r}")
@@ -313,12 +345,11 @@ def _tail_mass(fn, lo: float, hi: float, sing: Sequence[float]) -> float:
     return _quad(fn, lo, hi)
 
 
-def build_model_space(spec: ModelSpec, *, _model: Optional[tuple] = None
-                      ) -> PointedSpace1D:
+def build_model_space(spec: ModelSpec) -> PointedSpace1D:
     """Discretize an analytic model onto a uniform grid (midpoint sampling).
 
-    `_model` is `_model_density(spec)` when the caller has already made it,
-    so that the cauchy normalisation is integrated once per build."""
+    Nothing is integrated here: the tails cut off the analytic support are
+    integrated on the first read of `truncated_tail_mass`."""
     if spec.kind == "custom_psi":
         if spec.psi_samples is None or spec.domain is None:
             raise InvalidParams("custom_psi needs psi_samples and a domain")
@@ -333,7 +364,7 @@ def build_model_space(spec: ModelSpec, *, _model: Optional[tuple] = None
                               base_point=float(p), regularity_k=spec.regularity_k,
                               kind="custom_psi")
 
-    fn, analytic_dom, model_sing, default_p = _model or _model_density(spec)
+    fn, analytic_dom, model_sing, default_p = _model_density(spec)
     fn = _quiet(fn)
     if spec.domain is not None:
         a, b = float(spec.domain[0]), float(spec.domain[1])
@@ -354,21 +385,22 @@ def build_model_space(spec: ModelSpec, *, _model: Optional[tuple] = None
     grid = Grid1D.uniform(a, b, spec.grid_n)
     sing = tuple(s for s in model_sing if a - _EDGE_TOL <= s <= b + _EDGE_TOL)
     density = _discretize(grid, fn, sing)
+    if not np.any(density > 0):
+        raise InvalidParams(f"{spec.kind} density underflows to 0 on every cell")
 
-    truncated = a > lo + _EDGE_TOL or b < hi - _EDGE_TOL
-    tail = 0.0
-    if a > lo + _EDGE_TOL:
-        tail += _tail_mass(fn, lo, a, model_sing)
-    if b < hi - _EDGE_TOL:
-        tail += _tail_mass(fn, b, hi, model_sing)
+    tails = [(u, v) for u, v in ((lo, a), (b, hi)) if v > u + _EDGE_TOL]
+    tail_fn = None
+    if tails:
+        @functools.cache
+        def tail_fn():
+            return float(sum(_tail_mass(fn, u, v, model_sing) for u, v in tails))
 
     p = float(spec.base_point) if spec.base_point is not None else float(default_p)
     if _dist_to_set(np.asarray(p), sing) <= 0.5 * float(np.max(grid.widths)):
         raise InvalidParams("base point too close to a singular point")
     space = PointedSpace1D(grid=grid, density=density, singular_points=sing,
                            base_point=p, regularity_k=spec.regularity_k,
-                           density_fn=fn, domain_truncation=truncated,
-                           truncated_tail_mass=float(tail), kind=spec.kind)
+                           density_fn=fn, tail_mass_fn=tail_fn, kind=spec.kind)
     k_cut(space, spec.regularity_k)  # raises EmptyCut when k_bar is too small
     return space
 
@@ -537,11 +569,9 @@ def space_from_dict(d: dict) -> PointedSpace1D:
         if spec.grid_n > MAX_GRID_N:
             raise InvalidParams(f"grid_n {spec.grid_n} exceeds {MAX_GRID_N}")
         check_level("regularity_k", spec.regularity_k)
-        model = None
         if domain is None and spec.kind != "custom_psi":
             # cut each infinite end of the analytic domain at -R or R
-            model = _model_density(spec)
-            lo, hi = model[1]
+            lo, hi = _model_density(spec)[1]
             if math.isinf(lo) or math.isinf(hi):
                 if d.get("truncation_radius") is None:
                     raise InvalidParams(
@@ -551,7 +581,7 @@ def space_from_dict(d: dict) -> PointedSpace1D:
                                              R if math.isinf(hi) else hi))
     except (TypeError, ValueError, OverflowError) as e:
         raise InvalidParams(f"bad descriptor field: {e}") from e
-    return build_model_space(spec, _model=model)
+    return build_model_space(spec)
 
 
 def space_summary(space: PointedSpace1D) -> dict:

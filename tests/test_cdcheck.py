@@ -935,6 +935,15 @@ def test_omega_over_caps_equals_one_cap_at_a_time(spec, k, Ms):
         estimate_omega(sp, k, k, [], n_samples=2)
 
 
+def test_Omega_cap_takes_its_limit_as_N_nears_0():
+    # 2^(1 - 1/N) is past the double range for N in (-1/1023, 0)
+    assert Omega_cap(10.0, -1e-5) == math.inf
+    assert Omega_cap(-10.0, -1e-300) == -math.inf
+    assert Omega_cap(0.0, -1e-5) == 0.0
+    assert Omega_cap(0.0, -1e-320) == 0.0
+    assert Omega_cap(10.0, -2.0) == 2.0 ** 1.5 * 10.0
+
+
 def test_omega_first_failing_cap_is_named():
     sp = build_model_space(ModelSpec(kind="glued_cos_n", K=-2.0, N=-2.0, J=2,
                                      grid_n=256))

@@ -304,6 +304,22 @@ def test_omega_table(tmp_path):
     assert 0.0 <= float(last[5]) <= 1.0
 
 
+@pytest.mark.parametrize("N", ["-1e-5", "-1e-300"])
+def test_omega_with_N_near_0_ends_in_an_exit_code(tmp_path, capsys, N):
+    # 2^(1 - 1/N) overflows a double here; Omega's cap is its limit, +inf
+    sp = _space_file(tmp_path, kind="glued_cos_n",
+                     params={"K": -2.0, "N": -2.0, "J": 2}, grid_n=256)
+    out = tmp_path / "om.csv"
+    rc = main(["omega", "--space", sp, "--k", "2", "--h-max", "3",
+               "--M", "10", "--N", N, "--samples", "4", "--seed", "0",
+               "--out", str(out)])
+    assert rc in (EXIT_OK, EXIT_USAGE)
+    if rc == EXIT_OK:
+        assert [r["h"] for r in csv.DictReader(out.open())] == ["2", "3"]
+    else:
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_omega_sampler_stays_in_the_regular_region(tmp_path):
     # seed 3 draws a block that charges a cell centred just outside R^0;
     # the default sampler draws that pair again instead of failing the run
@@ -428,7 +444,7 @@ def test_malformed_space_file(tmp_path):
     {"kind": "cos_n", "params": {"K": -2.0, "N": -2.0}, "regularity_k": 2000},
     # a truncation radius for a kind without an unbounded domain
     {"kind": "custom_psi", "psi_samples": [0.0, 0.0, 0.0], "truncation_radius": 2},
-    # a normalising integral that underflows to 0
+    # a density that underflows to 0 at every cell centre
     {"kind": "cauchy", "params": {"alpha": 1e10}, "truncation_radius": 4.0},
     # integer fields set to Infinity, and a float field past the double range
     {"kind": "glued_cos_n", "params": {"K": -2.0, "N": -2.0, "J": math.inf}},
@@ -446,12 +462,21 @@ def test_malformed_space_file(tmp_path):
      "truncation_radius": 4.0, "grid_n": 64},
     {"kind": "cauchy", "params": {"alpha": 1e-300}, "truncation_radius": 4.0,
      "grid_n": 64},
+    # a cut-off tail near 1 that the tiny normalising constant scales to
+    # 6e-10, which quad's default absolute tolerance would have passed
+    {"kind": "cauchy", "params": {"alpha": 1e-10}, "truncation_radius": 4.0,
+     "grid_n": 64},
+    # an alpha past lgamma's range (lgamma(5e307) overflows): the normaliser
+    # comes from the asymptotic series, and the density underflows to 0 at
+    # every cell centre
+    {"kind": "cauchy", "params": {"alpha": 1e308}, "truncation_radius": 4.0},
 ], ids=["unbounded_power_n", "grid_n_abc", "K_x", "base_point_q",
         "params_list", "psi_samples_abc", "grid_n_over_cap", "domain_one",
         "domain_ab", "J_over_grid_n", "regularity_k_2000",
         "truncation_radius_custom_psi", "cauchy_alpha_1e10", "J_inf",
         "grid_n_inf", "regularity_k_inf", "K_huge_int", "psi_minus_1000",
-        "sinh_n_radius_max", "cosh_n_K_1e-300", "cauchy_alpha_1e-300"])
+        "sinh_n_radius_max", "cosh_n_K_1e-300", "cauchy_alpha_1e-300",
+        "cauchy_alpha_1e-10", "cauchy_alpha_1e308"])
 def test_bad_model_params_are_usage_errors(tmp_path, desc):
     p = tmp_path / "p.json"
     p.write_text(json.dumps(desc))
@@ -626,6 +651,36 @@ def test_import_loads_no_scipy_solver_or_integrator():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_certify_and_cdcheck_load_no_integrator(tmp_path):
+    # the cauchy normalisation is in closed form and the cut-off tails are
+    # integrated only when a summary reports them
+    desc = {"kind": "cauchy", "params": {"alpha": 1.0}, "domain": [-4.0, 4.0],
+            "grid_n": 256}
+    (tmp_path / "c.json").write_text(json.dumps(desc))
+    code = textwrap.dedent(f"""
+        import sys
+        from cdknlab.cdcheck import richardson_check
+        from cdknlab.cli import main
+        from cdknlab.mmspace import ModelSpec, build_model_space
+        make = lambda n: build_model_space(ModelSpec(
+            kind="cauchy", alpha=1.0, domain=(-4.0, 4.0), grid_n=n))
+        richardson_check(make, 0.0, -1.0, n_samples=1, seed=0,
+                         grids=(256, 512))
+        rc = main(["cdcheck", "--space", "c.json", "--K", "0", "--N", "-1",
+                   "--samples", "1", "--seed", "0", "--out", "cd.csv"])
+        print(rc, "scipy.integrate" in sys.modules)
+        main(["model", "--space", "c.json"])
+    """)
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(cdknlab.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         cwd=tmp_path, capture_output=True, text=True).stdout
+    first, summary = out.split("\n", 1)
+    assert first.split()[1] == "False"
+    assert json.loads(summary)["truncated_tail_mass"] == pytest.approx(
+        0.155958260755, abs=1e-12)
 
 
 @pytest.mark.parametrize("flags, want", [

@@ -3,6 +3,7 @@
 import math
 import time
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -464,7 +465,7 @@ def test_space_from_dict_variants():
     np.testing.assert_allclose(sp.density, 1.0)
 
 
-def test_cauchy_descriptor_integrates_its_normalisation_once(monkeypatch):
+def test_cauchy_descriptor_integrates_only_its_reported_tails(monkeypatch):
     calls = []
     quad = mmspace._quad
 
@@ -476,12 +477,58 @@ def test_cauchy_descriptor_integrates_its_normalisation_once(monkeypatch):
     d = {"kind": "cauchy", "params": {"alpha": 1}, "truncation_radius": 4,
          "grid_n": 64}
     sp = space_from_dict(d)
-    # one normalisation over the line, one integral per cut-off tail
-    assert calls == [(-math.inf, math.inf), (-math.inf, -4.0), (4.0, math.inf)]
     want = build_model_space(ModelSpec(kind="cauchy", alpha=1.0,
                                        domain=(-4.0, 4.0), grid_n=64))
+    # the normalisation is in closed form, and the tails wait to be read
+    assert calls == []
     assert np.array_equal(sp.density, want.density)
-    assert space_summary(sp) == space_summary(want)
+    first = space_summary(sp)
+    # one integral per cut-off tail, on the first read only, shared with
+    # the spaces made from this one
+    tails = [(-math.inf, -4.0), (4.0, math.inf)]
+    assert calls == tails
+    assert space_summary(sp) == first
+    assert k_cut(sp, 1).truncated_tail_mass == first["truncated_tail_mass"]
+    assert calls == tails
+    assert first == space_summary(want)
+
+
+@pytest.mark.parametrize("alpha", [1e-300, 1e-10, 0.01, 0.5, 1.0, 2.0, 3.0,
+                                   100.0, 1999.0, 2001.0, 1e4, 1e10, 1e300])
+def test_cauchy_normalisation_is_the_closed_form(alpha):
+    # sqrt(pi) Gamma(alpha / 2) / Gamma((1 + alpha) / 2), by mpmath with
+    # digits to spare for the cancelling loggammas; both sides of the switch
+    # from lgamma to the asymptotic series at s = 1000
+    with mpmath.workdps(340):
+        a = mpmath.mpf(alpha)
+        want = mpmath.sqrt(mpmath.pi) * mpmath.exp(
+            mpmath.loggamma(a / 2) - mpmath.loggamma((1 + a) / 2))
+    assert mmspace._cauchy_norm(alpha) == pytest.approx(float(want), rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha, R", [(1.0, 4.0), (0.5, 4.0), (10.0, 50.0),
+                                      (100.0, 4.0), (1000.0, 1.0)])
+def test_cauchy_tail_is_integrated_to_a_relative_tolerance(alpha, R):
+    # both tails together are the regularised incomplete beta
+    # I_{1/(1+R^2)}(alpha/2, 1/2); an absolute tolerance of 1.5e-8 passed
+    # the tiny ones 4e-5 off (alpha 10, R 50 and alpha 1000, R 1)
+    sp = build_model_space(ModelSpec(kind="cauchy", alpha=alpha,
+                                     domain=(-R, R), grid_n=64))
+    want = mpmath.betainc(mpmath.mpf(alpha) / 2, 0.5, 0,
+                          1 / (1 + mpmath.mpf(R) ** 2), regularized=True)
+    assert sp.truncated_tail_mass == pytest.approx(float(want), rel=1e-11)
+
+
+@pytest.mark.parametrize("alpha, match", [
+    (5e-324, "too small to normalise"), (1e-320, "too small to normalise"),
+    (math.inf, "finite alpha"),
+    # the normaliser is finite, but the density underflows at every centre
+    (1e308, "underflows to 0 on every cell"),
+    (1e10, "underflows to 0 on every cell")])
+def test_cauchy_alpha_out_of_range_is_invalid(alpha, match):
+    with pytest.raises(InvalidParams, match=match):
+        build_model_space(ModelSpec(kind="cauchy", alpha=alpha,
+                                    domain=(-4.0, 4.0), grid_n=64))
 
 
 def test_space_summary_fields(power_space):
