@@ -35,27 +35,23 @@ from .cdcheck import (
     t_functional,
     verify_cd,
 )
-from .distortion import sigma_kappa, sigma_KN, tau_KN, tau_KN_vec
+from .distortion import sigma_kappa, tau_KN, tau_KN_vec
 from .errors import *  # noqa: F401,F403
 from .geodesics1d import (
     GeodesicSlice,
     displacement_interpolate,
-    jacobi_density,
     union_refined_grid,
 )
 from .ikrw import (
     ConvergenceRow,
     ConvergenceTable,
-    PlateauBump,
     convergence_experiment,
     extrinsic_gap,
     glued_drift_space,
     hausdorff_distance,
     ikrw,
     ikrw_fm,
-    make_test_family,
     truncated_power_space,
-    weak_convergence_gap,
 )
 from .measure import (
     DensityWrtM,
@@ -82,8 +78,6 @@ from .mmspace import (
     detect_singular_set,
     f_cut,
     k_cut,
-    normalize_cut,
-    refine,
     space_from_dict,
     space_summary,
     total_mass,

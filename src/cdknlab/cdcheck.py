@@ -461,6 +461,21 @@ class ConvexityReport:
     n_triples: int
 
 
+def _admissible_ends(x: np.ndarray, cap: float) -> tuple:
+    """Per node i0 of the nondecreasing x, the range [lo, hi) of the ends
+    i1 >= i0 + 2 with 0 < x[i1] - x[i0] < cap (the gap grows with i1)."""
+    n = x.size
+    lo = np.maximum(np.arange(n) + 2, np.searchsorted(x, x, side="right"))
+    with np.errstate(over="ignore"):
+        hi = np.maximum(np.searchsorted(x, x + cap), np.arange(n) + 1)
+    while True:  # step each hi to where the test on the rounded gap flips
+        up = (hi < n) & (x[np.minimum(hi, n - 1)] - x < cap)
+        down = x[hi - 1] - x >= cap
+        if not (up.any() or down.any()):
+            return lo, hi
+        hi += up.astype(int) - down
+
+
 def kn_convexity_check(psi_samples, K: float, N: float,
                        n_triples: int = 400, seed: int = 0) -> ConvexityReport:
     """Sampled test of the sigma-combination inequality for e^(-psi/N).
@@ -487,21 +502,21 @@ def kn_convexity_check(psi_samples, K: float, N: float,
     kappa = K / N
     d_max = math.pi / math.sqrt(kappa) if kappa > 0 else math.inf
 
-    rng = np.random.default_rng(seed)
-
-    def sample_triple():
-        for _ in range(200):
-            i0, i1 = sorted(rng.choice(x.size, size=2, replace=False))
-            if i1 - i0 < 2 or not 0 < x[i1] - x[i0] < d_max * (1 - 1e-12):
-                continue
-            im = int(rng.integers(i0 + 1, i1))
-            return i0, im, i1
+    lo, hi = _admissible_ends(x, d_max * (1 - 1e-12))
+    count = np.maximum(hi - lo, 0)
+    if count.sum() == 0:
         raise InvalidParams("could not sample an admissible triple")
+    # each admissible pair (i0, i1) equally likely, then im uniform inside it
+    rng = np.random.default_rng(seed)
+    ends = np.cumsum(count)
+    r = rng.integers(ends[-1], size=n_triples)
+    i0s = np.searchsorted(ends, r, side="right")
+    i1s = lo[i0s] + r - (ends[i0s] - count[i0s])
+    ims = rng.integers(i0s + 1, i1s)
 
     worst = None
     min_margin = math.inf
-    for _ in range(n_triples):
-        i0, im, i1 = sample_triple()
+    for i0, im, i1 in zip(i0s, ims, i1s):
         # each coefficient from the sub-lengths, not from 1 - t, which
         # rounds to 1 when x[im] is far nearer x[i0] than x[i1]
         a, b = float(x[im] - x[i0]), float(x[i1] - x[im])

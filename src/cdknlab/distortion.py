@@ -97,13 +97,6 @@ def sigma_kappa_lengths(kappa: float, a: float, b: float) -> float:
     return math.exp(-b * r) * -math.expm1(-2.0 * a * r) / -math.expm1(-2.0 * theta * r)
 
 
-def sigma_KN(K: float, N: float, t: float, theta: float) -> float:
-    """sigma in (K, N) bookkeeping: infinite iff K theta^2 <= N pi^2 (N < 0)."""
-    if N >= 0:
-        raise DomainError("this laboratory only covers N < 0")
-    return sigma_kappa(K / N, t, theta)
-
-
 def tau_KN(K: float, N: float, t: float, theta: float) -> float:
     """tau_{K,N}^(t)(theta) = t^(1/N) sigma_{K/(N-1)}^(t)(theta)^((N-1)/N)."""
     _check_t_theta(t, theta)

@@ -13,10 +13,6 @@ class SingularPointOffGrid(CdknLabError):
     """A singular point does not land on a cell edge of the requested grid."""
 
 
-class NotRefinable(CdknLabError):
-    """Space has no analytic density, so neighborhoods cannot be refined."""
-
-
 class EmptyCut(CdknLabError):
     """A k-cut has zero total mass (k below the true regularity parameter)."""
 
@@ -51,10 +47,6 @@ class SupportViolation(CdknLabError):
 
 class MismatchedInputs(CdknLabError):
     """Two reports/objects that must share structure do not."""
-
-
-class DegenerateJacobian(CdknLabError):
-    """Interpolation slope vanished or went negative."""
 
 
 class GridTooCoarse(CdknLabError):

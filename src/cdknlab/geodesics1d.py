@@ -12,9 +12,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DegenerateJacobian, GridTooCoarse, InvalidParams
-from .measure import DensityWrtM, DiscreteMeasure, radon_nikodym
-from .mmspace import Grid1D, PointedSpace1D
+from .errors import GridTooCoarse, InvalidParams
+from .measure import DiscreteMeasure
+from .mmspace import Grid1D
 from .transport import MonotoneMap, monotone_map
 
 def blocks_cdf(u0: np.ndarray, u1: np.ndarray, w: np.ndarray,
@@ -64,65 +64,21 @@ class GeodesicSlice:
 
     t: float
     measure: DiscreteMeasure
-    density_wrt_m: Optional[DensityWrtM] = None
 
 
 def displacement_interpolate(mu0: DiscreteMeasure, mu1: DiscreteMeasure,
                              t: float, out_grid: Optional[Grid1D] = None,
-                             space: Optional[PointedSpace1D] = None,
                              tmap: Optional[MonotoneMap] = None) -> GeodesicSlice:
     """Time-t measure of the monotone W2 geodesic from mu0 to mu1.
 
     The pushforward under T_t = (1-t) id + t T is binned onto `out_grid`
-    (default: the union grid refined 4x).  When `space` is given its grid is
-    used and the slice's density w.r.t. the reference measure is attached.
+    (default: the union grid refined 4x).
     """
     if not 0.0 <= t <= 1.0:
         raise InvalidParams(f"t={t} outside [0, 1]")
     if tmap is None:
         tmap = monotone_map(mu0, mu1)
-    if space is not None:
-        out_grid = space.grid
-    elif out_grid is None:
+    if out_grid is None:
         out_grid = union_refined_grid(mu0.grid, mu1.grid)
     u0, u1, w = tmap.interpolate_blocks(float(t))
-    measure = bin_blocks(u0, u1, w, out_grid)
-    dens = radon_nikodym(measure, space) if space is not None else None
-    return GeodesicSlice(t=float(t), measure=measure, density_wrt_m=dens)
-
-
-def jacobi_density(mu0: DiscreteMeasure, space: PointedSpace1D,
-                   T: MonotoneMap, t: float) -> DensityWrtM:
-    """Density of mu_t w.r.t. the reference measure via change of variables.
-
-    Evaluates   rho_t(T_t(x)) = rho_0(x) V(x) / (V(T_t(x)) (1 + t(T'(x)-1)))
-    with V the reference density, at segment midpoints, then aggregates
-    mass-weighted means per cell of the space grid.  Segments landing in
-    cells without finite positive reference density are dropped (one-cell
-    discrepancy zone around blow-up points; its mass is not reported here).
-    """
-    x = T.x_mid
-    slopes = T.slopes
-    jac = 1.0 + t * (slopes - 1.0)
-    if np.any(jac <= 0):
-        raise DegenerateJacobian("monotone map has a nonpositive slope")
-    xt = (1.0 - t) * x + t * T.y_mid
-
-    rho0 = radon_nikodym(mu0, space).values[T.i]
-    if space.density_fn is not None:
-        v0 = np.asarray(space.density_fn(x), dtype=float)
-        vt = np.asarray(space.density_fn(xt), dtype=float)
-    else:
-        v0 = space.density[T.i]
-        vt = space.density[np.clip(space.grid.locate(xt), 0, space.grid.n - 1)]
-    keep = np.isfinite(v0) & np.isfinite(vt) & (vt > 0)
-    rho_seg = np.zeros(x.size)
-    rho_seg[keep] = rho0[keep] * v0[keep] / (vt[keep] * jac[keep])
-
-    cells = np.clip(space.grid.locate(xt[keep]), 0, space.grid.n - 1)
-    wsum = np.bincount(cells, weights=T.w[keep], minlength=space.grid.n)
-    vsum = np.bincount(cells, weights=T.w[keep] * rho_seg[keep],
-                       minlength=space.grid.n)
-    with np.errstate(invalid="ignore"):
-        values = np.where(wsum > 0, vsum / np.maximum(wsum, 1e-300), 0.0)
-    return DensityWrtM(space.grid, values)
+    return GeodesicSlice(t=float(t), measure=bin_blocks(u0, u1, w, out_grid))

@@ -20,12 +20,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    EmptyCut,
-    InvalidParams,
-    NotRefinable,
-    SingularPointOffGrid,
-)
+from .errors import EmptyCut, InvalidParams, SingularPointOffGrid
 
 _EDGE_TOL = 1e-9
 # Largest grid_n an input file may ask for.  `cdknlab model` on a cos_n
@@ -409,18 +404,16 @@ def build_model_space(spec: ModelSpec) -> PointedSpace1D:
 # singular-set machinery
 
 
-def detect_singular_set(space: PointedSpace1D, strict: bool = False) -> tuple:
+def detect_singular_set(space: PointedSpace1D) -> tuple:
     """Points whose shrinking neighborhoods keep gaining mass under refinement.
 
     Every grid edge is a candidate; a candidate is singular when the midpoint
     mass of its radius-r neighborhood (fixed 128 subcells) grows by at least
     1.5x each time r is halved, across four radii.
-    Custom sampled spaces are not refinable: they raise ``NotRefinable`` under
-    ``strict=True`` and otherwise fall back to the declared singular set.
+    A space with no analytic density (custom sampled weights, a k-cut) has
+    nothing to refine and keeps its declared singular set.
     """
     if space.density_fn is None:
-        if strict:
-            raise NotRefinable("no analytic density attached")
         return space.singular_points
     edges = space.grid.edges
     a, b = space.grid.a, space.grid.b
@@ -467,16 +460,11 @@ def carve(pieces: Sequence[tuple[float, float]], points: Sequence[float],
     return out
 
 
-def _cut_factor(x: np.ndarray, base_point: float, anchors: Sequence[float],
-                k: int) -> np.ndarray:
-    """The k-cut multiplier f^k at the points x."""
-    return (f_cut(np.abs(x - base_point) * 2.0 ** (-k))
-            * (1.0 - f_cut(_dist_to_set(x, anchors) * 2.0 ** k)))
-
-
 def cut_weights(space: PointedSpace1D, k: int) -> np.ndarray:
     """The k-cut multiplier f^k evaluated at cell centers."""
-    return _cut_factor(space.grid.centers, space.base_point, space.anchors, k)
+    x = space.grid.centers
+    return (f_cut(np.abs(x - space.base_point) * 2.0 ** (-k))
+            * (1.0 - f_cut(_dist_to_set(x, space.anchors) * 2.0 ** k)))
 
 
 def k_cut(space: PointedSpace1D, k: int) -> PointedSpace1D:
@@ -484,7 +472,7 @@ def k_cut(space: PointedSpace1D, k: int) -> PointedSpace1D:
 
     Cells adjacent to a true singular point are zeroed exactly, so infinite
     densities never survive a cut.  Singular points and anchors are kept as
-    metadata on the cut space.
+    metadata on the cut space; the cut carries no analytic density.
     """
     if k < space.regularity_k:
         raise InvalidParams(f"k={k} below regularity parameter {space.regularity_k}")
@@ -494,16 +482,7 @@ def k_cut(space: PointedSpace1D, k: int) -> PointedSpace1D:
     adj = _singular_adjacent_cells(space.grid, space.singular_points)
     if adj.size:
         density[adj] = 0.0
-    fn = space.density_fn
-    new_fn = None
-    if fn is not None:
-        def new_fn(x, _f=fn, _p=space.base_point, _anch=space.anchors, _k=k):
-            x = np.asarray(x, dtype=float)
-            w = _cut_factor(x, _p, _anch, _k)
-            with np.errstate(over="ignore"):
-                v = np.asarray(_f(x), dtype=float)
-            return np.where(w > 0, v * w, 0.0)
-    cut = replace(space, density=density, density_fn=new_fn)
+    cut = replace(space, density=density, density_fn=None)
     if float(np.sum(cut.cell_masses)) <= 0.0:
         raise EmptyCut(f"k={k} cut has no mass")
     return cut
@@ -515,26 +494,6 @@ def total_mass(space: PointedSpace1D) -> float:
     if np.any(np.isinf(m)):
         return math.inf
     return float(np.sum(m))
-
-
-def normalize_cut(space: PointedSpace1D, k: int):
-    """The k-cut renormalized to a probability measure on the same grid."""
-    from .measure import DiscreteMeasure
-
-    return DiscreteMeasure(space.grid, k_cut(space, k).cell_masses).normalized()
-
-
-def refine(space: PointedSpace1D, factor: int) -> PointedSpace1D:
-    """Subdivide each cell into `factor` equal parts, resampling the density."""
-    if factor < 1:
-        raise InvalidParams("factor must be >= 1")
-    if factor == 1:
-        return space
-    grid = space.grid.refined(factor)
-    fn = space.density_fn or (lambda _x: np.repeat(space.density, factor))
-    # a space with no infinite cell (a k-cut) stays finite
-    sing = space.singular_points if np.isinf(space.density).any() else ()
-    return replace(space, grid=grid, density=_discretize(grid, fn, sing))
 
 
 # ---------------------------------------------------------------------------

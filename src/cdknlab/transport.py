@@ -113,13 +113,6 @@ class MonotoneMap:
     def y_mid(self) -> np.ndarray:
         return 0.5 * (self.b0 + self.b1)
 
-    @property
-    def slopes(self) -> np.ndarray:
-        da = self.a1 - self.a0
-        db = self.b1 - self.b0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(da > 0, db / da, 1.0)
-
     def interpolate_blocks(self, t):
         """Endpoints and masses of the time-t uniform blocks.
 

@@ -717,6 +717,28 @@ def test_convexity_needs_nondecreasing_nodes():
         kn_convexity_check(([1.0, 1.0, 1.0], [0.0] * 3), K=0.0, N=-2.0)
 
 
+
+def test_convexity_admissible_ends_match_the_pairwise_test():
+    # the ranges of ends equal the rejection sampler's test run on every
+    # pair, also where x + cap rounds to either side of the test on the
+    # rounded gap x[i1] - x[i0]
+    rng = np.random.default_rng(7)
+    one = np.spacing(1.0)
+    for trial in range(500):
+        n = int(rng.integers(3, 25))
+        x = [np.sort(rng.integers(0, 6, n)).astype(float),
+             np.sort(rng.random(n) * 10.0),
+             1.0 + one * np.cumsum(rng.integers(0, 2, n)),
+             1e300 + 1e284 * np.cumsum(rng.integers(0, 3, n)),
+             np.sort(rng.choice([0.0, 0.3, 3.0, 1e16, 1e16 + 2.0], n))][trial % 5]
+        for cap in (math.inf, float(rng.random() * 3.0), 2.5 * one, 1e16, 1e299):
+            lo, hi = cdcheck._admissible_ends(x, cap)
+            got = {(i, j) for i in range(n) for j in range(lo[i], hi[i])}
+            want = {(i, j) for i in range(n) for j in range(i + 2, n)
+                    if 0 < x[j] - x[i] < cap}
+            assert got == want
+
+
 # ---------------------------------------------------------------------------
 # regular-region escape estimates
 

@@ -223,6 +223,19 @@ def test_convexity_far_interior_node_keeps_its_coefficient(tmp_path, x, K, rc):
         ("-1" if rc == EXIT_VIOLATION else "0")
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_convexity_draws_rare_admissible_triples(tmp_path, seed):
+    # at K = N = -2 a triple must be shorter than pi: about 0.4 % of the node
+    # pairs of 1001 nodes 1 apart, which a rejection sampler could miss
+    p = tmp_path / "long.json"
+    p.write_text(json.dumps({"x": list(range(1001)), "psi": [0.0] * 1001}))
+    out = tmp_path / "c.json"
+    assert main(["convexity", "--psi", str(p), "--K", "-2", "--N", "-2",
+                 "--seed", str(seed), "--out", str(out)]) == EXIT_OK
+    worst = json.loads(out.read_text())["worst_triple"]
+    assert 0.0 < worst[2] - worst[0] < math.pi
+
+
 # ---------------------------------------------------------------------------
 # ikrw / converge / omega
 
@@ -287,6 +300,36 @@ def test_converge_custom_list_needs_no_n_range(tmp_path):
     rows = list(csv.DictReader(out.read_text().splitlines()))
     assert [(r["n"], r["k"]) for r in rows] == [("0", "0"), ("0", "1"),
                                                 ("1", "0"), ("1", "1")]
+
+
+def _psi_space(psi):
+    return {"kind": "custom_psi", "domain": [0.0, 1.0], "psi_samples": [psi] * 64}
+
+
+@pytest.mark.parametrize("psi_a, psi_b", [(700.0, -700.0), (-700.0, 700.0)])
+def test_ikrw_log_mass_past_the_double_ratio(tmp_path, psi_a, psi_b):
+    # masses e^-700 and e^700: their ratio rounds to 0 or inf
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps(_psi_space(psi_a)))
+    b.write_text(json.dumps(_psi_space(psi_b)))
+    out = tmp_path / "ik.csv"
+    assert main(["ikrw", "--space-a", str(a), "--space-b", str(b), "--k-bar",
+                 "0", "--k-max", "1", "--out", str(out)]) == EXIT_OK
+    for r in csv.DictReader(out.read_text().splitlines()):
+        assert float(r["log_mass"]) == pytest.approx(1400.0, rel=1e-9)
+        assert float(r["fm_value"]) == pytest.approx(1400.0, rel=1e-9)
+
+
+def test_converge_custom_list_log_mass_past_the_double_ratio(tmp_path):
+    seq = tmp_path / "seq.json"
+    seq.write_text(json.dumps({"family": "custom_list", "k_range": [0, 1],
+                               "spaces": [_psi_space(700.0)],
+                               "limit": _psi_space(-700.0)}))
+    out = tmp_path / "conv.csv"
+    assert main(["converge", "--seq", str(seq), "--no-cd", "--seed", "0",
+                 "--out", str(out)]) == EXIT_OK
+    for r in csv.DictReader(out.read_text().splitlines()):
+        assert float(r["log_mass_gap"]) == pytest.approx(1400.0, rel=1e-9)
 
 
 def test_omega_table(tmp_path):

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from cdknlab.distortion import (
-    sigma_KN,
     sigma_kappa,
     sigma_kappa_lengths,
     sigma_kappa_vec,
@@ -142,8 +141,6 @@ def test_sigma_domain_checks():
         sigma_kappa(1.0, 1.1, 1.0)
     with pytest.raises(DomainError):
         sigma_kappa(1.0, 0.5, -1.0)
-    with pytest.raises(DomainError):
-        sigma_KN(1.0, 2.0, 0.5, 1.0)
 
 
 @pytest.mark.parametrize("K, N", [(math.nan, -2.0), (math.inf, -2.0),

@@ -1,24 +1,23 @@
 """Displacement interpolation: block CDF exactness, endpoint recovery,
-constant speed, and the change-of-variables density route."""
+and constant speed."""
 
 import math
 
 import numpy as np
 import pytest
 
-from cdknlab.errors import DegenerateJacobian, GridTooCoarse, InvalidParams
+from cdknlab.errors import GridTooCoarse, InvalidParams
 from cdknlab.geodesics1d import (
     bin_blocks,
     blocks_cdf,
     displacement_interpolate,
-    jacobi_density,
     union_refined_grid,
 )
 from cdknlab.measure import uniform_block
-from cdknlab.mmspace import Grid1D, ModelSpec, build_model_space
-from cdknlab.transport import MonotoneMap, monotone_map, w2_block_1d
+from cdknlab.mmspace import Grid1D
+from cdknlab.transport import monotone_map, w2_block_1d
 
-from conftest import flat_space, random_measure
+from conftest import random_measure
 
 
 def test_blocks_cdf_hand_values():
@@ -155,59 +154,3 @@ def test_mass_conserved_along_geodesic(rng):
     for t in np.linspace(0.0, 1.0, 9):
         sl = displacement_interpolate(mu0, mu1, t, tmap=tmap)
         assert sl.measure.total_mass == pytest.approx(3.0, rel=1e-12)
-
-
-def test_interpolate_with_space_attaches_density(lebesgue):
-    mu0 = uniform_block(lebesgue.grid, 0.1, 0.4)
-    mu1 = uniform_block(lebesgue.grid, 0.5, 0.9)
-    sl = displacement_interpolate(mu0, mu1, 0.5, space=lebesgue)
-    assert sl.density_wrt_m is not None
-    w = sl.measure.masses
-    np.testing.assert_allclose(
-        sl.density_wrt_m.values, w / lebesgue.cell_masses, rtol=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# Jacobi (change of variables) density
-
-
-def test_jacobi_identity_map_recovers_density(lebesgue):
-    # block aligned with cell edges so every covered cell is fully covered
-    mu = uniform_block(lebesgue.grid, 0.25, 0.75)
-    tmap = monotone_map(mu, mu)
-    for t in (0.0, 0.5, 1.0):
-        dens = jacobi_density(mu, lebesgue, tmap, t)
-        got = dens.values[dens.values > 0]
-        np.testing.assert_allclose(got, 2.0, rtol=1e-9)
-
-
-def test_jacobi_matches_binned_density():
-    """Two independent routes to rho_t must agree in weighted L1."""
-    sp = build_model_space(ModelSpec(kind="cosh_n", K=1.0, N=-2.0,
-                                     domain=(-2.0, 2.0), grid_n=1024))
-    mu0 = uniform_block(sp.grid, -1.2, -0.3)
-    mu1 = uniform_block(sp.grid, 0.2, 1.4)
-    tmap = monotone_map(mu0, mu1)
-    m = sp.cell_masses
-    for t in (0.3, 0.7):
-        sl = displacement_interpolate(mu0, mu1, t, space=sp, tmap=tmap)
-        jd = jacobi_density(mu0, sp, tmap, t)
-        diff = float(np.sum(np.abs(sl.density_wrt_m.values - jd.values) * m))
-        assert diff < 0.02
-
-
-def test_jacobi_degenerate_compression():
-    # quantile maps between cell-block measures always keep positive target
-    # widths, so the degenerate branch needs a hand-built collapsing segment
-    g = Grid1D.uniform(0.0, 1.0, 16)
-    spread = uniform_block(g, 0.0, 1.0)
-    sp = flat_space(n=16)
-    collapse = MonotoneMap(i=np.array([0]), j=np.array([7]),
-                           w=np.array([1.0]), a0=np.array([0.0]),
-                           a1=np.array([1.0]), b0=np.array([0.5]),
-                           b1=np.array([0.5]), src_grid=g, dst_grid=g)
-    with pytest.raises(DegenerateJacobian):
-        jacobi_density(spread, sp, collapse, 1.0)
-    # strictly before t = 1 the jacobian is still positive
-    dens = jacobi_density(spread, sp, collapse, 0.5)
-    assert np.all(np.isfinite(dens.values))

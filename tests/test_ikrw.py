@@ -6,27 +6,18 @@ import math
 import numpy as np
 import pytest
 
-from cdknlab.errors import (
-    InfiniteMass,
-    InvalidParams,
-    InvalidTestFunction,
-    RegularityMismatch,
-)
+from cdknlab.errors import InfiniteMass, InvalidParams, RegularityMismatch
 from cdknlab.ikrw import (
     ConvergenceRow,
     ConvergenceTable,
-    PlateauBump,
     convergence_experiment,
     extrinsic_gap,
     glued_drift_space,
     hausdorff_distance,
     ikrw,
     ikrw_fm,
-    make_test_family,
     truncated_power_space,
-    weak_convergence_gap,
 )
-from cdknlab.measure import DiscreteMeasure, uniform_block
 from cdknlab.mmspace import Grid1D, PointedSpace1D, k_cut, total_mass
 
 
@@ -146,61 +137,6 @@ def test_ikrw_rejects_bad_truncation(trunc_pair):
     a, b = trunc_pair
     with pytest.raises(InvalidParams):
         ikrw(a, b, k_bar=4, k_max=3)
-
-
-# ---------------------------------------------------------------------------
-# Test functions and weak convergence
-
-
-def test_plateau_bump_profile():
-    f = PlateauBump(a=0.0, b=1.0, ramp=0.25)
-    assert f.support == (0.0, 1.0)
-    assert f(-0.5) == 0.0 and f(1.5) == 0.0
-    assert f(0.5) == 1.0
-    assert f(0.125) == pytest.approx(0.5)
-    out = f(np.array([0.0, 0.25, 0.5, 0.75, 1.0]))
-    assert np.allclose(out, [0.0, 1.0, 1.0, 1.0, 0.0])
-
-
-def test_make_test_family_avoids_singular_points():
-    fam = make_test_family(0.0, 1.0, singular_points=(0.5,), count=12,
-                           guard=0.05)
-    assert len(fam) == 12
-    probes = 0.5 + np.linspace(-0.05, 0.05, 21)
-    for f in fam:
-        lo, hi = f.support
-        assert 0.0 <= lo < hi <= 1.0
-        assert np.all(f(probes) == 0.0)
-
-
-def test_make_test_family_guards():
-    with pytest.raises(InvalidParams):
-        make_test_family(1.0, 1.0)
-    with pytest.raises(InvalidParams):
-        make_test_family(0.0, 1.0, singular_points=(0.5,), guard=0.4)
-
-
-def test_weak_convergence_gap_shrinks_with_resolution():
-    fine = Grid1D.uniform(0.0, 1.0, 512)
-    fam = make_test_family(0.0, 1.0, count=10)
-    gaps = []
-    for n in (16, 64, 256):
-        coarse = Grid1D.uniform(0.0, 1.0, n)
-        # same absolutely continuous law, sampled at two resolutions
-        m_n = DiscreteMeasure(coarse, np.diff(coarse.edges ** 2))
-        m_inf = DiscreteMeasure(fine, np.diff(fine.edges ** 2))
-        gaps.append(weak_convergence_gap(m_n, m_inf, fam))
-    assert gaps[2] < gaps[1] < gaps[0]
-    assert gaps[2] < 5e-3
-
-
-def test_weak_convergence_gap_rejects_bad_test_function():
-    g = Grid1D.uniform(0.0, 1.0, 64)
-    mu = uniform_block(g, 0.0, 1.0)
-    bad = PlateauBump(a=0.3, b=0.7, ramp=0.1)  # doesn't vanish at 0.5
-    with pytest.raises(InvalidTestFunction):
-        weak_convergence_gap(mu, mu, [bad], singular_points=(0.5,),
-                             guard_radius=0.05)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from cdknlab import mmspace
 from cdknlab.errors import (
     EmptyCut,
     InvalidParams,
-    NotRefinable,
     SingularPointOffGrid,
 )
 from cdknlab.cdcheck import regular_intervals
@@ -29,8 +28,6 @@ from cdknlab.mmspace import (
     detect_singular_set,
     f_cut,
     k_cut,
-    normalize_cut,
-    refine,
     space_from_dict,
     space_summary,
     total_mass,
@@ -190,8 +187,6 @@ def test_detect_singular_set_flat_and_strict(lebesgue):
     sp = build_model_space(ModelSpec(kind="cosh_n", K=1.0, N=-2.0,
                                      domain=(-2.0, 2.0)))
     assert detect_singular_set(sp) == ()
-    with pytest.raises(NotRefinable):
-        detect_singular_set(lebesgue, strict=True)
     assert detect_singular_set(lebesgue) == ()
 
 
@@ -259,11 +254,6 @@ def test_empty_cut_raises():
                         singular_points=(0.0, 0.5, 1.0), base_point=0.25)
     with pytest.raises(EmptyCut):
         k_cut(sp, 0)
-
-
-def test_normalize_cut_is_probability(power_space):
-    mu = normalize_cut(power_space, 0)
-    assert mu.total_mass == pytest.approx(1.0, rel=1e-12)
 
 
 def test_cut_anchors_override_kill_factor():
@@ -375,25 +365,7 @@ def test_many_singular_points_build_cut_and_compare_quickly():
 
 
 # ---------------------------------------------------------------------------
-# refinement and serialization
-
-
-def test_refine_flat_preserves_mass(lebesgue):
-    fine = refine(lebesgue, 3)
-    assert fine.grid.n == 3 * lebesgue.grid.n
-    assert total_mass(fine) == pytest.approx(total_mass(lebesgue), rel=1e-12)
-    assert refine(lebesgue, 1) is lebesgue
-    with pytest.raises(InvalidParams):
-        refine(lebesgue, 0)
-
-
-def test_refine_resamples_analytic_density(power_space):
-    fine = refine(power_space, 2)
-    assert fine.grid.n == 2 * power_space.grid.n
-    assert math.isinf(fine.density[0])  # blow-up cell restamped
-    cut_c = total_mass(k_cut(power_space, 0))
-    cut_f = total_mass(k_cut(fine, 0))
-    assert cut_f == pytest.approx(cut_c, rel=1e-3)
+# descriptors
 
 
 _HALF = 0.5 * math.pi  # half an arch of cos_n with K = N
@@ -434,13 +406,6 @@ def test_glued_kind_mirrors_its_one_sided_model(kind, params):
     np.testing.assert_array_equal(glued.density_fn(-x), one.density_fn(x))
     # the positive half of the glued grid is the one-sided grid
     np.testing.assert_allclose(glued.density[64:], one.density, rtol=1e-12)
-
-
-def test_refine_of_a_cut_keeps_its_cells_finite(power_space):
-    cut = k_cut(power_space, 0)
-    fine = refine(cut, 3)
-    assert np.all(np.isfinite(fine.density))
-    assert total_mass(fine) == pytest.approx(total_mass(cut), rel=1e-3)
 
 
 def test_detect_singular_set_is_quiet_when_masses_overflow():
