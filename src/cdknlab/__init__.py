@@ -14,8 +14,7 @@ def _thread_count(text):
 # value but an integer >= 1 is not passed on (the CLI then exits 1).
 _threads = _thread_count(os.environ.get("CDKNLAB_THREADS"))
 if _threads is not None:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                 "MKL_NUM_THREADS", "HIGHS_NUM_THREADS"):
+    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(_var, str(_threads))
 
 from .cdcheck import (
@@ -59,7 +58,6 @@ from .measure import (
     bump,
     conjugate_coefficient,
     entropy_from_masses,
-    explicit,
     f_star,
     legendre_entropy,
     measure_from_dict,

@@ -386,7 +386,6 @@ class SuiteReport(CdReport):
     report and its grid-free spec."""
     reports: tuple
     pair_specs: tuple
-    seed: int
 
 
 def cd_suite(space: PointedSpace1D, K: float, N: float, n_samples: int,
@@ -406,8 +405,7 @@ def cd_suite(space: PointedSpace1D, K: float, N: float, n_samples: int,
                                  restrict_to_regular_k=restrict_to_regular_k))
     return SuiteReport(rows=tuple(r for rep in reports for r in rep.rows),
                        K=K, N=N, grid_n=space.grid.n, tol=tol,
-                       reports=tuple(reports), pair_specs=tuple(pair_specs),
-                       seed=seed)
+                       reports=tuple(reports), pair_specs=tuple(pair_specs))
 
 
 def richardson_check(make_space: Callable[[int], PointedSpace1D], K: float,
@@ -509,25 +507,23 @@ def kn_convexity_check(psi_samples, K: float, N: float,
     # each admissible pair (i0, i1) equally likely, then im uniform inside it
     rng = np.random.default_rng(seed)
     ends = np.cumsum(count)
-    r = rng.integers(ends[-1], size=n_triples)
-    i0s = np.searchsorted(ends, r, side="right")
-    i1s = lo[i0s] + r - (ends[i0s] - count[i0s])
+    i1s = rng.integers(ends[-1], size=n_triples)  # a pair's rank, made i1 below
+    i0s = np.searchsorted(ends, i1s, side="right")
+    i1s += lo[i0s] - (ends[i0s] - count[i0s])
     ims = rng.integers(i0s + 1, i1s)
 
+    # each coefficient from the sub-lengths, not from 1 - t, which rounds to
+    # 1 when x[im] is far nearer x[i0] than x[i1]
+    a, b = x[ims] - x[i0s], x[i1s] - x[ims]
+    with np.errstate(over="ignore"):  # a bound past the doubles passes
+        margins = (sigma_kappa_lengths(kappa, b, a) * fN[i0s]
+                   + sigma_kappa_lengths(kappa, a, b) * fN[i1s]) - fN[ims]
+    k = int(np.argmin(margins))  # the first least margin
     worst = None
-    min_margin = math.inf
-    for i0, im, i1 in zip(i0s, ims, i1s):
-        # each coefficient from the sub-lengths, not from 1 - t, which
-        # rounds to 1 when x[im] is far nearer x[i0] than x[i1]
-        a, b = float(x[im] - x[i0]), float(x[i1] - x[im])
-        t = a / (x[i1] - x[i0])
-        with np.errstate(over="ignore"):  # a bound past the doubles passes
-            bound = (sigma_kappa_lengths(kappa, b, a) * fN[i0]
-                     + sigma_kappa_lengths(kappa, a, b) * fN[i1])
-        margin = bound - fN[im]
-        if margin < min_margin:
-            min_margin, worst = margin, (float(x[i0]), float(x[im]), float(x[i1]), t)
-    return ConvexityReport(min_margin=float(min_margin), worst=worst,
+    if margins[k] < math.inf:
+        x0, xm, x1 = x[i0s[k]], x[ims[k]], x[i1s[k]]
+        worst = (float(x0), float(xm), float(x1), float(a[k] / (x1 - x0)))
+    return ConvexityReport(min_margin=float(margins[k]), worst=worst,
                            n_triples=n_triples)
 
 

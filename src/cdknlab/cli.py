@@ -32,12 +32,13 @@ EXIT_USAGE = 1
 EXIT_VIOLATION = 2
 
 # Largest value of each count flag.  --t-grid sizes (2 x t-grid x segments)
-# arrays, a cdcheck report has samples x t-grid x nprime-grid rows, and each
-# triple costs two Python-level coefficient calls; every test and benchmark
-# stays at or below 500.
+# arrays, a cdcheck report has samples x t-grid x nprime-grid rows (capped
+# by MAX_ROWS), and the triples' arrays peak near 130 MB at the cap; every
+# test and benchmark stays at or below 500.
 MAX_GRID_COUNT = 1000      # --t-grid, --nprime-grid
 MAX_SAMPLES = 10_000       # --samples, --cd-samples
 MAX_TRIPLES = 1_000_000    # --triples
+MAX_ROWS = 10**6           # cdcheck samples x t-grid x nprime-grid
 
 
 class UsageError(Exception):
@@ -141,6 +142,10 @@ def _cmd_model(args) -> int:
 
 
 def _cmd_cdcheck(args) -> int:
+    n_rows = args.samples * args.t_grid * args.nprime_grid
+    if n_rows > MAX_ROWS:
+        raise UsageError(f"samples x t-grid x nprime-grid = {n_rows} rows "
+                         f"exceeds the cap {MAX_ROWS}")
     space = _load_space(args.space)
     suite = cdc.cd_suite(space, args.K, args.N, args.samples, args.seed,
                          t_grid=args.t_grid, nprime_grid=args.nprime_grid,
@@ -206,7 +211,7 @@ def _cmd_converge(args) -> int:
     rows = [[r.n, r.k, r.log_mass_gap, r.base_point_gap, r.hausdorff_gap,
              r.wc_gap, r.total] for r in table.rows]
     ks = sorted({r.k for r in table.rows})
-    monotone = all(table.decreasing("wc_gap", k, slack=1e-9) for k in ks)
+    monotone = all(table.decreasing("wc_gap", k) for k in ks)
     summary = {
         "series": {str(n): _fmt(v) for n, v in table.series.items()},
         "monotone_wc": monotone, "seed": args.seed,

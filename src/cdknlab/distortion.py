@@ -73,28 +73,32 @@ def sigma_kappa_vec(kappa: float, t, theta) -> np.ndarray:
     return out
 
 
-def sigma_kappa_lengths(kappa: float, a: float, b: float) -> float:
+def sigma_kappa_lengths(kappa: float, a, b):
     """sigma_kappa^(t)(theta) for theta = a + b > 0 and t = a / theta, from
-    the two lengths a, b >= 0 themselves.  Neither t nor 1 - t is formed, so
-    a point 1e150 from one end of a 1e300 segment keeps the ~0 coefficient
-    that 1 - 1e-150, rounded to 1, would turn into 1."""
+    the two lengths a, b >= 0 themselves: floats (a float is returned) or
+    arrays of one shape.  Neither t nor 1 - t is formed, so a point 1e150
+    from one end of a 1e300 segment keeps the ~0 coefficient that
+    1 - 1e-150, rounded to 1, would turn into 1."""
     if not math.isfinite(kappa):
         raise DomainError(f"kappa={kappa} must be finite")
-    if not (a >= 0.0 and b >= 0.0):
-        raise DomainError(f"lengths a={a}, b={b} must be nonnegative")
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     theta = a + b
-    x = kappa * theta * theta
-    if x >= _PI2 - _THRESHOLD_TOL:
-        return math.inf
-    if x == 0.0:
-        return a / theta
-    if x > 0.0:
-        r = math.sqrt(kappa)
-        return math.sin(a * r) / math.sin(theta * r)
-    r = math.sqrt(-kappa)
-    # the sinh ratio in the stable form of sigma_kappa_vec, with b theta
-    # standing for (1 - t) theta
-    return math.exp(-b * r) * -math.expm1(-2.0 * a * r) / -math.expm1(-2.0 * theta * r)
+    if not ((a >= 0.0).all() and (b >= 0.0).all() and (theta > 0.0).all()):
+        raise DomainError("lengths a, b must be >= 0 with a + b > 0")
+    out = np.full(theta.shape, np.inf)
+    with np.errstate(over="ignore"):  # a product past the doubles is +-inf
+        x = kappa * theta * theta
+        zero = x == 0.0
+        pos = (x > 0.0) & (x < _PI2 - _THRESHOLD_TOL)
+        neg = x < 0.0
+        out[zero] = a[zero] / theta[zero]
+        r = math.sqrt(abs(kappa))
+        out[pos] = np.sin(a[pos] * r) / np.sin(theta[pos] * r)
+        # the sinh ratio in the stable form of sigma_kappa_vec, with b theta
+        # standing for (1 - t) theta
+        out[neg] = (np.exp(-b[neg] * r) * -np.expm1(-2.0 * a[neg] * r)
+                    / -np.expm1(-2.0 * theta[neg] * r))
+    return float(out) if out.ndim == 0 else out
 
 
 def tau_KN(K: float, N: float, t: float, theta: float) -> float:

@@ -53,9 +53,9 @@ def bin_blocks(u0: np.ndarray, u1: np.ndarray, w: np.ndarray,
     return DiscreteMeasure(grid, np.maximum(np.diff(cdf), 0.0))
 
 
-def union_refined_grid(g0: Grid1D, g1: Grid1D, factor: int = 4) -> Grid1D:
-    """Default output grid: the union of both edge sets, each cell split."""
-    return Grid1D(np.union1d(g0.edges, g1.edges)).refined(factor)
+def union_refined_grid(g0: Grid1D, g1: Grid1D) -> Grid1D:
+    """Output grid: the union of both edge sets, each cell split in 4."""
+    return Grid1D(np.union1d(g0.edges, g1.edges)).refined(4)
 
 
 @dataclass(frozen=True)
@@ -67,18 +67,17 @@ class GeodesicSlice:
 
 
 def displacement_interpolate(mu0: DiscreteMeasure, mu1: DiscreteMeasure,
-                             t: float, out_grid: Optional[Grid1D] = None,
-                             tmap: Optional[MonotoneMap] = None) -> GeodesicSlice:
+                             t: float, tmap: Optional[MonotoneMap] = None
+                             ) -> GeodesicSlice:
     """Time-t measure of the monotone W2 geodesic from mu0 to mu1.
 
-    The pushforward under T_t = (1-t) id + t T is binned onto `out_grid`
-    (default: the union grid refined 4x).
+    The pushforward under T_t = (1-t) id + t T is binned onto the union grid
+    refined 4x.
     """
     if not 0.0 <= t <= 1.0:
         raise InvalidParams(f"t={t} outside [0, 1]")
     if tmap is None:
         tmap = monotone_map(mu0, mu1)
-    if out_grid is None:
-        out_grid = union_refined_grid(mu0.grid, mu1.grid)
     u0, u1, w = tmap.interpolate_blocks(float(t))
-    return GeodesicSlice(t=float(t), measure=bin_blocks(u0, u1, w, out_grid))
+    return GeodesicSlice(t=float(t), measure=bin_blocks(
+        u0, u1, w, union_refined_grid(mu0.grid, mu1.grid)))

@@ -133,11 +133,10 @@ def ikrw(spaceA: PointedSpace1D, spaceB: PointedSpace1D, k_bar: int,
     return ikrw_series(cuts, c_kind=c_kind)[1], 2.0 ** (-k_max)
 
 
-def extrinsic_gap(spaceA: PointedSpace1D, spaceB: PointedSpace1D, k: int,
-                  c_kind="tanh") -> float:
+def extrinsic_gap(spaceA: PointedSpace1D, spaceB: PointedSpace1D,
+                  k: int) -> float:
     """Like the fm distance of the k-cuts but without the singular-set term."""
-    _, terms = ikrw_fm(k_cut(spaceA, k), k_cut(spaceB, k), c_kind=c_kind,
-                       return_terms=True)
+    _, terms = ikrw_fm(k_cut(spaceA, k), k_cut(spaceB, k), return_terms=True)
     return terms["log_mass"] + terms["base_point"] + terms["wc"]
 
 
@@ -146,9 +145,8 @@ def extrinsic_gap(spaceA: PointedSpace1D, spaceB: PointedSpace1D, k: int,
 
 
 def truncated_power_space(N: float, n: Optional[int], R: float = 2.0,
-                          grid_n: int = 2048, base_point: float = 1.0
-                          ) -> PointedSpace1D:
-    """Density x^N on [2^-n, R] inside the ambient interval [0, R].
+                          grid_n: int = 2048) -> PointedSpace1D:
+    """Density x^N on [2^-n, R] in the ambient interval [0, R], based at 1.
 
     n = None gives the limit space (density on all of (0, R], blow-up at 0).
     The finite-n members have no singular points; the truncation location is
@@ -158,7 +156,7 @@ def truncated_power_space(N: float, n: Optional[int], R: float = 2.0,
     grid = Grid1D.uniform(0.0, R, grid_n)
     if n is None:
         spec = ModelSpec(kind="power_n", N=N, domain=(0.0, R), grid_n=grid_n,
-                         base_point=base_point)
+                         base_point=1.0)
         return build_model_space(spec)
     thr = 2.0 ** (-n)
 
@@ -170,7 +168,7 @@ def truncated_power_space(N: float, n: Optional[int], R: float = 2.0,
         return out
 
     return PointedSpace1D(grid=grid, density=_discretize(grid, fn, ()),
-                          singular_points=(), base_point=base_point,
+                          singular_points=(), base_point=1.0,
                           cut_anchors=(thr,), density_fn=fn, kind="truncated_power")
 
 
@@ -234,9 +232,10 @@ class ConvergenceTable:
     def column(self, name: str, k: int) -> list:
         return [getattr(r, name) for r in self.rows if r.k == k]
 
-    def decreasing(self, name: str, k: int, slack: float = 1e-12) -> bool:
+    def decreasing(self, name: str, k: int) -> bool:
+        """The column's finite values never rise by more than 1e-9."""
         vals = [v for v in self.column(name, k) if math.isfinite(v)]
-        return all(b <= a + slack for a, b in zip(vals, vals[1:]))
+        return all(b <= a + 1e-9 for a, b in zip(vals, vals[1:]))
 
 
 def _family_members(sequence_spec: dict):

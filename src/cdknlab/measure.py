@@ -44,15 +44,9 @@ class DiscreteMeasure:
     def total_mass(self) -> float:
         return float(np.sum(self.masses))
 
-    def is_probability(self) -> bool:
-        return abs(self.total_mass - 1.0) <= 1e-9
-
     @property
     def support(self) -> np.ndarray:
         return np.nonzero(self.masses > 0)[0]
-
-    def mean(self) -> float:
-        return float(np.sum(self.masses * self.grid.centers) / self.total_mass)
 
     def normalized(self) -> "DiscreteMeasure":
         tm = self.total_mass
@@ -91,8 +85,7 @@ def radon_nikodym(mu: DiscreteMeasure, space: PointedSpace1D) -> DensityWrtM:
             f"mu charges cells without finite positive reference mass: "
             f"{np.nonzero(bad)[0].tolist()[:8]}")
     with np.errstate(divide="ignore", invalid="ignore"):
-        rho = np.where(m > 0, mu.masses / m, 0.0)
-    rho = np.where(np.isfinite(m), rho, 0.0)
+        rho = np.where(m > 0, mu.masses / m, 0.0)  # 0 where m = inf
     return DensityWrtM(grid=mu.grid, values=rho)
 
 
@@ -235,10 +228,6 @@ def mixture(parts: Sequence[tuple]) -> DiscreteMeasure:
     return DiscreteMeasure(grid, masses)
 
 
-def explicit(grid: Grid1D, masses) -> DiscreteMeasure:
-    return DiscreteMeasure(grid, np.asarray(masses, dtype=float))
-
-
 def measure_from_dict(grid: Grid1D, d: dict) -> DiscreteMeasure:
     kind = d["type"]
     if kind == "uniform_block":
@@ -248,6 +237,4 @@ def measure_from_dict(grid: Grid1D, d: dict) -> DiscreteMeasure:
     if kind == "mixture":
         parts = [(float(p["weight"]), measure_from_dict(grid, p)) for p in d["parts"]]
         return mixture(parts)
-    if kind == "explicit":
-        return explicit(grid, d["masses"]).normalized()
     raise InvalidParams(f"unknown measure type {kind!r}")

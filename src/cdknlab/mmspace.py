@@ -94,11 +94,6 @@ class Grid1D:
     def b(self) -> float:
         return float(self.edges[-1])
 
-    def locate(self, x) -> np.ndarray:
-        """Cell index containing x (right-open cells, last cell closed)."""
-        idx = np.searchsorted(self.edges, np.asarray(x, dtype=float), side="right") - 1
-        return np.clip(idx, 0, self.n - 1)
-
     def refined(self, factor: int) -> "Grid1D":
         """The grid with every cell split into `factor` equal parts."""
         e = self.edges

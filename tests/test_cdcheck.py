@@ -39,7 +39,7 @@ from cdknlab.cdcheck import (
     t_functional,
     verify_cd,
 )
-from cdknlab.distortion import tau_KN_vec
+from cdknlab.distortion import sigma_kappa_lengths, tau_KN_vec
 from cdknlab.errors import (
     DomainError,
     InvalidParams,
@@ -687,6 +687,24 @@ def test_convexity_detects_violation():
     rep = kn_convexity_check((x, psi), K=0.0, N=-2.0, n_triples=300, seed=4)
     assert rep.min_margin < -0.1
     assert rep.worst is not None
+
+
+@pytest.mark.parametrize("K, N", [(0.0, -2.0), (1.0, -2.0), (-2.0, -2.0),
+                                  (3.0, -0.5)])
+def test_convexity_matches_a_loop_over_every_triple(K, N):
+    # 6 nodes have 20 triples, and 3000 draws reach each of them; the least
+    # margin of the array pass equals a scalar loop's over all 20
+    rng = np.random.default_rng(5)
+    x = np.sort(rng.uniform(0.0, 1.5, 6))
+    psi = rng.normal(size=6)
+    fN = np.exp(-psi / N)
+    want = min(sigma_kappa_lengths(K / N, x[k] - x[j], x[j] - x[i]) * fN[i]
+               + sigma_kappa_lengths(K / N, x[j] - x[i], x[k] - x[j]) * fN[k]
+               - fN[j]
+               for i in range(6) for j in range(i + 1, 6)
+               for k in range(j + 1, 6))
+    rep = kn_convexity_check((x, psi), K=K, N=N, n_triples=3000, seed=0)
+    assert rep.min_margin == want
 
 
 def test_convexity_domain_guards():

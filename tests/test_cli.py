@@ -15,7 +15,7 @@ import pytest
 import cdknlab
 from cdknlab.cdcheck import estimate_Omega, estimate_omega
 from cdknlab.cli import (EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, MAX_GRID_COUNT,
-                         MAX_SAMPLES, MAX_TRIPLES, _fmt, _load_space,
+                         MAX_ROWS, MAX_SAMPLES, MAX_TRIPLES, _fmt, _load_space,
                          build_parser, main)
 
 
@@ -221,6 +221,19 @@ def test_convexity_far_interior_node_keeps_its_coefficient(tmp_path, x, K, rc):
                  "--seed", "1", "--triples", "5", "--out", str(out)]) == rc
     assert json.loads(out.read_text())["min_margin"] == \
         ("-1" if rc == EXIT_VIOLATION else "0")
+
+
+def test_convexity_bounds_past_the_doubles_pass(tmp_path):
+    # e^(psi/2) = e^709.75 is finite, the sum of two coefficients times it
+    # is not: every margin is +inf, and there is no worst triple
+    p = tmp_path / "over.json"
+    p.write_text(json.dumps({"x": [0, 1, 2], "psi": [1419.5] * 3}))
+    out = tmp_path / "c.json"
+    assert main(["convexity", "--psi", str(p), "--K", "-2", "--N", "-2",
+                 "--seed", "0", "--out", str(out)]) == EXIT_OK
+    doc = json.loads(out.read_text())
+    assert doc["min_margin"] == "inf"
+    assert doc["worst_triple"] is None
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -680,6 +693,17 @@ def test_count_flags_above_their_caps_are_usage_errors(tmp_path, name):
     with pytest.raises(SystemExit) as e:
         main(argv + [flag, str(cap + 1)])
     assert e.value.code == EXIT_USAGE
+    assert not list(tmp_path.glob("o.csv*"))
+
+
+def test_cdcheck_rows_above_the_cap_are_a_usage_error(tmp_path, capsys):
+    # each count is within its cap, their product of rows is not
+    out = tmp_path / "o.csv"
+    rc = main(["cdcheck", "--space", _space_file(tmp_path), "--K", "-2",
+               "--N", "-2", "--seed", "0", "--samples", "2", "--t-grid", "1000",
+               "--nprime-grid", "1000", "--out", str(out)])
+    assert rc == EXIT_USAGE
+    assert f"2000000 rows exceeds the cap {MAX_ROWS}" in capsys.readouterr().err
     assert not list(tmp_path.glob("o.csv*"))
 
 

@@ -59,18 +59,30 @@ def test_sigma_matches_oracle():
             assert got == pytest.approx(float(want), rel=1e-13, abs=1e-300)
 
 
+def _check_lengths_oracle(kappa, a, b, got):
+    theta = mpmath.mpf(a) + mpmath.mpf(b)
+    want = sigma_oracle(kappa, mpmath.mpf(a) / theta, theta)
+    if mpmath.isinf(want):
+        assert math.isinf(got)
+    else:
+        assert got == pytest.approx(float(want), rel=1e-13, abs=1e-300)
+
+
 def test_sigma_from_lengths_matches_oracle():
     rng = np.random.default_rng(2)
-    for _ in range(120):
+    pairs = rng.uniform(0.0, 1.25, size=(120, 2))
+    for a, b in pairs:
         kappa = float(rng.uniform(-30.0, 30.0))
-        a, b = (float(v) for v in rng.uniform(0.0, 1.25, size=2))
-        theta = mpmath.mpf(a) + mpmath.mpf(b)
-        got = sigma_kappa_lengths(kappa, a, b)
-        want = sigma_oracle(kappa, mpmath.mpf(a) / theta, theta)
-        if mpmath.isinf(want):
-            assert math.isinf(got)
-        else:
-            assert got == pytest.approx(float(want), rel=1e-13, abs=1e-300)
+        got = sigma_kappa_lengths(kappa, float(a), float(b))
+        assert isinstance(got, float)
+        _check_lengths_oracle(kappa, float(a), float(b), got)
+    # the 120 pairs as two arrays in one call, at a kappa of each sign (the
+    # positive one past the pi^2 threshold for the longer pairs)
+    for kappa in (-23.5, 0.0, 4.0):
+        got = sigma_kappa_lengths(kappa, pairs[:, 0], pairs[:, 1])
+        assert got.shape == (120,)
+        for (a, b), g in zip(pairs, got):
+            _check_lengths_oracle(kappa, float(a), float(b), float(g))
 
 
 def test_sigma_from_lengths_keeps_far_splits():
@@ -82,9 +94,15 @@ def test_sigma_from_lengths_keeps_far_splits():
     for kappa in (-0.5, 0.0, 0.5):
         assert sigma_kappa_lengths(kappa, 0.0, 2.0) == 0.0
         assert sigma_kappa_lengths(kappa, 2.0, 0.0) == 1.0
-    for a, b in ((-1e-9, 1.0), (1.0, -1e-9)):
+    # the array path keeps the same exact 0 and 1
+    a = np.array([1e300, 1e150, 0.0, 2.0])
+    np.testing.assert_array_equal(sigma_kappa_lengths(-0.5, a, a[[1, 0, 3, 2]]),
+                                  [0.0, 0.0, 0.0, 1.0])
+    for a, b in ((-1e-9, 1.0), (1.0, -1e-9), (0.0, 0.0)):
         with pytest.raises(DomainError):
             sigma_kappa_lengths(-0.5, a, b)
+    with pytest.raises(DomainError):
+        sigma_kappa_lengths(-0.5, np.array([1.0, 2.0]), np.array([1.0, -1e-9]))
     with pytest.raises(DomainError):
         sigma_kappa_lengths(math.inf, 1.0, 1.0)
 

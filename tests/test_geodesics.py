@@ -46,7 +46,7 @@ def _dense_cdf(u0, u1, w, pts):
 
 def test_blocks_cdf_matches_dense_sum_on_geodesic_slices(rng):
     g = Grid1D.uniform(0.0, 1.0, 64)
-    edges = union_refined_grid(g, g, 4).edges
+    edges = union_refined_grid(g, g).edges
     for _ in range(5):
         tmap = monotone_map(random_measure(g, rng, sparsity=0.4),
                             random_measure(g, rng, sparsity=0.4))
@@ -99,7 +99,7 @@ def test_bin_blocks_detects_escaping_mass():
 def test_union_refined_grid_contains_both_edge_sets():
     g0 = Grid1D.uniform(0.0, 1.0, 3)
     g1 = Grid1D.uniform(0.2, 1.1, 4)
-    g = union_refined_grid(g0, g1, factor=2)
+    g = union_refined_grid(g0, g1)
     for e in np.concatenate([g0.edges, g1.edges]):
         assert np.min(np.abs(g.edges - e)) < 1e-12
 
@@ -116,9 +116,9 @@ def test_endpoints_recover_marginals(rng):
     g = Grid1D.uniform(0.0, 1.0, 64)
     mu0 = random_measure(g, rng, sparsity=0.4)
     mu1 = random_measure(g, rng, sparsity=0.4)
-    out = union_refined_grid(g, g, 4)
+    out = union_refined_grid(g, g)
     for t, ref in ((0.0, mu0), (1.0, mu1)):
-        sl = displacement_interpolate(mu0, mu1, t, out_grid=out)
+        sl = displacement_interpolate(mu0, mu1, t)
         binned = np.add.reduceat(sl.measure.masses, np.arange(0, out.n, 4))
         np.testing.assert_allclose(binned, ref.masses, atol=1e-14)
 
@@ -136,13 +136,12 @@ def test_translation_geodesic_is_exact():
 
 def test_constant_speed(rng):
     g = Grid1D.uniform(0.0, 1.0, 512)
-    out = union_refined_grid(g, g, 4)
     for _ in range(5):
         mu0 = random_measure(g, rng, sparsity=0.6)
         mu1 = random_measure(g, rng, sparsity=0.6)
         w = w2_block_1d(mu0, mu1)
         for t in (0.25, 0.5, 0.75):
-            sl = displacement_interpolate(mu0, mu1, t, out_grid=out)
+            sl = displacement_interpolate(mu0, mu1, t)
             assert abs(w2_block_1d(mu0, sl.measure) - t * w) <= 1e-3 * w
 
 

@@ -41,10 +41,6 @@ def test_grid_uniform_and_locate():
     assert g.n == 10
     assert g.a == 0.0 and g.b == 1.0
     np.testing.assert_allclose(g.widths, 0.1)
-    assert g.locate(0.05) == 0
-    assert g.locate(0.1) == 1          # cells are right-open
-    assert g.locate(1.0) == 9          # ...except the last one
-    np.testing.assert_array_equal(g.locate([-5.0, 5.0]), [0, 9])
 
 
 def test_grid_validation():

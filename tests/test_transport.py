@@ -14,7 +14,7 @@ from cdknlab.errors import (
     SizeCap,
     UnbalancedMasses,
 )
-from cdknlab.measure import DiscreteMeasure, explicit, uniform_block
+from cdknlab.measure import DiscreteMeasure, uniform_block
 from cdknlab.mmspace import Grid1D
 from cdknlab.transport import (
     MAX_LP_SUPPORT,
@@ -54,8 +54,8 @@ def test_lp_matches_permutation_oracle(rng):
     for trial in range(25):
         n = int(rng.integers(2, 9))
         gx, gy = random_grid(rng, n), random_grid(rng, n, 0.5, 2.0)
-        mu = explicit(gx, np.full(n, 1.0 / n))
-        nu = explicit(gy, np.full(n, 1.0 / n))
+        mu = DiscreteMeasure(gx, np.full(n, 1.0 / n))
+        nu = DiscreteMeasure(gy, np.full(n, 1.0 / n))
         for kind in ("w2", "tanh"):
             cost = CostSpec(kind)
             val, coup = optimal_coupling_lp(mu, nu, cost=cost)
@@ -127,25 +127,25 @@ def test_translation_block_distance_is_exact():
 def test_block_vs_atom_distance_on_coarse_grid():
     # blocks see the within-cell variance the atom cost misses
     g = Grid1D.uniform(0.0, 1.0, 4)
-    mu = explicit(g, [1.0, 0.0, 0.0, 0.0])
-    nu = explicit(g, [0.0, 0.0, 0.0, 1.0])
+    mu = DiscreteMeasure(g, [1.0, 0.0, 0.0, 0.0])
+    nu = DiscreteMeasure(g, [0.0, 0.0, 0.0, 1.0])
     atom_sq, _ = w2_quantile_1d(mu, nu)
     block = w2_block_1d(mu, nu)
     assert block == pytest.approx(0.75, abs=1e-13)  # same-shape translation
     assert math.sqrt(atom_sq) == pytest.approx(0.75, abs=1e-13)
-    half = explicit(g, [0.5, 0.5, 0.0, 0.0])
+    half = DiscreteMeasure(g, [0.5, 0.5, 0.0, 0.0])
     assert w2_block_1d(mu, half) != pytest.approx(
         math.sqrt(w2_quantile_1d(mu, half)[0]), rel=1e-3)
 
 
 def test_unbalanced_inputs_raise():
     g = Grid1D.uniform(0.0, 1.0, 4)
-    mu = explicit(g, [1.0, 0.0, 0.0, 0.0])
-    nu = explicit(g, [0.0, 0.0, 0.0, 2.0])
+    mu = DiscreteMeasure(g, [1.0, 0.0, 0.0, 0.0])
+    nu = DiscreteMeasure(g, [0.0, 0.0, 0.0, 2.0])
     with pytest.raises(UnbalancedMasses):
         monotone_map(mu, nu)
     with pytest.raises(InvalidParams):
-        monotone_map(mu, explicit(g, np.zeros(4)))
+        monotone_map(mu, DiscreteMeasure(g, np.zeros(4)))
 
 
 def test_size_cap():
@@ -242,10 +242,10 @@ def test_weighted_marginalization_exact(rng):
 
 def test_weighted_marginalization_needs_ac(rng):
     gs = Grid1D.uniform(0.0, 1.0, 8)
-    m_src = explicit(gs, [1, 1, 1, 1, 0, 1, 1, 1])
+    m_src = DiscreteMeasure(gs, [1, 1, 1, 1, 0, 1, 1, 1])
     m_dst = random_measure(gs, rng, total=7.0)
     plan = monotone_map(m_src, m_dst).as_coupling()
-    mu = explicit(gs, [0, 0, 0, 0, 1, 0, 0, 0])
+    mu = DiscreteMeasure(gs, [0, 0, 0, 0, 1, 0, 0, 0])
     with pytest.raises(NotAbsolutelyContinuous):
         weighted_marginalization(plan, mu, m_src)
 
