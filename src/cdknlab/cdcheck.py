@@ -59,22 +59,27 @@ SPEC_KINDS = ("uniform_block", "bump", "mixture")
 OMEGA_T_GRID = 9
 
 
-def margin_scale(s_value: float, t_value: float) -> float:
-    """Unit for the pass tolerance of one row.
+def margin_scale(s_value, t_value):
+    """Unit for the pass tolerance of a row: max(1, |S|, |T|) over the
+    finite sides.  Floats give a float, and arrays of one shape an array
+    of the rows' units.
 
     Both sides of the inequality are computed to relative accuracy, and for
     N' near zero they grow like rho^(-1/N'), so an absolute tolerance would
     be either vacuous or unreachable there.  The tolerance is absolute while
     the sides are O(1) and proportional to them beyond.
     """
-    vals = [abs(v) for v in (s_value, t_value) if math.isfinite(v)]
-    return max([1.0] + vals)
+    sides = np.abs(np.array([s_value, t_value], dtype=float))
+    out = np.max(np.where(np.isfinite(sides), sides, 1.0), axis=0, initial=1.0)
+    return out if out.ndim else float(out)
 
 
 def default_nprime_grid(N: float, count: int = 9) -> np.ndarray:
     """Geometric grid of N' values covering [N, 0), from N up to -1e-3."""
     if N >= 0:
         raise DomainError("N must be negative")
+    if count < 1:
+        raise InvalidParams("need at least one N'")
     hi = 1e-3
     if -N <= hi:
         return np.array([N])
@@ -82,6 +87,8 @@ def default_nprime_grid(N: float, count: int = 9) -> np.ndarray:
 
 
 def default_t_grid(count: int = 11) -> np.ndarray:
+    if count < 1:
+        raise InvalidParams("need at least one time")
     return np.linspace(0.0, 1.0, count)
 
 
@@ -90,13 +97,17 @@ def default_t_grid(count: int = 11) -> np.ndarray:
 
 
 def t_functional(coupling: Coupling, rho0: DensityWrtM, rho1: DensityWrtM,
-                 K: float, N: float, t):
+                 K: float, N, t):
     """Right-hand side of the CD inequality for one coupling; may be +inf.
 
-    t is one time (a float is returned) or a 1-D array of times (an array
-    with one value per time, each equal to the call with that time alone).
+    N is one N' or a 1-D array of them, and t one time or a 1-D array of
+    times.  Two scalars give a float; otherwise the result has an axis per
+    array argument, N' first, and each entry equals the call with that N'
+    and time alone.  tau is evaluated one N' at a time over every time, so
+    the working memory is O(times x segments) whatever the number of N'.
     """
-    if N >= 0:
+    nps = np.asarray(N, dtype=float).reshape(-1)
+    if not np.all(nps < 0):  # NaN too
         raise DomainError("t_functional requires N < 0")
     w = coupling.w
     r0 = rho0.values[coupling.i]
@@ -108,16 +119,19 @@ def t_functional(coupling: Coupling, rho0: DensityWrtM, rho1: DensityWrtM,
     d = np.abs(coupling.x - coupling.y)
     # tau once per distinct time: 1 - t repeats most times of a symmetric grid
     times, back = np.unique(np.concatenate([1.0 - ts, ts]), return_inverse=True)
-    tau = tau_KN_vec(K, N, times, d)[back]
-    tau0, tau1 = tau[:ts.size], tau[ts.size:]
-    expo = -1.0 / N
-    with np.errstate(over="ignore", invalid="ignore"):
-        terms = (np.where(tau0 == 0, 0, tau0 * r0 ** expo)
-                 + np.where(tau1 == 0, 0, tau1 * r1 ** expo))
-        out = np.sum(w * terms, axis=-1)
-    out[np.isinf(tau0).any(axis=-1) | np.isinf(tau1).any(axis=-1)
-        | np.isinf(terms).any(axis=-1)] = math.inf
-    return out if np.ndim(t) else float(out[0])
+    out = np.empty((nps.size, ts.size))
+    for k, nprime in enumerate(nps.tolist()):
+        tau = tau_KN_vec(K, nprime, times, d)[back]
+        tau0, tau1 = tau[:ts.size], tau[ts.size:]
+        expo = -1.0 / nprime
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = (np.where(tau0 == 0, 0, tau0 * r0 ** expo)
+                     + np.where(tau1 == 0, 0, tau1 * r1 ** expo))
+            out[k] = np.sum(w * terms, axis=-1)
+        # an infinite tau makes its term inf, or NaN against a zero density
+        out[k, ~np.isfinite(terms).all(axis=-1)] = math.inf
+    out = out.reshape(np.shape(N) + np.shape(t))
+    return out if out.ndim else float(out)
 
 
 # ---------------------------------------------------------------------------
@@ -208,15 +222,11 @@ class CdReport:
 
     def worst_deficit(self) -> float:
         """Largest scaled violation max(0, -margin / scale) over rows."""
-        out = 0.0
-        for r in self.rows:
-            if r.status not in (STATUS_OK, STATUS_VIOLATED):
-                continue
-            if not math.isfinite(r.margin):
-                out = max(out, math.inf if r.margin < 0 else 0.0)
-            else:
-                out = max(out, -r.margin / margin_scale(r.s_value, r.t_value))
-        return out
+        s, t, m = np.array([(r.s_value, r.t_value, r.margin) for r in self.rows
+                            if r.status in (STATUS_OK, STATUS_VIOLATED)]).reshape(-1, 3).T
+        # a -inf margin gives +inf, as the unit is finite; max(0.0, ...) keeps
+        # the +0.0 that a -0.0 deficit (a zero margin) would otherwise give
+        return max(0.0, float(np.max(-m / margin_scale(s, t), initial=0.0)))
 
 
 def verify_cd(space: PointedSpace1D, mu0: DiscreteMeasure,
@@ -226,11 +236,15 @@ def verify_cd(space: PointedSpace1D, mu0: DiscreteMeasure,
               tol: float = DEFAULT_TOL) -> CdReport:
     """Check the CD(K, N) inequality along the monotone geodesic.
 
-    Entropies of intermediate slices are taken against a 4x refined copy
-    of the reference measure; the right side is evaluated per quantile
-    segment (midpoint distances, endpoint-cell densities).  Margins are
-    reported absolutely, but a row only counts as violated when it fails
-    `tol` in units of margin_scale (relative once the sides exceed 1).
+    t_grid and nprime_grid are counts of default grid points or 1-D arrays
+    of at least one time and one N' in [N, 0).  Entropies of intermediate
+    slices are taken against a 4x refined copy of the reference measure;
+    the right side is evaluated per quantile segment (midpoint distances,
+    endpoint-cell densities).  Margins are reported absolutely, but a row
+    only counts as violated when it fails `tol` in units of margin_scale
+    (relative once the sides exceed 1).  The grid takes one t_functional
+    and one bin_blocks call, one entropy call per time over every N', and
+    statuses decided on (t, N') arrays.
     """
     if N >= 0:
         raise DomainError("verify_cd requires N < 0")
@@ -245,8 +259,8 @@ def verify_cd(space: PointedSpace1D, mu0: DiscreteMeasure,
     ts = default_t_grid(t_grid) if isinstance(t_grid, int) else np.asarray(t_grid, float)
     nps = (default_nprime_grid(N, nprime_grid) if isinstance(nprime_grid, int)
            else np.asarray(nprime_grid, float))
-    if np.any(nps >= 0) or np.any(nps < N - 1e-12):
-        raise InvalidParams("nprime values must lie in [N, 0)")
+    if not (ts.size and nps.size and np.all((nps < 0) & (nps >= N - 1e-12))):  # NaN too
+        raise InvalidParams("need at least one time, and nprime values in [N, 0)")
 
     tmap = monotone_map(mu0, mu1)
     coup = tmap.as_coupling()
@@ -257,32 +271,26 @@ def verify_cd(space: PointedSpace1D, mu0: DiscreteMeasure,
     with np.errstate(invalid="ignore"):
         rmass = np.repeat(space.density, REFINE_FACTOR) * rgrid.widths
 
-    # one array pass per N' over every time, and per time over every N'
-    s0 = renyi_entropy(mu0, space, nps)
-    s1 = renyi_entropy(mu1, space, nps)
-    t_vals = [t_functional(coup, rho0, rho1, K, float(nprime), ts) for nprime in nps]
-
+    # (t, N') arrays: one row per time, one column per N'
+    skipped = ~(np.isfinite(renyi_entropy(mu0, space, nps))
+                & np.isfinite(renyi_entropy(mu1, space, nps)))
+    t_vals = t_functional(coup, rho0, rho1, K, nps, ts).T
     u0s, u1s, w = tmap.interpolate_blocks(ts)
-    rows = []
-    for i, t in enumerate(ts):
-        wslice = bin_blocks(u0s[i], u1s[i], w, rgrid).masses
-        s_ts = entropy_from_masses(wslice, rmass, nps)
-        for j, nprime in enumerate(nps):
-            s_t = float(s_ts[j])
-            t_val = float(t_vals[j][i])
-            if not (math.isfinite(s0[j]) and math.isfinite(s1[j])):
-                status, margin = STATUS_SKIPPED, math.inf
-            elif not math.isfinite(t_val):
-                status, margin = STATUS_VACUOUS, math.inf
-            elif not math.isfinite(s_t):
-                status, margin = STATUS_VIOLATED, -math.inf
-            else:
-                margin = t_val - s_t
-                scale = margin_scale(s_t, t_val)
-                status = STATUS_OK if margin >= -tol * scale else STATUS_VIOLATED
-            rows.append(CdRow(t=float(t), nprime=float(nprime), s_value=s_t,
-                              t_value=t_val, margin=margin, status=status))
-    return CdReport(rows=tuple(rows), K=K, N=N, grid_n=space.grid.n, tol=tol)
+    s_ts = np.array([entropy_from_masses(ws, rmass, nps)
+                     for ws in bin_blocks(u0s, u1s, w, rgrid)])
+    vacuous, blown = ~np.isfinite(t_vals), ~np.isfinite(s_ts)
+    with np.errstate(invalid="ignore"):
+        margin = t_vals - s_ts
+        ok = margin >= -tol * margin_scale(s_ts, t_vals)
+    # codes into the status constants, so that rows share those strings
+    status = np.array([STATUS_SKIPPED, STATUS_VACUOUS, STATUS_VIOLATED, STATUS_OK],
+                      dtype=object)[np.select([skipped, vacuous, blown, ok], [0, 1, 2, 3], 2)]
+    margin = np.select([skipped | vacuous, blown], [math.inf, -math.inf], margin)
+    # rows one time at a time, so that no list of every row's values is held
+    nps_list = nps.tolist()
+    rows = tuple(CdRow(t, *r) for t, *per_t in zip(ts.tolist(), s_ts, t_vals, margin, status)
+                 for r in zip(nps_list, *(c.tolist() for c in per_t)))
+    return CdReport(rows=rows, K=K, N=N, grid_n=space.grid.n, tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -396,6 +404,8 @@ def cd_suite(space: PointedSpace1D, K: float, N: float, n_samples: int,
     if pair_specs is None:
         pair_specs = sample_pair_specs(space, N, n_samples, seed,
                                        restrict_to_regular_k)
+    if not pair_specs:
+        raise InvalidParams("need at least one marginal pair")
     reports = []
     for spec0, spec1 in pair_specs:
         mu0 = measure_from_dict(space.grid, spec0)

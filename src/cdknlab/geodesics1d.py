@@ -43,14 +43,22 @@ def blocks_cdf(u0: np.ndarray, u1: np.ndarray, w: np.ndarray,
 
 def bin_blocks(u0: np.ndarray, u1: np.ndarray, w: np.ndarray,
                grid: Grid1D, tol: float = 1e-12) -> DiscreteMeasure:
-    """Bin uniform blocks onto a grid; raise if any mass falls outside."""
+    """Bin uniform blocks onto a grid; raise if any mass falls outside.
+
+    1-D ends give a DiscreteMeasure.  (T, S) ends, T block sets sharing the
+    masses w as in blocks_cdf, are binned from one CDF call into (T, n)
+    masses; each row is checked on its own and equals the masses of the
+    1-D call on that row.
+    """
     total = float(np.sum(w))
     cdf = blocks_cdf(u0, u1, w, grid.edges)
-    outside = cdf[0] + (total - cdf[-1])
-    if outside > tol * max(total, 1.0):
+    outside = cdf[..., 0] + (total - cdf[..., -1])
+    leaks = outside[outside > tol * max(total, 1.0)]
+    if leaks.size:
         raise GridTooCoarse(
-            f"{outside:.3e} of {total:.6g} mass falls outside the grid")
-    return DiscreteMeasure(grid, np.maximum(np.diff(cdf), 0.0))
+            f"{leaks.max():.3e} of {total:.6g} mass falls outside the grid")
+    masses = np.maximum(np.diff(cdf, axis=-1), 0.0)
+    return masses if masses.ndim > 1 else DiscreteMeasure(grid, masses)
 
 
 def union_refined_grid(g0: Grid1D, g1: Grid1D) -> Grid1D:

@@ -19,6 +19,7 @@ from cdknlab.cdcheck import (
     STATUS_SKIPPED,
     STATUS_VACUOUS,
     STATUS_VIOLATED,
+    CdReport,
     CdRow,
     _one_spec,
     _pair_sampler,
@@ -89,6 +90,23 @@ def test_margin_scale_saturates_at_one():
     assert margin_scale(math.nan, math.inf) == 1.0
 
 
+def test_margin_scale_over_arrays_equals_the_scalar_calls():
+    big = np.finfo(float).max
+    vals = [0.0, -0.0, 0.3, -2.5, 1.0, 7e300, big, -big, big / 2, math.inf,
+            -math.inf, math.nan, 5e-324]
+    s, t = (a.ravel() for a in np.meshgrid(vals, vals))
+    got = margin_scale(s, t)
+    assert isinstance(got, np.ndarray) and got.shape == s.shape
+    want = [margin_scale(a, b) for a, b in zip(s.tolist(), t.tolist())]
+    assert all(type(v) is float for v in want)
+    assert got.tolist() == want
+    # and each is max(1, |S|, |T|) over the finite sides
+    assert want == [max([1.0] + [abs(v) for v in (a, b) if math.isfinite(v)])
+                    for a, b in zip(s.tolist(), t.tolist())]
+    assert margin_scale(s.reshape(13, 13), t.reshape(13, 13)).tolist() == \
+        got.reshape(13, 13).tolist()
+
+
 def test_t_functional_hand_check(lebesgue):
     mu0 = uniform_block(lebesgue.grid, 0.1, 0.3)
     mu1 = uniform_block(lebesgue.grid, 0.6, 0.9)
@@ -144,6 +162,60 @@ def test_t_functional_over_times_equals_one_time_at_a_time(lebesgue):
     for t in (0.5, ts):
         with pytest.raises(MarginalMismatch):
             t_functional(coup, empty, rho1, 1.5, -2.0, t)
+
+
+def test_t_functional_over_nprimes_equals_one_nprime_at_a_time(lebesgue):
+    # rho1 = 10 overflows under the N' = -1e-3 power, and K = -200 puts the
+    # long distances past the pi^2 threshold: both give inf entries
+    mu0 = uniform_block(lebesgue.grid, 0.1, 0.9)
+    mu1 = uniform_block(lebesgue.grid, 0.45, 0.55)
+    coup = monotone_map(mu0, mu1).as_coupling()
+    rho0 = radon_nikodym(mu0, lebesgue)
+    rho1 = radon_nikodym(mu1, lebesgue)
+    nps = np.array([-3.0, -1.0, -0.4, -0.05, -0.01, -1e-3, -1.0])
+    ts = np.array([0.0, 1.0, 0.5, 0.1, 0.9, 1e-9, 0.73])
+    seen = set()
+    for K in (-200.0, -3.0, 0.0, 1.5):
+        got = t_functional(coup, rho0, rho1, K, nps, ts)
+        assert isinstance(got, np.ndarray) and got.shape == (nps.size, ts.size)
+        for row, nprime in zip(got.tolist(), nps.tolist()):
+            assert row == t_functional(coup, rho0, rho1, K, nprime, ts).tolist()
+            assert row == [t_functional(coup, rho0, rho1, K, nprime, t)
+                           for t in ts.tolist()]
+        at_half = t_functional(coup, rho0, rho1, K, nps, 0.5)
+        assert at_half.shape == nps.shape
+        assert at_half.tolist() == got[:, 2].tolist()
+        seen |= {math.isfinite(v) for v in got.ravel().tolist()}
+    assert seen == {True, False}
+    for bad in (np.array([-1.0, 0.0]), np.array([-1.0, math.nan])):
+        with pytest.raises(DomainError):
+            t_functional(coup, rho0, rho1, 1.5, bad, ts)
+
+
+def test_t_functional_memory_does_not_grow_with_the_nprimes():
+    # tau is evaluated one N' plane at a time: 200 N' may not take 10x the
+    # working memory of 20, as an (N', times, segments) array would
+    import tracemalloc
+
+    space = flat_space(n=4096)
+    mu0 = uniform_block(space.grid, 0.05, 0.6)
+    mu1 = uniform_block(space.grid, 0.3, 0.95)
+    coup = monotone_map(mu0, mu1).as_coupling()
+    rho0, rho1 = radon_nikodym(mu0, space), radon_nikodym(mu1, space)
+    ts = default_t_grid(11)
+    assert coup.w.size > 2000
+
+    def peak(count):
+        nps = default_nprime_grid(-2.0, count)
+        t_functional(coup, rho0, rho1, -1.0, nps, ts)  # warm
+        tracemalloc.start()
+        try:
+            t_functional(coup, rho0, rho1, -1.0, nps, ts)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(200) <= 1.5 * peak(20)
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +364,30 @@ def test_verify_cd_input_validation(lebesgue):
     with pytest.raises(InvalidParams):
         verify_cd(lebesgue, mu, mu, K=0.0, N=-1.0,
                   nprime_grid=np.array([0.5]))
+
+
+def test_verify_cd_refuses_a_check_of_nothing(lebesgue):
+    mu = uniform_block(lebesgue.grid, 0.2, 0.8)
+    for kw in ({"t_grid": 0}, {"t_grid": -1}, {"nprime_grid": 0},
+               {"nprime_grid": -3}, {"t_grid": np.array([])},
+               {"nprime_grid": np.array([])},
+               {"nprime_grid": np.array([-0.5, math.nan])}):
+        with pytest.raises(InvalidParams):
+            verify_cd(lebesgue, mu, mu, K=0.0, N=-1.0, **kw)
+    # a default N' grid of one point must still be asked for
+    with pytest.raises(InvalidParams):
+        verify_cd(lebesgue, mu, mu, K=0.0, N=-1e-4, nprime_grid=0)
+    assert len(verify_cd(lebesgue, mu, mu, K=0.0, N=-1e-4, nprime_grid=1,
+                         t_grid=1).rows) == 1
+    with pytest.raises(InvalidParams):
+        cd_suite(lebesgue, 0.0, -1.0, n_samples=0, seed=0)
+    with pytest.raises(InvalidParams):
+        cd_suite(lebesgue, 0.0, -1.0, n_samples=3, seed=0, pair_specs=[])
+    # a certification over no pairs would pass any K on cos_n
+    mk = lambda n: build_model_space(ModelSpec(kind="cos_n", K=-2.0, N=-2.0,
+                                               grid_n=n))
+    with pytest.raises(InvalidParams):
+        richardson_check(mk, 0.0, -2.0, n_samples=0, seed=0, grids=(256, 512))
 
 
 def _verify_cd_per_row(space, mu0, mu1, K, N, t_grid, nprime_grid,
@@ -567,6 +663,34 @@ def _fold_per_report(suite) -> dict:
     }
 
 
+def _worst_deficit_per_row(rows) -> float:
+    """CdReport.worst_deficit as a loop of scalar margin_scale calls."""
+    out = 0.0
+    for r in rows:
+        if r.status not in (STATUS_OK, STATUS_VIOLATED):
+            continue
+        if not math.isfinite(r.margin):
+            out = max(out, math.inf if r.margin < 0 else 0.0)
+        else:
+            out = max(out, -r.margin / margin_scale(r.s_value, r.t_value))
+    return out
+
+
+def test_worst_deficit_equals_the_per_row_loop():
+    big = float(np.finfo(float).max)
+    rows = [CdRow(0.5, -1.0, s, t, m, st) for s, t, m, st in (
+        (0.5, 0.5, 0.0, STATUS_OK), (2.0, 2.0, -0.0, STATUS_OK),
+        (3.0, 2.9, -0.1, STATUS_VIOLATED), (big, big / 2, -big / 2, STATUS_VIOLATED),
+        (0.2, 0.1, -0.1, STATUS_VIOLATED), (math.inf, 1.0, -math.inf, STATUS_VIOLATED),
+        (math.inf, math.inf, math.inf, STATUS_SKIPPED),
+        (1.0, math.inf, math.inf, STATUS_VACUOUS))]
+    for some in (rows[:2], rows[:5], rows, rows[6:], []):
+        rep = CdReport(rows=tuple(some), K=0.0, N=-1.0, grid_n=8, tol=DEFAULT_TOL)
+        assert repr(rep.worst_deficit()) == repr(_worst_deficit_per_row(some))
+    assert repr(CdReport(rows=tuple(rows[:2]), K=0.0, N=-1.0, grid_n=8,
+                         tol=DEFAULT_TOL).worst_deficit()) == "0.0"
+
+
 def test_suite_aggregates_equal_the_per_report_fold():
     cos = build_model_space(ModelSpec(kind="cos_n", K=-2.0, N=-2.0, grid_n=512))
     cauchy = build_model_space(ModelSpec(kind="cauchy", alpha=1.0,
@@ -582,6 +706,7 @@ def test_suite_aggregates_equal_the_per_report_fold():
         assert list(suite.counts()) == list(ref["counts"])
         assert suite.min_margin() == ref["min_margin"]
         assert suite.worst_deficit() == ref["worst_deficit"]
+        assert repr(suite.worst_deficit()) == repr(_worst_deficit_per_row(suite.rows))
         assert suite.passes() == ref["passes"]
         seen |= set(ref["counts"])
     assert seen == {STATUS_OK, STATUS_VACUOUS, STATUS_SKIPPED, STATUS_VIOLATED}

@@ -96,6 +96,31 @@ def test_bin_blocks_detects_escaping_mass():
         bin_blocks(np.array([2.0]), np.array([3.0]), np.array([1.0]), g)
 
 
+def test_bin_blocks_over_slices_equals_one_slice_at_a_time(rng):
+    mu0 = random_measure(Grid1D.uniform(0.0, 1.0, 40), rng, sparsity=0.3)
+    mu1 = random_measure(Grid1D.uniform(0.2, 1.5, 23), rng, sparsity=0.3)
+    ts = np.array([0.0, 1e-9, 0.3, 0.5, 0.5, 0.97, 1.0])
+    u0s, u1s, w = monotone_map(mu0, mu1).interpolate_blocks(ts)
+    g = union_refined_grid(mu0.grid, mu1.grid)
+    got = bin_blocks(u0s, u1s, w, g)
+    assert isinstance(got, np.ndarray) and got.shape == (ts.size, g.n)
+    for row, u0, u1 in zip(got, u0s, u1s):
+        assert row.tolist() == bin_blocks(u0, u1, w, g).masses.tolist()
+
+
+def test_bin_blocks_over_slices_raises_when_one_row_leaks():
+    g = Grid1D.uniform(0.0, 1.0, 10)
+    u0 = np.array([[0.1, 0.5], [0.1, 0.5], [0.2, 0.6]])
+    u1 = np.array([[0.4, 0.9], [0.4, 1.25], [0.5, 0.8]])
+    w = np.array([1.0, 3.0])
+    bin_blocks(u0[[0, 2]], u1[[0, 2]], w, g)  # no row leaks
+    # the middle row puts 3 * 0.25 / 0.75 = 1 of its 4 outside
+    with pytest.raises(GridTooCoarse, match="1.000e[+]00 of 4 mass"):
+        bin_blocks(u0, u1, w, g)
+    with pytest.raises(GridTooCoarse, match="1.000e[+]00 of 4 mass"):
+        bin_blocks(u0[1], u1[1], w, g)
+
+
 def test_union_refined_grid_contains_both_edge_sets():
     g0 = Grid1D.uniform(0.0, 1.0, 3)
     g1 = Grid1D.uniform(0.2, 1.1, 4)
