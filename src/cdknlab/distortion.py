@@ -9,7 +9,8 @@ coefficient sigma_kappa(t, theta) is
     sinh(t theta sqrt(-kappa)) / sinh(theta sqrt(-kappa)) if kappa theta^2 < 0,
 
 and tau_KN(t, theta) = t^(1/N) * sigma_{K/(N-1)}(t, theta)^((N-1)/N) for N < 0.
-Values within 1e-12 of the pi^2 threshold are treated as infinite.
+Values within 1e-12 of the pi^2 threshold are treated as infinite.  Every
+angle theta (and every length) must be finite and >= 0, else DomainError.
 
 Endpoint conventions (continuity of the combined exponent): tau at theta = 0
 equals t for every t; tau at t = 0 with theta > 0 is 0 when the underlying
@@ -28,16 +29,25 @@ _PI2 = math.pi * math.pi
 _XMAX = np.finfo(float).max
 
 
-def _check_t_theta(t: float, theta: float):
-    if not (0.0 <= t <= 1.0):
-        raise DomainError(f"t={t} outside [0, 1]")
-    if theta < 0.0:
-        raise DomainError(f"theta={theta} must be nonnegative")
+def _times(t) -> np.ndarray:
+    """t as a float array; DomainError unless every time lies in [0, 1]."""
+    ts = np.asarray(t, dtype=float)
+    ok = (ts >= 0.0) & (ts <= 1.0)
+    if not ok.all():
+        raise DomainError(f"t={ts[~ok].flat[0]} outside [0, 1]")
+    return ts
+
+
+def _lengths(name: str, x) -> np.ndarray:
+    """x as a float array; DomainError unless every entry is finite and >= 0."""
+    x = np.asarray(x, dtype=float)
+    if x.size and not (x.min() >= 0.0 and x.max() < math.inf):
+        raise DomainError(f"{name} must be finite and >= 0")
+    return x
 
 
 def sigma_kappa(kappa: float, t: float, theta: float) -> float:
     """sigma_kappa^(t)(theta), scalar form."""
-    _check_t_theta(t, theta)
     return float(sigma_kappa_vec(kappa, t, np.array([theta]))[0])
 
 
@@ -46,8 +56,8 @@ def sigma_kappa_vec(kappa: float, t, theta) -> np.ndarray:
     times t gives one row per time."""
     if not math.isfinite(kappa):
         raise DomainError(f"kappa={kappa} must be finite")
-    ts = np.asarray(t, dtype=float)
-    theta = np.asarray(theta, dtype=float)
+    ts = _times(t)
+    theta = _lengths("theta", theta)
     with np.errstate(over="ignore"):
         # an overflowed -inf is held at the most negative double, where the
         # sinh ratio below already has its limit and t = 0, 1 stay exact
@@ -81,10 +91,10 @@ def sigma_kappa_lengths(kappa: float, a, b):
     1 - 1e-150, rounded to 1, would turn into 1."""
     if not math.isfinite(kappa):
         raise DomainError(f"kappa={kappa} must be finite")
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    a, b = _lengths("a", a), _lengths("b", b)
     theta = a + b
-    if not ((a >= 0.0).all() and (b >= 0.0).all() and (theta > 0.0).all()):
-        raise DomainError("lengths a, b must be >= 0 with a + b > 0")
+    if not (theta > 0.0).all():
+        raise DomainError("lengths a, b must have a + b > 0")
     out = np.full(theta.shape, np.inf)
     with np.errstate(over="ignore"):  # a product past the doubles is +-inf
         x = kappa * theta * theta
@@ -103,7 +113,6 @@ def sigma_kappa_lengths(kappa: float, a, b):
 
 def tau_KN(K: float, N: float, t: float, theta: float) -> float:
     """tau_{K,N}^(t)(theta) = t^(1/N) sigma_{K/(N-1)}^(t)(theta)^((N-1)/N)."""
-    _check_t_theta(t, theta)
     return float(tau_KN_vec(K, N, t, np.array([theta]))[0])
 
 
@@ -112,11 +121,8 @@ def tau_KN_vec(K: float, N: float, t, theta) -> np.ndarray:
     one row per time, each equal to the call with that time alone."""
     if not N < 0:  # NaN too: with K = 0 nothing below would see it
         raise DomainError("tau_KN requires N < 0")
-    ts = np.asarray(t, dtype=float)
-    ok = (ts >= 0.0) & (ts <= 1.0)
-    if not ok.all():
-        raise DomainError(f"t={ts[~ok].flat[0]} outside [0, 1]")
-    theta = np.asarray(theta, dtype=float)
+    ts = _times(t)
+    theta = _lengths("theta", theta)
     # tau = t at theta = 0, and everywhere when K = 0 (sigma is then t)
     out = np.empty(ts.shape + theta.shape)
     out[...] = ts.reshape(ts.shape + (1,) * theta.ndim)

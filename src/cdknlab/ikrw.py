@@ -160,16 +160,13 @@ def truncated_power_space(N: float, n: Optional[int], R: float = 2.0,
         return build_model_space(spec)
     thr = 2.0 ** (-n)
 
-    def fn(x, _t=thr, _N=N):
+    def log_v(x):
         x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        pos = x >= _t
-        out[pos] = x[pos] ** _N
-        return out
+        return np.where(x >= thr, N * np.log(x), -np.inf)
 
-    return PointedSpace1D(grid=grid, density=_discretize(grid, fn, ()),
-                          singular_points=(), base_point=1.0,
-                          cut_anchors=(thr,), density_fn=fn, kind="truncated_power")
+    return PointedSpace1D(grid=grid, density=_discretize(grid, log_v, ()),
+                          singular_points=(), base_point=1.0, cut_anchors=(thr,),
+                          log_density=log_v, kind="truncated_power")
 
 
 def glued_drift_space(n: Optional[int], K: float = -2.0, N: float = -2.0,
@@ -194,19 +191,18 @@ def glued_drift_space(n: Optional[int], K: float = -2.0, N: float = -2.0,
                             np.linspace(s, L, grid_n - m + 1)[1:]])
     grid = Grid1D(edges)
 
-    def fn(x, _s=s, _L=L, _N=N):
+    def log_v(x):
         x = np.asarray(x, dtype=float)
-        left = x <= _s
-        center = np.where(left, _s / 2.0, (_s + _L) / 2.0)
-        half = np.where(left, _s / 2.0, (_L - _s) / 2.0)
-        c = np.clip(np.cos(0.5 * math.pi * (x - center) / half), 0.0, None)
-        with np.errstate(divide="ignore"):
-            return c ** _N
+        left = x <= s
+        center = np.where(left, s / 2.0, (s + L) / 2.0)
+        half = np.where(left, s / 2.0, (L - s) / 2.0)
+        return N * np.log(np.clip(np.cos(0.5 * math.pi * (x - center) / half),
+                                  0.0, None))
 
     singular = (0.0, float(s), float(L))
-    return PointedSpace1D(grid=grid, density=_discretize(grid, fn, singular),
+    return PointedSpace1D(grid=grid, density=_discretize(grid, log_v, singular),
                           singular_points=singular, base_point=L / 4.0,
-                          density_fn=fn, kind="glued_drift")
+                          log_density=log_v, kind="glued_drift")
 
 
 # ---------------------------------------------------------------------------

@@ -31,10 +31,8 @@ MAX_GRID_N = 2 ** 20
 # 2^k overflow a double past k = 1023, and a sequence file builds one space
 # per n; every test and benchmark stays at |k| <= 12 and n <= 10.
 MAX_LEVEL = 64
-# detect_singular_set: neighbourhood radii tried, and the mass growth each
-# halving of the radius must show at a singular point.
+# detect_singular_set: neighbourhood radii tried, each half the last.
 _SINGULAR_LEVELS = 4
-_SINGULAR_GROWTH = 1.5
 
 
 def check_level(name: str, value: int) -> int:
@@ -127,7 +125,8 @@ class PointedSpace1D:
     base_point: float
     regularity_k: int = 0
     cut_anchors: Optional[tuple] = None
-    density_fn: Optional[Callable] = None
+    # log V, the log of the model's density, for arrays of points
+    log_density: Optional[Callable] = None
     # the reference mass cut off the model's analytic support, integrated
     # when called; None when the domain cuts nothing off
     tail_mass_fn: Optional[Callable[[], float]] = None
@@ -178,10 +177,11 @@ class PointedSpace1D:
         """Space with reference measure multiplied by c > 0."""
         if not c > 0:
             raise InvalidParams("scale must be positive")
-        fn, tail = self.density_fn, self.tail_mass_fn
-        new_fn = (lambda x, _f=fn, _c=c: _c * _f(x)) if fn is not None else None
+        fn, tail = self.log_density, self.tail_mass_fn
+        new_fn = ((lambda x, _f=fn, _lc=math.log(c): _f(x) + _lc)
+                  if fn is not None else None)
         new_tail = (lambda _t=tail, _c=c: _c * _t()) if tail is not None else None
-        return replace(self, density=self.density * c, density_fn=new_fn,
+        return replace(self, density=self.density * c, log_density=new_fn,
                        tail_mass_fn=new_tail)
 
 
@@ -213,15 +213,6 @@ def _dist_to_set(x, points: Sequence[float]) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # analytic model densities
-
-
-def _quiet(fn):
-    """Silence overflow/zero-power warnings inside a density closure; the
-    limiting IEEE values (0, inf) are exactly the intended ones."""
-    def wrapped(x, _fn=fn):
-        with np.errstate(over="ignore", divide="ignore"):
-            return _fn(x)
-    return wrapped
 
 
 def _quad(fn, lo: float, hi: float) -> float:
@@ -258,9 +249,10 @@ def _cauchy_norm(alpha: float) -> float:
 
 
 def _model_density(spec: ModelSpec) -> tuple:
-    """Return (density_fn, analytic_domain, singular_points, default_p).
-    Nothing is integrated: the one normalising constant (cauchy's) is in
-    closed form."""
+    """Return (log_density, analytic_domain, singular_points, default_p),
+    where log_density maps an array of points to log V, the one formula of
+    the model, written so that no power of its base overflows.  Nothing is
+    integrated: the one normalising constant (cauchy's) is in closed form."""
     K, N = spec.K, spec.N
     kind = spec.kind
     # a glued_ kind mirrors its one-sided model across the blow-up point 0
@@ -270,69 +262,73 @@ def _model_density(spec: ModelSpec) -> tuple:
         if not (K > 0 and N < -1):
             raise InvalidParams("cosh_n needs K > 0 and N < -1")
         a = math.sqrt(-K / N)
-        return (lambda x: np.cosh(a * np.asarray(x, float)) ** N,
-                (-math.inf, math.inf), (), 0.0)
+        def log_v(x):
+            ax = a * np.asarray(x, float)
+            return N * (np.logaddexp(ax, -ax) - math.log(2.0))
+        return log_v, (-math.inf, math.inf), (), 0.0
     if kind in ("sinh_n", "glued_sinh_n"):
         if not (K > 0 and N < -1):
             raise InvalidParams(f"{kind} needs K > 0 and N < -1")
         a = math.sqrt(-K / N)
-        return (lambda x: np.abs(np.sinh(a * np.asarray(x, float))) ** N,
+        return (lambda x: N * np.log(np.abs(np.sinh(a * np.asarray(x, float)))),
                 half_line, (0.0,), 1.0)
     if kind in ("power_n", "glued_power_n"):
         if not N < -1:
             raise InvalidParams(f"{kind} needs N < -1")
-        return (lambda x: np.abs(np.asarray(x, float)) ** N,
+        return (lambda x: N * np.log(np.abs(np.asarray(x, float))),
                 half_line, (0.0,), 1.0)
     if kind == "cos_n":
         if not (K < 0 and N < -1):
             raise InvalidParams("cos_n needs K < 0 and N < -1")
         b = math.sqrt(K / N)
         half = 0.5 * math.pi * math.sqrt(N / K)
-        def fn(x, _b=b):
-            return np.clip(np.cos(_b * np.asarray(x, float)), 0.0, None) ** N
-        return fn, (-half, half), (-half, half), 0.0
+        return (lambda x: N * np.log(np.clip(np.cos(b * np.asarray(x, float)), 0.0, None)),
+                (-half, half), (-half, half), 0.0)
     if kind == "glued_cos_n":
         if not (K < 0 and N < -1 and spec.J >= 1):
             raise InvalidParams("glued_cos_n needs K < 0, N < -1, J >= 1")
-        if spec.J > spec.grid_n:
-            # each of the J + 1 gluing points must be a cell edge
-            raise InvalidParams(f"glued_cos_n needs J <= grid_n, got J={spec.J}")
+        if spec.grid_n % spec.J:
+            # only then is each of the J + 1 gluing points a cell edge
+            raise InvalidParams(f"glued_cos_n needs J to divide grid_n, got "
+                                f"J={spec.J}, grid_n={spec.grid_n}")
         b = math.sqrt(K / N)
         half = 0.5 * math.pi * math.sqrt(N / K)
         J = spec.J
-        def fn(x, _b=b, _h=half):
+        def log_v(x):
             x = np.asarray(x, float)
-            j = np.clip(np.round(x / (2.0 * _h)), 1, J)
-            return np.clip(np.cos(_b * (x - 2.0 * _h * j)), 0.0, None) ** N
+            j = np.clip(np.round(x / (2.0 * half)), 1, J)
+            return N * np.log(np.clip(np.cos(b * (x - 2.0 * half * j)), 0.0, None))
         sing = tuple((2 * j - 1) * half for j in range(1, J + 2))
-        return fn, (half, (2 * J + 1) * half), sing, 2.0 * half
+        return log_v, (half, (2 * J + 1) * half), sing, 2.0 * half
     if kind == "cauchy":
         if not 0 < spec.alpha < math.inf:
             raise InvalidParams("cauchy needs a finite alpha > 0")
         expo = 0.5 * (1.0 + spec.alpha)
-        c = 1.0 / _cauchy_norm(spec.alpha)
-        return (lambda x: c * (1.0 + np.asarray(x, float) ** 2) ** (-expo),
+        log_c = -math.log(_cauchy_norm(spec.alpha))
+        return (lambda x: log_c - expo * np.log1p(np.asarray(x, float) ** 2),
                 (-math.inf, math.inf), (), 0.0)
     raise InvalidParams(f"unknown model kind {kind!r}")
 
 
-def _discretize(grid: Grid1D, fn: Callable,
+def _discretize(grid: Grid1D, log_density: Callable,
                 singular_points: Sequence[float]) -> np.ndarray:
-    """Cell density: fn at the cell centres, +inf on every cell with a
-    singular point on one of its edges."""
+    """Cell density V = exp(log V) at the cell centres, +inf on every cell
+    with a singular point on one of its edges.  The one place where a
+    model's V is formed; it is 0 or +inf where exp under- or overflows."""
     with np.errstate(divide="ignore", over="ignore"):
-        density = np.asarray(fn(grid.centers), dtype=float)
+        density = np.exp(log_density(grid.centers))
     density[_singular_adjacent_cells(grid, singular_points)] = np.inf
     return density
 
 
-def _tail_mass(fn, lo: float, hi: float, sing: Sequence[float]) -> float:
-    """Reference mass of a cut-off tail (lo, hi).  It is +inf when the tail
-    reaches a singular point: every model density blows up there like
-    |x - s|^N with N < -1, which is not integrable."""
+def _tail_mass(log_density, lo: float, hi: float, sing: Sequence[float]) -> float:
+    """Reference mass of a cut-off tail (lo, hi), the integral of exp(log V).
+    It is +inf when the tail reaches a singular point: every model density
+    blows up there like |x - s|^N with N < -1, which is not integrable."""
     if any(lo - _EDGE_TOL <= s <= hi + _EDGE_TOL for s in sing):
         return math.inf
-    return _quad(fn, lo, hi)
+    with np.errstate(divide="ignore", over="ignore"):
+        return _quad(lambda x: np.exp(log_density(x)), lo, hi)
 
 
 def build_model_space(spec: ModelSpec) -> PointedSpace1D:
@@ -355,7 +351,6 @@ def build_model_space(spec: ModelSpec) -> PointedSpace1D:
                               kind="custom_psi")
 
     fn, analytic_dom, model_sing, default_p = _model_density(spec)
-    fn = _quiet(fn)
     if spec.domain is not None:
         a, b = float(spec.domain[0]), float(spec.domain[1])
     else:
@@ -390,7 +385,7 @@ def build_model_space(spec: ModelSpec) -> PointedSpace1D:
         raise InvalidParams("base point too close to a singular point")
     space = PointedSpace1D(grid=grid, density=density, singular_points=sing,
                            base_point=p, regularity_k=spec.regularity_k,
-                           density_fn=fn, tail_mass_fn=tail_fn, kind=spec.kind)
+                           log_density=fn, tail_mass_fn=tail_fn, kind=spec.kind)
     k_cut(space, spec.regularity_k)  # raises EmptyCut when k_bar is too small
     return space
 
@@ -400,37 +395,39 @@ def build_model_space(spec: ModelSpec) -> PointedSpace1D:
 
 
 def detect_singular_set(space: PointedSpace1D) -> tuple:
-    """Points whose shrinking neighborhoods keep gaining mass under refinement.
+    """Points whose shrinking neighborhoods keep gaining mass.
 
-    Every grid edge is a candidate; a candidate is singular when the midpoint
-    mass of its radius-r neighborhood (fixed 128 subcells) grows by at least
-    1.5x each time r is halved, across four radii.
+    Every grid edge is a candidate.  The log mass of its radius-r
+    neighborhood is the log-sum of log V at 128 subcell midpoints, shifted
+    by their largest value so that nothing overflows, plus the log of the
+    subcell width.  A candidate is singular when its log mass strictly grows
+    at each halving of r, across four radii: near a point where V is
+    integrable the mass shrinks with r, near one where V ~ |x - s|^N with
+    N < -1 it grows like r^(N + 1).
     A space with no analytic density (custom sampled weights, a k-cut) has
     nothing to refine and keeps its declared singular set.
     """
-    if space.density_fn is None:
+    if space.log_density is None:
         return space.singular_points
     edges = space.grid.edges
     a, b = space.grid.a, space.grid.b
     r0 = 4.0 * float(np.max(space.grid.widths))
     nsub = 128
-    masses = np.empty((_SINGULAR_LEVELS, edges.size))
+    log_m = np.empty((_SINGULAR_LEVELS, edges.size))
     offsets = (np.arange(nsub) + 0.5) / nsub
     for lev in range(_SINGULAR_LEVELS):
         r = r0 * 0.5 ** lev
         lo = np.maximum(edges - r, a)
         hi = np.minimum(edges + r, b)
-        w = (hi - lo) / nsub
         pts = lo[:, None] + np.outer(hi - lo, offsets)
-        # finite samples near a blow-up may still sum past the largest double
         with np.errstate(divide="ignore", over="ignore"):
-            vals = np.asarray(space.density_fn(pts.ravel()), dtype=float)
-            vals = vals.reshape(edges.size, nsub)
-            vals[~np.isfinite(vals)] = 0.0
-            masses[lev] = np.sum(vals, axis=1) * w
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = masses[1:] / masses[:-1]
-    hit = np.all(ratios >= _SINGULAR_GROWTH, axis=0) & np.all(masses > 0, axis=0)
+            lv = space.log_density(pts.ravel()).reshape(edges.size, nsub)
+            top = np.max(lv, axis=1)
+            top[~np.isfinite(top)] = 0.0  # an all -inf or a +inf row sums as is
+            lv -= top[:, None]
+            log_m[lev] = (top + np.log(np.sum(np.exp(lv, out=lv), axis=1))
+                          + np.log((hi - lo) / nsub))
+    hit = np.all(log_m[1:] > log_m[:-1], axis=0)
     return tuple(float(e) for e in edges[hit])
 
 
@@ -477,7 +474,7 @@ def k_cut(space: PointedSpace1D, k: int) -> PointedSpace1D:
     adj = _singular_adjacent_cells(space.grid, space.singular_points)
     if adj.size:
         density[adj] = 0.0
-    cut = replace(space, density=density, density_fn=None)
+    cut = replace(space, density=density, log_density=None)
     if float(np.sum(cut.cell_masses)) <= 0.0:
         raise EmptyCut(f"k={k} cut has no mass")
     return cut

@@ -50,6 +50,26 @@ def test_model_writes_file_and_detects_singular(tmp_path):
     assert det == pytest.approx(summary["singular_points"], abs=0.1)
 
 
+@pytest.mark.parametrize("desc, want", [
+    # cos^-270 is +inf within 0.84 of each arch end
+    ({"kind": "cos_n", "params": {"K": -2.0, "N": -270.0}, "grid_n": 64},
+     [-18.2510, 18.2510]),
+    # x^-1.5 gains only a factor 2^0.5 of mass per halving of the radius
+    ({"kind": "power_n", "params": {"N": -1.5}, "truncation_radius": 3.0,
+      "grid_n": 64}, [0.0]),
+], ids=["cos_n_N_-270", "power_n_N_-1.5"])
+def test_model_detects_exactly_the_declared_blow_ups(tmp_path, desc, want):
+    p = tmp_path / "space.json"
+    p.write_text(json.dumps(desc))
+    out = tmp_path / "summary.json"
+    assert main(["model", "--space", str(p), "--out", str(out),
+                 "--detect-singular"]) == EXIT_OK
+    summary = json.loads(out.read_text())
+    assert summary["detected_singular_points"] == pytest.approx(want, abs=5e-5)
+    assert summary["detected_singular_points"] == pytest.approx(
+        summary["singular_points"], abs=1e-9)
+
+
 def test_model_divergent_tail_is_inf_and_quiet(tmp_path):
     # the cut-off tail of x^-2 over (0, 0.5) reaches the blow-up point at 0
     p = tmp_path / "power.json"
@@ -496,6 +516,8 @@ def test_malformed_space_file(tmp_path):
     {"kind": "cos_n", "params": {"K": -2.0, "N": -2.0}, "domain": ["a", "b"]},
     # more gluing points than cell edges
     {"kind": "glued_cos_n", "params": {"K": -2.0, "N": -2.0, "J": 10 ** 8}},
+    # gluing points that are not cell edges: 3 arches on 64 cells
+    {"kind": "glued_cos_n", "params": {"K": -2.0, "N": -2.0, "J": 3}, "grid_n": 64},
     # a cut level whose scale 2^k overflows
     {"kind": "cos_n", "params": {"K": -2.0, "N": -2.0}, "regularity_k": 2000},
     # a truncation radius for a kind without an unbounded domain
@@ -528,7 +550,7 @@ def test_malformed_space_file(tmp_path):
     {"kind": "cauchy", "params": {"alpha": 1e308}, "truncation_radius": 4.0},
 ], ids=["unbounded_power_n", "grid_n_abc", "K_x", "base_point_q",
         "params_list", "psi_samples_abc", "grid_n_over_cap", "domain_one",
-        "domain_ab", "J_over_grid_n", "regularity_k_2000",
+        "domain_ab", "J_over_grid_n", "J_not_dividing_grid_n", "regularity_k_2000",
         "truncation_radius_custom_psi", "cauchy_alpha_1e10", "J_inf",
         "grid_n_inf", "regularity_k_inf", "K_huge_int", "psi_minus_1000",
         "sinh_n_radius_max", "cosh_n_K_1e-300", "cauchy_alpha_1e-300",

@@ -161,6 +161,21 @@ def test_sigma_domain_checks():
         sigma_kappa(1.0, 0.5, -1.0)
 
 
+@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+def test_angles_and_lengths_must_be_finite_and_nonnegative(bad):
+    # a NaN angle read as theta = 0, and an infinite one left its slot unset
+    for call in (lambda: sigma_kappa(1.0, 0.5, bad),
+                 lambda: sigma_kappa_vec(1.0, 0.5, np.array([1.0, bad])),
+                 lambda: sigma_kappa_vec(0.0, 0.5, np.array([bad])),
+                 lambda: tau_KN(1.0, -2.0, 0.5, bad),
+                 lambda: tau_KN_vec(1.0, -2.0, 0.5, np.array([bad])),
+                 lambda: tau_KN_vec(0.0, -2.0, 0.5, np.array([bad])),
+                 lambda: sigma_kappa_lengths(-1.0, bad, 1.0),
+                 lambda: sigma_kappa_lengths(-1.0, 1.0, np.array([1.0, bad]))):
+        with pytest.raises(DomainError):
+            call()
+
+
 @pytest.mark.parametrize("K, N", [(math.nan, -2.0), (math.inf, -2.0),
                                   (-math.inf, -2.0), (-2.0, math.nan)],
                          ids=["K_nan", "K_inf", "K_neg_inf", "N_nan"])

@@ -18,7 +18,8 @@ from cdknlab.ikrw import (
     ikrw_fm,
     truncated_power_space,
 )
-from cdknlab.mmspace import Grid1D, PointedSpace1D, k_cut, total_mass
+from cdknlab.mmspace import (Grid1D, PointedSpace1D, detect_singular_set, k_cut,
+                             total_mass)
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +178,15 @@ def test_glued_drift_builds_quietly_when_the_density_overflows():
     sp = glued_drift_space(1, K=-2.0, N=-318.0, grid_n=64)
     assert np.isinf(sp.density[[0, -1]]).all()
     assert math.isfinite(total_mass(k_cut(sp, 0)))
+
+
+@pytest.mark.parametrize("n", [None, 0, 3, 6])
+def test_family_blow_ups_are_detected_exactly(n):
+    # a truncated member's cut at 2^-n is a jump of V, not a blow-up
+    for sp in (truncated_power_space(-2.0, n, grid_n=512),
+               glued_drift_space(n, grid_n=256)):
+        assert detect_singular_set(sp) == pytest.approx(sp.singular_points,
+                                                        abs=1e-9)
 
 
 def test_glued_drift_guards():

@@ -117,6 +117,15 @@ def test_cos_model_domain_rules():
                                     domain=(-1.0, 1.0)))
 
 
+def test_glued_cos_model_needs_J_to_divide_grid_n():
+    with pytest.raises(InvalidParams, match="J=3, grid_n=64"):
+        build_model_space(ModelSpec(kind="glued_cos_n", K=-2.0, N=-2.0, J=3,
+                                    grid_n=64))
+    sp = build_model_space(ModelSpec(kind="glued_cos_n", K=-2.0, N=-2.0, J=3,
+                                     grid_n=96))
+    assert len(sp.singular_points) == 4
+
+
 def test_glued_cos_model_interior_joints():
     sp = build_model_space(ModelSpec(kind="glued_cos_n", K=-2.0, N=-2.0, J=2,
                                      grid_n=512))
@@ -398,17 +407,75 @@ def test_glued_kind_mirrors_its_one_sided_model(kind, params):
     glued = space_from_dict({"kind": "glued_" + kind, "params": params,
                              "truncation_radius": 3.0, "grid_n": 128})
     x = one.grid.centers
-    np.testing.assert_array_equal(glued.density_fn(x), one.density_fn(x))
-    np.testing.assert_array_equal(glued.density_fn(-x), one.density_fn(x))
+    np.testing.assert_array_equal(glued.log_density(x), one.log_density(x))
+    np.testing.assert_array_equal(glued.log_density(-x), one.log_density(x))
     # the positive half of the glued grid is the one-sided grid
     np.testing.assert_allclose(glued.density[64:], one.density, rtol=1e-12)
 
 
 def test_detect_singular_set_is_quiet_when_masses_overflow():
-    # cos^-270 sums past the largest double near the arch ends
+    # cos^-270 is past the largest double near the arch ends
     sp = space_from_dict({"kind": "cos_n", "params": {"K": -2.0, "N": -270.0},
                           "grid_n": 64})
-    assert all(sp.grid.a <= s <= sp.grid.b for s in detect_singular_set(sp))
+    assert detect_singular_set(sp) == pytest.approx(sp.singular_points, abs=1e-9)
+    assert sp.singular_points == pytest.approx((-18.2510, 18.2510), abs=5e-5)
+
+
+# from just below -1, where the mass near a blow-up gains only 2^-(N+1) per
+# halving of the radius, to -270, where V overflows near every blow-up
+_DETECT_N = (-1.02, -1.1, -1.3, -1.5, -2.0, -5.0, -20.0, -40.0, -270.0)
+
+
+@pytest.mark.parametrize("kind, K", [
+    ("cosh_n", 1.0), ("sinh_n", 1.0), ("power_n", 0.0), ("glued_sinh_n", 1.0),
+    ("glued_power_n", 0.0), ("cos_n", -2.0), ("glued_cos_n", -2.0),
+    ("cauchy", 0.0),
+])
+def test_detect_singular_set_finds_exactly_the_declared_blow_ups(kind, K):
+    for grid_n in (64, 256):
+        for N in _DETECT_N:
+            params = {"alpha": -1.0 - N} if kind == "cauchy" else {"K": K, "N": N}
+            sp = space_from_dict({"kind": kind, "params": params,
+                                  "truncation_radius": 3.0, "grid_n": grid_n})
+            assert detect_singular_set(sp) == pytest.approx(
+                sp.singular_points, abs=1e-9), (N, grid_n)
+
+
+def _arches(x, p):
+    """cos(b (x - 2 h j)) over the J arches of glued_cos_n, j = 1 .. J."""
+    b, h = math.sqrt(p["K"] / p["N"]), 0.5 * math.pi * math.sqrt(p["N"] / p["K"])
+    return np.cos(b * (x - 2.0 * h * np.clip(np.round(x / (2.0 * h)), 1, p["J"])))
+
+
+@pytest.mark.parametrize("N", [-1.5, -2.0, -40.0, -270.0])
+@pytest.mark.parametrize("kind, params, v", [
+    ("cosh_n", {"K": 1.0},
+     lambda x, p: np.cosh(math.sqrt(-p["K"] / p["N"]) * x) ** p["N"]),
+    ("sinh_n", {"K": 1.0},
+     lambda x, p: np.abs(np.sinh(math.sqrt(-p["K"] / p["N"]) * x)) ** p["N"]),
+    ("glued_sinh_n", {"K": 1.0},
+     lambda x, p: np.abs(np.sinh(math.sqrt(-p["K"] / p["N"]) * x)) ** p["N"]),
+    ("power_n", {}, lambda x, p: np.abs(x) ** p["N"]),
+    ("glued_power_n", {}, lambda x, p: np.abs(x) ** p["N"]),
+    ("cos_n", {"K": -2.0},
+     lambda x, p: np.clip(np.cos(math.sqrt(p["K"] / p["N"]) * x), 0, None) ** p["N"]),
+    ("glued_cos_n", {"K": -2.0, "J": 3},
+     lambda x, p: np.clip(_arches(x, p), 0, None) ** p["N"]),
+    ("cauchy", {},
+     lambda x, p: (1.0 + x * x) ** (0.5 * p["N"]) / mmspace._cauchy_norm(p["alpha"])),
+])
+def test_log_density_is_the_log_of_the_density(kind, params, v, N):
+    p = {**params, "N": N, "alpha": -1.0 - N}
+    sp = space_from_dict({"kind": kind, "params": p, "truncation_radius": 3.0,
+                          "grid_n": 96})
+    x = np.linspace(sp.grid.a, sp.grid.b, 9601)
+    with np.errstate(divide="ignore", over="ignore"):
+        want = v(x, p)
+        got = sp.log_density(x)
+    normal = np.isfinite(want) & (want >= np.finfo(float).tiny)
+    assert normal.sum() > 1000
+    np.testing.assert_allclose(got[normal], np.log(want[normal]),
+                               rtol=1e-13, atol=1e-13)
 
 
 def test_space_from_dict_variants():
