@@ -33,11 +33,9 @@ EXIT_VIOLATION = 2
 
 # Largest value of each count flag.  --t-grid sizes (2 x t-grid x segments)
 # arrays, a cdcheck report has samples x t-grid x nprime-grid rows (capped
-# by MAX_ROWS), and the triples' arrays peak near 130 MB at the cap; every
-# test and benchmark stays at or below 500.
+# by MAX_ROWS); every test and benchmark stays at or below 500.
 MAX_GRID_COUNT = 1000      # --t-grid, --nprime-grid
 MAX_SAMPLES = 10_000       # --samples, --cd-samples
-MAX_TRIPLES = 1_000_000    # --triples
 MAX_ROWS = 10**6           # cdcheck samples x t-grid x nprime-grid
 
 
@@ -173,13 +171,12 @@ def _cmd_convexity(args) -> int:
         psi = [float(v) for v in d["psi"]]
     except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise UsageError(f"bad psi file: {e}")
-    rep = cdc.kn_convexity_check((x, psi), args.K, args.N,
-                                 n_triples=args.triples, seed=args.seed)
+    rep = cdc.kn_convexity_check((x, psi), args.K, args.N)
     passed = rep.min_margin >= -args.tol
     summary = {"K": args.K, "N": args.N, "n_triples": rep.n_triples,
                "min_margin": _fmt(rep.min_margin),
                "worst_triple": list(rep.worst) if rep.worst else None,
-               "tolerance": args.tol, "seed": args.seed, "passed": passed}
+               "tolerance": args.tol, "passed": passed}
     _write_summary(args.out, summary)
     return EXIT_OK if passed else EXIT_VIOLATION
 
@@ -334,12 +331,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.set_defaults(fn=_cmd_cdcheck)
 
-    sp = sub.add_parser("convexity", help="sampled (K, N)-convexity check of a weight")
+    sp = sub.add_parser("convexity", help="(K, N)-convexity check of a weight on "
+                        "the adjacent triples of its dyadic node subsets")
     sp.add_argument("--psi", required=True, help="JSON file with x / psi arrays")
     sp.add_argument("--K", type=_finite_float, required=True)
     sp.add_argument("--N", type=_finite_float, required=True)
-    sp.add_argument("--triples", type=_integer(1, MAX_TRIPLES), default=400)
-    sp.add_argument("--seed", type=_integer(0), required=True)
     sp.add_argument("--tol", type=_tolerance, default=1e-9)
     sp.add_argument("--out")
     sp.set_defaults(fn=_cmd_convexity)

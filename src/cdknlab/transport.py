@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import (
     InvalidParams,
-    MarginalMismatch,
     NotAbsolutelyContinuous,
     SizeCap,
     UnbalancedMasses,
@@ -71,19 +70,6 @@ class Coupling:
     @property
     def total_mass(self) -> float:
         return float(np.sum(self.w))
-
-    def marginal_src(self) -> np.ndarray:
-        return np.bincount(self.i, weights=self.w, minlength=self.src_grid.n)
-
-    def marginal_dst(self) -> np.ndarray:
-        return np.bincount(self.j, weights=self.w, minlength=self.dst_grid.n)
-
-    def validate(self, mu: DiscreteMeasure, nu: DiscreteMeasure,
-                 tol: float = 1e-12):
-        emu = np.max(np.abs(self.marginal_src() - mu.masses))
-        env = np.max(np.abs(self.marginal_dst() - nu.masses))
-        if emu > tol or env > tol:
-            raise MarginalMismatch(f"marginal residuals {emu:.3e}, {env:.3e}")
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,10 @@
 """Inequality verifier: statuses, report bookkeeping, hierarchy, convexity
 of weights, and the regular-region escape estimates."""
 
+import itertools
 import math
 import re
+import time
 
 import numpy as np
 import pytest
@@ -781,17 +783,18 @@ def test_hierarchy_check_needs_equal_tolerances(lebesgue):
 def test_convexity_equality_cases():
     # constant weight at K = 0 sits exactly on the boundary
     x = np.linspace(0.0, 1.0, 201)
-    rep = kn_convexity_check((x, np.full_like(x, 1.7)), K=0.0, N=-2.0,
-                             n_triples=300, seed=1)
+    rep = kn_convexity_check((x, np.full_like(x, 1.7)), K=0.0, N=-2.0)
     assert abs(rep.min_margin) <= 1e-12
-    # cosh profile solving f'' = -(K/N) f is the equality case for that K
+    # cosh profile solving f'' = -(K/N) f is the equality case for that K,
+    # and its margins stay at rounding size on every stride of fine nodes
     K, N = 1.0, -2.0
     lam = math.sqrt(-K / N)
-    x = np.linspace(-1.5, 1.5, 301)
-    psi = -N * np.log(np.cosh(lam * x))
-    rep = kn_convexity_check((x, psi), K=K, N=N, n_triples=400, seed=2)
-    assert rep.min_margin >= -1e-9
-    assert rep.min_margin <= 1e-6
+    for n in (301, 100_001):
+        x = np.linspace(-1.5, 1.5, n)
+        psi = -N * np.log(np.cosh(lam * x))
+        rep = kn_convexity_check((x, psi), K=K, N=N)
+        assert rep.min_margin >= -1e-9
+        assert rep.min_margin <= 1e-6
 
 
 def test_convexity_glued_arches_pass():
@@ -801,35 +804,86 @@ def test_convexity_glued_arches_pass():
     x = np.linspace(0.0, 2.0 * math.pi / lam, 2001)
     with np.errstate(divide="ignore"):
         psi = -N * np.log(np.abs(np.cos(lam * x)))
-    rep = kn_convexity_check((x, psi), K=K, N=N, n_triples=500, seed=3)
+    rep = kn_convexity_check((x, psi), K=K, N=N)
     assert rep.min_margin >= -1e-9
 
 
 def test_convexity_detects_violation():
-    # f_N = sin is concave, so midpoints overshoot the K = 0 chord
-    x = np.linspace(0.05, math.pi - 0.05, 301)
-    psi = 2.0 * np.log(np.sin(x))  # f_N = e^(-psi/N) = sin for N = -2
-    rep = kn_convexity_check((x, psi), K=0.0, N=-2.0, n_triples=300, seed=4)
-    assert rep.min_margin < -0.1
-    assert rep.worst is not None
+    # f_N = sin is concave, so midpoints overshoot the K = 0 chord.  An
+    # adjacent margin shrinks like the squared node spacing (about -5e-10 at
+    # 100,001 nodes, which a tolerance of 1e-9 passes); the coarse strides
+    # still see the concavity
+    for n in (301, 100_001):
+        x = np.linspace(0.05, math.pi - 0.05, n)
+        psi = 2.0 * np.log(np.sin(x))  # f_N = e^(-psi/N) = sin for N = -2
+        rep = kn_convexity_check((x, psi), K=0.0, N=-2.0)
+        assert rep.min_margin < -0.1
+        assert rep.worst is not None
+
+
+def test_convexity_checks_fewer_than_2n_triples_in_linear_time():
+    n = 1_000_001
+    x = np.linspace(-1.5, 1.5, n)
+    psi = 2.0 * np.log(np.cosh(math.sqrt(0.5) * x))
+    t0 = time.perf_counter()
+    rep = kn_convexity_check((x, psi), K=1.0, N=-2.0)
+    assert time.perf_counter() - t0 < 1.0
+    assert n < rep.n_triples < 2 * n
+    assert rep.min_margin >= -1e-9
+
+
+def _strided_triples(n):
+    """(i0, im, i1) of every adjacent triple of x[::s], s = 1, 2, 4, ...,
+    while x[::s] has at least three nodes."""
+    s = 1
+    while 2 * s < n:
+        yield from ((i, i + s, i + 2 * s) for i in range(0, n - 2 * s, s))
+        s *= 2
+
+
+def _least_margin(x, fN, kappa, triples):
+    """The scalar loop's least margin over the admissible ones of triples,
+    and how many of them it checked."""
+    d_max = math.pi / math.sqrt(kappa) if kappa > 0 else math.inf
+    margins = [sigma_kappa_lengths(kappa, x[k] - x[j], x[j] - x[i]) * fN[i]
+               + sigma_kappa_lengths(kappa, x[j] - x[i], x[k] - x[j]) * fN[k]
+               - fN[j]
+               for i, j, k in triples if 0 < x[k] - x[i] < d_max * (1 - 1e-12)]
+    return min(margins), len(margins)
 
 
 @pytest.mark.parametrize("K, N", [(0.0, -2.0), (1.0, -2.0), (-2.0, -2.0),
                                   (3.0, -0.5)])
 def test_convexity_matches_a_loop_over_every_triple(K, N):
-    # 6 nodes have 20 triples, and 3000 draws reach each of them; the least
-    # margin of the array pass equals a scalar loop's over all 20
+    kappa = K / N
     rng = np.random.default_rng(5)
-    x = np.sort(rng.uniform(0.0, 1.5, 6))
-    psi = rng.normal(size=6)
-    fN = np.exp(-psi / N)
-    want = min(sigma_kappa_lengths(K / N, x[k] - x[j], x[j] - x[i]) * fN[i]
-               + sigma_kappa_lengths(K / N, x[j] - x[i], x[k] - x[j]) * fN[k]
-               - fN[j]
-               for i in range(6) for j in range(i + 1, 6)
-               for k in range(j + 1, 6))
-    rep = kn_convexity_check((x, psi), K=K, N=N, n_triples=3000, seed=0)
-    assert rep.min_margin == want
+    for trial in range(150):
+        n = int(rng.integers(3, 13))
+        # every third set on a coarse lattice, so that nodes repeat; the
+        # lengths reach past pi sqrt(N/K) = pi at K = N = -2
+        x = np.sort(rng.uniform(0.0, 5.0, n))
+        if trial % 3 == 0:
+            x = np.round(x)
+        if trial % 2:  # a random weight: margins far from any tolerance
+            psi = rng.normal(size=n)
+        else:  # a (K/N)-harmonic weight, off equality by far less than 1e-9
+            if kappa > 0:  # cos is positive on one arch, |x| < pi / 2 here
+                x = (x - 2.5) / 3.0
+                g = np.cos(math.sqrt(kappa) * x)
+            else:
+                g = np.cosh(math.sqrt(-kappa) * (x - 2.5))
+            psi = -N * np.log(g) + 1e-13 * rng.normal(size=n)
+        fN = np.exp(-psi / N)
+        # the array pass against a scalar loop over the triples it checks
+        want, count = _least_margin(x, fN, kappa, _strided_triples(n))
+        rep = kn_convexity_check((x, psi), K=K, N=N)
+        assert (rep.min_margin, rep.n_triples) == (want, count)
+        # the checked triples are some of all triples, and at tol 1e-9 the
+        # verdict is the exhaustive one
+        every, _ = _least_margin(x, fN, kappa,
+                                 itertools.combinations(range(n), 3))
+        assert rep.min_margin >= every
+        assert (rep.min_margin >= -1e-9) == (every >= -1e-9)
 
 
 def test_convexity_domain_guards():
@@ -840,10 +894,10 @@ def test_convexity_domain_guards():
     with pytest.raises(InvalidParams):
         kn_convexity_check((x, psi[:-1]), K=0.0, N=-2.0)
     # K < 0 bounds admissible triple lengths by pi sqrt(N/K) = pi here; the
-    # sampler skips longer triples and fails when it finds no other
-    rep = kn_convexity_check((x, psi), K=-2.0, N=-2.0, n_triples=300, seed=0)
+    # check skips longer triples and fails when it finds no other
+    rep = kn_convexity_check((x, psi), K=-2.0, N=-2.0)
     assert rep.worst[2] - rep.worst[0] < math.pi
-    with pytest.raises(InvalidParams, match="could not sample"):
+    with pytest.raises(InvalidParams, match="no admissible triple"):
         kn_convexity_check(([0.0, 5.0, 10.0], [0.0] * 3), K=-2.0, N=-2.0)
 
 
@@ -852,34 +906,11 @@ def test_convexity_needs_nondecreasing_nodes():
         kn_convexity_check(([0, 1, 2, 3, 2.5, 4, 5], [0.0] * 7), K=0.0, N=-2.0)
     # repeated nodes are valid; a triple of zero length is skipped, and a
     # file with no other triple has nothing to check
-    rep = kn_convexity_check(([0, 1, 1, 1, 2], [0.0] * 5), K=0.0, N=-2.0,
-                             n_triples=50, seed=0)
+    rep = kn_convexity_check(([0, 1, 1, 1, 2], [0.0] * 5), K=0.0, N=-2.0)
     assert abs(rep.min_margin) <= 1e-12
     assert rep.worst[2] > rep.worst[0]
-    with pytest.raises(InvalidParams, match="could not sample"):
+    with pytest.raises(InvalidParams, match="no admissible triple"):
         kn_convexity_check(([1.0, 1.0, 1.0], [0.0] * 3), K=0.0, N=-2.0)
-
-
-
-def test_convexity_admissible_ends_match_the_pairwise_test():
-    # the ranges of ends equal the rejection sampler's test run on every
-    # pair, also where x + cap rounds to either side of the test on the
-    # rounded gap x[i1] - x[i0]
-    rng = np.random.default_rng(7)
-    one = np.spacing(1.0)
-    for trial in range(500):
-        n = int(rng.integers(3, 25))
-        x = [np.sort(rng.integers(0, 6, n)).astype(float),
-             np.sort(rng.random(n) * 10.0),
-             1.0 + one * np.cumsum(rng.integers(0, 2, n)),
-             1e300 + 1e284 * np.cumsum(rng.integers(0, 3, n)),
-             np.sort(rng.choice([0.0, 0.3, 3.0, 1e16, 1e16 + 2.0], n))][trial % 5]
-        for cap in (math.inf, float(rng.random() * 3.0), 2.5 * one, 1e16, 1e299):
-            lo, hi = cdcheck._admissible_ends(x, cap)
-            got = {(i, j) for i in range(n) for j in range(lo[i], hi[i])}
-            want = {(i, j) for i in range(n) for j in range(i + 2, n)
-                    if 0 < x[j] - x[i] < cap}
-            assert got == want
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import pytest
 import cdknlab
 from cdknlab.cdcheck import estimate_Omega, estimate_omega
 from cdknlab.cli import (EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, MAX_GRID_COUNT,
-                         MAX_ROWS, MAX_SAMPLES, MAX_TRIPLES, _fmt, _load_space,
+                         MAX_ROWS, MAX_SAMPLES, _fmt, _load_space,
                          build_parser, main)
 
 
@@ -154,14 +154,14 @@ def test_convexity_pass_and_fail(tmp_path):
     flat = tmp_path / "flat.json"
     flat.write_text(json.dumps({"x": list(x), "psi": [0.5] * 101}))
     assert main(["convexity", "--psi", str(flat), "--K", "0.0", "--N", "-2.0",
-                 "--seed", "5", "--out", str(tmp_path / "c.json")]) == EXIT_OK
+                 "--out", str(tmp_path / "c.json")]) == EXIT_OK
 
     xs = np.linspace(0.05, math.pi - 0.05, 101)
     bad = tmp_path / "sin.json"
     bad.write_text(json.dumps({"x": list(xs),
                                "psi": list(2.0 * np.log(np.sin(xs)))}))
     rc = main(["convexity", "--psi", str(bad), "--K", "0.0", "--N", "-2.0",
-               "--seed", "5", "--out", str(tmp_path / "c2.json")])
+               "--out", str(tmp_path / "c2.json")])
     assert rc == EXIT_VIOLATION
     doc = json.loads((tmp_path / "c2.json").read_text())
     assert doc["passed"] is False
@@ -189,7 +189,7 @@ def test_convexity_bad_psi_file_is_usage_error(tmp_path, name):
     p.write_text(json.dumps(content))
     out = tmp_path / "c.json"
     rc = main(["convexity", "--psi", str(p), "--K", K, "--N", "-2.0",
-               "--seed", "1", "--out", str(out)])
+               "--out", str(out)])
     assert rc == EXIT_USAGE
     assert not out.exists()
 
@@ -197,13 +197,19 @@ def test_convexity_bad_psi_file_is_usage_error(tmp_path, name):
 @pytest.mark.parametrize("seed", range(4))
 def test_convexity_x_out_of_order_is_usage_error_on_every_seed(tmp_path, seed,
                                                               capsys):
-    # the order is checked before any triple is drawn, so the exit code does
-    # not depend on whether a drawn triple straddles the node out of order
+    # the order is checked before any triple, so the exit code does not
+    # depend on whether a checked triple straddles the nodes out of order:
+    # the seed draws a file and the place of the two swapped nodes
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 50))
+    x = np.sort(rng.uniform(0.0, 10.0, n))
+    i = int(rng.integers(n - 1))
+    x[i], x[i + 1] = x[i + 1], x[i]
     p = tmp_path / "unsorted.json"
-    p.write_text(json.dumps({"x": [0, 1, 2, 3, 2.5, 4, 5], "psi": [0] * 7}))
+    p.write_text(json.dumps({"x": list(x), "psi": [0] * n}))
     out = tmp_path / "c.json"
     rc = main(["convexity", "--psi", str(p), "--K", "0", "--N", "-2",
-               "--triples", "3", "--seed", str(seed), "--out", str(out)])
+               "--out", str(out)])
     assert rc == EXIT_USAGE
     assert "x must be nondecreasing" in capsys.readouterr().err
     assert not out.exists()
@@ -219,7 +225,7 @@ def test_convexity_far_nodes_run_quietly(tmp_path, x, K):
     p.write_text(json.dumps({"x": x, "psi": [0.0, 0.0, 0.0]}))
     out = tmp_path / "c.json"
     rc = main(["convexity", "--psi", str(p), "--K", K, "--N", "-2.0",
-               "--seed", "1", "--triples", "5", "--out", str(out)])
+               "--out", str(out)])
     assert rc in (EXIT_OK, EXIT_VIOLATION)
     assert math.isfinite(float(json.loads(out.read_text())["min_margin"]))
 
@@ -238,7 +244,7 @@ def test_convexity_far_interior_node_keeps_its_coefficient(tmp_path, x, K, rc):
     p.write_text(json.dumps({"x": x, "psi": [0.0, 0.0, 0.0]}))
     out = tmp_path / "c.json"
     assert main(["convexity", "--psi", str(p), "--K", K, "--N", "-2.0",
-                 "--seed", "1", "--triples", "5", "--out", str(out)]) == rc
+                 "--out", str(out)]) == rc
     assert json.loads(out.read_text())["min_margin"] == \
         ("-1" if rc == EXIT_VIOLATION else "0")
 
@@ -250,7 +256,7 @@ def test_convexity_bounds_past_the_doubles_pass(tmp_path):
     p.write_text(json.dumps({"x": [0, 1, 2], "psi": [1419.5] * 3}))
     out = tmp_path / "c.json"
     assert main(["convexity", "--psi", str(p), "--K", "-2", "--N", "-2",
-                 "--seed", "0", "--out", str(out)]) == EXIT_OK
+                 "--out", str(out)]) == EXIT_OK
     doc = json.loads(out.read_text())
     assert doc["min_margin"] == "inf"
     assert doc["worst_triple"] is None
@@ -258,15 +264,36 @@ def test_convexity_bounds_past_the_doubles_pass(tmp_path):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_convexity_draws_rare_admissible_triples(tmp_path, seed):
-    # at K = N = -2 a triple must be shorter than pi: about 0.4 % of the node
-    # pairs of 1001 nodes 1 apart, which a rejection sampler could miss
+    # at K = N = -2 a triple must be shorter than pi: of 1001 nodes 2 apart
+    # with two gaps of 1 at a place the seed draws, only the three triples
+    # around those gaps are, and the check finds them all
+    j = int(np.random.default_rng(seed).integers(1, 998))
+    gaps = np.full(1000, 2.0)
+    gaps[j:j + 2] = 1.0
+    x = np.concatenate([[0.0], np.cumsum(gaps)])
     p = tmp_path / "long.json"
-    p.write_text(json.dumps({"x": list(range(1001)), "psi": [0.0] * 1001}))
+    p.write_text(json.dumps({"x": list(x), "psi": [0.0] * 1001}))
     out = tmp_path / "c.json"
     assert main(["convexity", "--psi", str(p), "--K", "-2", "--N", "-2",
-                 "--seed", str(seed), "--out", str(out)]) == EXIT_OK
-    worst = json.loads(out.read_text())["worst_triple"]
-    assert 0.0 < worst[2] - worst[0] < math.pi
+                 "--out", str(out)]) == EXIT_OK
+    doc = json.loads(out.read_text())
+    assert doc["n_triples"] == 3
+    assert 0.0 < doc["worst_triple"][2] - doc["worst_triple"][0] < math.pi
+
+
+@pytest.mark.parametrize("flags", [["--seed", "0"], ["--triples", "5"],
+                                   ["--seed", "-1"], ["--triples", "0"]],
+                         ids=["seed_0", "triples_5", "seed_neg", "triples_0"])
+def test_convexity_takes_no_seed_or_triples(tmp_path, flags):
+    # the check draws nothing, so neither flag exists
+    p = tmp_path / "psi.json"
+    p.write_text(json.dumps({"x": [0.0, 0.5, 1.0], "psi": [0.0, 0.0, 0.0]}))
+    out = tmp_path / "c.json"
+    with pytest.raises(SystemExit) as e:
+        main(["convexity", "--psi", str(p), "--K", "0", "--N", "-2",
+              "--out", str(out)] + flags)
+    assert e.value.code == EXIT_USAGE
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -605,8 +632,6 @@ def test_bad_sequence_files_are_usage_errors(tmp_path, seq):
      "--t-grid", "0"],
     ["cdcheck", "--space", "{space}", "--K", "-2", "--N", "-2", "--seed", "0",
      "--nprime-grid", "0"],
-    ["convexity", "--psi", "{psi}", "--K", "0", "--N", "-2", "--seed", "0",
-     "--triples", "0"],
     ["converge", "--seq", "{seq}", "--seed", "0", "--cd-samples", "0"],
     ["omega", "--space", "{space}", "--k", "2", "--h-max", "3", "--M", "5",
      "--seed", "0", "--samples", "0"],
@@ -614,7 +639,7 @@ def test_bad_sequence_files_are_usage_errors(tmp_path, seq):
      "--seed", "0"],
     ["ikrw", "--space-a", "{space}", "--space-b", "{space}", "--k-bar", "5",
      "--k-max", "2"],
-], ids=["samples_0", "samples_neg", "t_grid_0", "nprime_grid_0", "triples_0",
+], ids=["samples_0", "samples_neg", "t_grid_0", "nprime_grid_0",
         "cd_samples_0", "omega_samples_0", "k_above_h_max",
         "k_bar_above_k_max"])
 def test_runs_that_check_nothing_are_usage_errors(tmp_path, argv):
@@ -643,7 +668,7 @@ def test_runs_that_check_nothing_are_usage_errors(tmp_path, argv):
      "--tol", "nan"],
     ["cdcheck", "--space", "{space}", "--K", "-2", "--N", "-1", "--seed", "0",
      "--restrict-k", "2000"],
-    ["convexity", "--psi", "{psi}", "--K", "inf", "--N", "-2", "--seed", "0"],
+    ["convexity", "--psi", "{psi}", "--K", "inf", "--N", "-2"],
     ["converge", "--seq", "{seq}", "--seed", "0", "--tol", "inf"],
     ["omega", "--space", "{space}", "--k", "2", "--h-max", "3", "--seed", "0",
      "--M", "nan"],
@@ -656,7 +681,6 @@ def test_runs_that_check_nothing_are_usage_errors(tmp_path, argv):
     ["ikrw", "--space-a", "{space}", "--space-b", "{space}",
      "--k-bar", "1024", "--k-max", "1024"],
     ["cdcheck", "--space", "{space}", "--K", "-2", "--N", "-2", "--seed", "-1"],
-    ["convexity", "--psi", "{psi}", "--K", "0", "--N", "-2", "--seed", "-1"],
     ["converge", "--seq", "{seq}", "--seed", "-1"],
     ["omega", "--space", "{space}", "--k", "2", "--h-max", "3", "--M", "5",
      "--seed", "-1"],
@@ -665,7 +689,7 @@ def test_runs_that_check_nothing_are_usage_errors(tmp_path, argv):
 ], ids=["K_nan", "N_neg_inf", "tol_neg", "tol_nan", "restrict_k_2000",
         "convexity_K_inf", "converge_tol_inf", "omega_M_nan", "omega_N_0",
         "omega_delta_inf", "omega_k_1100", "ikrw_k_1024", "cdcheck_seed_neg",
-        "convexity_seed_neg", "converge_seed_neg", "omega_seed_neg",
+        "converge_seed_neg", "omega_seed_neg",
         "omega_seed_float"])
 def test_non_finite_or_out_of_range_numbers_are_usage_errors(tmp_path, argv):
     psi = tmp_path / "psi.json"
@@ -695,8 +719,6 @@ _CAPPED = {
                        "--M", "5", "--seed", "0"], "--samples", MAX_SAMPLES),
     "cd_samples": (["converge", "--seq", "{seq}", "--seed", "0"],
                    "--cd-samples", MAX_SAMPLES),
-    "triples": (["convexity", "--psi", "{psi}", "--K", "0", "--N", "-2",
-                 "--seed", "0"], "--triples", MAX_TRIPLES),
 }
 
 

@@ -74,6 +74,8 @@ VALID_PSI_FILES = [
     {"x": [0.0, 0.5, 1.0], "psi": [0.0, 0.0, 0.0]},
     {"x": [0.0, 0.25, 0.5, 0.75, 1.0], "psi": [0.0, -0.5, -1.0, -0.5, 0.0]},
     {"x": [0.0, 1.0, 2.0, 3.0], "psi": [1.0, -math.inf, 0.5, 2.0]},
+    {"x": [0.0, 1.0, 1.0, 1.0, 2.0, 2.0], "psi": [0.0, 0.5, -0.5, 0.0, 1.0, 0.0]},
+    {"x": [-1e300, 0.0, 5e299, 1e300], "psi": [0.0, 1.0, 0.0, -1.0]},
 ]
 
 _FUZZ = settings(derandomize=True, database=None, deadline=None,
@@ -132,8 +134,7 @@ def _blows_up(psi) -> bool:
 @given(_junked(VALID_PSI_FILES), st.sampled_from(["0", "1", "-1"]))
 def test_fuzzed_psi_files_exit_cleanly(psi_file, K):
     rc = _run(lambda p, out: ["convexity", "--psi", p, "--K", K, "--N", "-2",
-                              "--seed", "0", "--triples", "50", "--out", out],
-              psi_file)
+                              "--out", out], psi_file)
     assert rc in (EXIT_OK, EXIT_USAGE, EXIT_VIOLATION)
     if _blows_up(psi_file["psi"]):
         assert rc == EXIT_USAGE

@@ -9,7 +9,6 @@ import pytest
 
 from cdknlab.errors import (
     InvalidParams,
-    MarginalMismatch,
     NotAbsolutelyContinuous,
     SizeCap,
     UnbalancedMasses,
@@ -46,6 +45,14 @@ def random_grid(rng, n, lo=0.0, hi=1.0):
     return Grid1D(edges)
 
 
+def assert_marginals(coup, mu, nu, tol):
+    """The coupling's two marginals equal mu's and nu's masses to tol."""
+    src = np.bincount(coup.i, weights=coup.w, minlength=mu.grid.n)
+    dst = np.bincount(coup.j, weights=coup.w, minlength=nu.grid.n)
+    np.testing.assert_allclose(src, mu.masses, rtol=0, atol=tol)
+    np.testing.assert_allclose(dst, nu.masses, rtol=0, atol=tol)
+
+
 # ---------------------------------------------------------------------------
 # oracle equivalences
 
@@ -61,7 +68,7 @@ def test_lp_matches_permutation_oracle(rng):
             val, coup = optimal_coupling_lp(mu, nu, cost=cost)
             want = permutation_oracle(gx.centers, gy.centers, cost)
             assert val == pytest.approx(want, rel=1e-9, abs=1e-12)
-            coup.validate(mu, nu, tol=1e-9)
+            assert_marginals(coup, mu, nu, tol=1e-9)
 
 
 def test_quantile_matches_lp(rng):
@@ -97,7 +104,7 @@ def test_monotone_map_marginals_and_order(rng):
     nu = random_measure(Grid1D.uniform(3.0, 5.0, 25), rng, sparsity=0.5)
     tmap = monotone_map(mu, nu)
     coup = tmap.as_coupling()
-    coup.validate(mu, nu, tol=1e-12)
+    assert_marginals(coup, mu, nu, tol=1e-12)
     assert np.all(np.diff(tmap.a0) >= -1e-12)
     assert np.all(np.diff(tmap.b0) >= -1e-12)
     assert np.all(tmap.w > 0)
@@ -154,15 +161,6 @@ def test_size_cap():
     mu = uniform_block(g, 0.0, 1.0)
     with pytest.raises(SizeCap, match="2001 x 2001 exceed 2000"):
         optimal_coupling_lp(mu, mu)
-
-
-def test_coupling_validate_detects_mismatch(rng):
-    mu = random_measure(Grid1D.uniform(0.0, 1.0, 10), rng)
-    nu = random_measure(Grid1D.uniform(0.0, 1.0, 10), rng)
-    _, coup = optimal_coupling_lp(mu, nu)
-    other = random_measure(Grid1D.uniform(0.0, 1.0, 10), rng)
-    with pytest.raises(MarginalMismatch):
-        coup.validate(mu, other, tol=1e-12)
 
 
 # ---------------------------------------------------------------------------
