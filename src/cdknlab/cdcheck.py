@@ -472,19 +472,26 @@ class ConvexityReport:
 
 def kn_convexity_check(psi_samples, K: float, N: float) -> ConvexityReport:
     """Test of the sigma-combination inequality for e^(-psi/N) on the
-    adjacent triples of the node sets x[::s], s = 1, 2, 4, ... while x[::s]
-    has at least three nodes: fewer than 2n triples in all.
+    adjacent triples of the positions u[::s], s = 1, 2, 4, ... while u[::s]
+    has at least three, where u are the distinct nodes, and on the triples
+    with two nodes at one position: fewer than 2n triples for n nodes.
 
     psi_samples is a pair (x, psi) of node positions, nondecreasing and
     finite with a finite span, and weight values with a finite e^(-psi/N)
     (psi = -inf gives 0 there).  Interpolation points are always taken at
     nodes so no interpolation error enters.  Only triples of length
-    0 < d < pi sqrt(N/K) (no upper bound for K >= 0) are checked.  In exact
-    arithmetic the stride-1 triples alone decide the sign: when they all
-    pass, the piecewise (K/N)-harmonic interpolant of the nodes is a
-    subsolution of f'' + (K/N) f = 0, and comparison covers every triple.
-    An adjacent margin shrinks like the squared node spacing, though, so the
-    coarser strides carry the wide margins that an absolute tolerance sees.
+    0 < d < pi sqrt(N/K) (no upper bound for K >= 0) are checked.  A triple
+    of three positions takes the least f at its ends and the largest in its
+    middle, the least margin of the node triples there.  A node k after j at
+    one position has the margin f_k - f_j in a triple with a node to their
+    left, f_j - f_k with one to their right; each such k is checked against
+    the largest or least f before it there.  In exact arithmetic those and
+    the stride-1 triples decide the sign: when they all pass, f has one
+    value at each middle position, the piecewise (K/N)-harmonic interpolant
+    of the nodes is a subsolution of f'' + (K/N) f = 0, and comparison
+    covers every triple.  An adjacent margin shrinks like the squared node
+    spacing, though, so the coarser strides carry the wide margins that an
+    absolute tolerance sees.
     """
     if N >= 0:
         raise DomainError("requires N < 0")
@@ -500,29 +507,46 @@ def kn_convexity_check(psi_samples, K: float, N: float) -> ConvexityReport:
     if np.any(np.diff(x) < 0):
         raise InvalidParams("x must be nondecreasing")
     kappa = K / N
-    d_max = math.pi / math.sqrt(kappa) if kappa > 0 else math.inf
+    d_lim = (math.pi / math.sqrt(kappa) if kappa > 0 else math.inf) * (1 - 1e-12)
+    first = np.r_[True, x[1:] != x[:-1]]  # the first node at each position
+    starts = np.flatnonzero(first)
+    u = x[starts]
+    lo, hi = np.minimum.reduceat(fN, starts), np.maximum.reduceat(fN, starts)
+    worst, least, n_triples = None, math.inf, 0
 
-    n, worst, least, n_triples = x.size, None, math.inf, 0
-    s = 1
-    while 2 * s < n:  # x[::s] keeps at least three nodes
-        i0 = np.arange(0, n - 2 * s, s)
-        d = x[i0 + 2 * s] - x[i0]
-        i0 = i0[(d > 0) & (d < d_max * (1 - 1e-12))]
-        # each coefficient from the sub-lengths, not from 1 - t, which rounds
-        # to 1 when x[im] is far nearer x[i0] than x[i1]
-        x0, xm, x1 = x[i0], x[i0 + s], x[i0 + 2 * s]
-        a, b = xm - x0, x1 - xm
-        with np.errstate(over="ignore"):  # a bound past the doubles passes
-            margins = (sigma_kappa_lengths(kappa, b, a) * fN[i0]
-                       + sigma_kappa_lengths(kappa, a, b) * fN[i0 + 2 * s]
-                       - fN[i0 + s])
-        if i0.size and margins.min() < least:  # the first least margin
+    def take(margins, x0, xm, x1):  # keeps the first least margin
+        nonlocal worst, least, n_triples
+        if margins.size and margins.min() < least:
             k = int(np.argmin(margins))
             least = float(margins[k])
             worst = (float(x0[k]), float(xm[k]), float(x1[k]),
-                     float(a[k] / (x1[k] - x0[k])))
-        n_triples += i0.size
+                     float((xm[k] - x0[k]) / (x1[k] - x0[k])))
+        n_triples += margins.size
+
+    s = 1
+    while 2 * s < u.size:  # u[::s] keeps at least three positions
+        i0 = np.arange(0, u.size - 2 * s, s)
+        i0 = i0[u[i0 + 2 * s] - u[i0] < d_lim]
+        x0, xm, x1 = u[i0], u[i0 + s], u[i0 + 2 * s]
+        # each coefficient from the sub-lengths, not from 1 - t, which rounds
+        # to 1 when xm is far nearer x0 than x1
+        a, b = xm - x0, x1 - xm
+        with np.errstate(over="ignore"):  # a bound past the doubles passes
+            take(sigma_kappa_lengths(kappa, b, a) * lo[i0]
+                 + sigma_kappa_lengths(kappa, a, b) * lo[i0 + 2 * s]
+                 - hi[i0 + s], x0, xm, x1)
         s *= 2
+    # the largest and least f of the nodes up to each one at its position
+    fN_hi, fN_lo, pos, d = fN.copy(), fN.copy(), np.cumsum(first) - 1, 1
+    while (same := pos[d:] == pos[:-d]).any():
+        fN_hi[d:] = np.where(same, np.maximum(fN_hi[d:], fN_hi[:-d]), fN_hi[d:])
+        fN_lo[d:] = np.where(same, np.minimum(fN_lo[d:], fN_lo[:-d]), fN_lo[d:])
+        d *= 2
+    near = np.diff(u) < d_lim
+    k = np.flatnonzero(~first)  # the second and later nodes at a position
+    kl, kr = k[np.r_[False, near][pos[k]]], k[np.r_[near, False][pos[k]]]
+    take(fN[kl] - fN_hi[kl - 1], u[pos[kl] - 1], x[kl], x[kl])
+    take(fN_lo[kr - 1] - fN[kr], x[kr], x[kr], u[pos[kr] + 1])
     if n_triples == 0:
         raise InvalidParams("no admissible triple")
     return ConvexityReport(min_margin=least, worst=worst, n_triples=n_triples)

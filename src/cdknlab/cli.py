@@ -332,7 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=_cmd_cdcheck)
 
     sp = sub.add_parser("convexity", help="(K, N)-convexity check of a weight on "
-                        "the adjacent triples of its dyadic node subsets")
+                        "the adjacent triples of dyadic subsets of its "
+                        "distinct nodes, and at its repeated nodes")
     sp.add_argument("--psi", required=True, help="JSON file with x / psi arrays")
     sp.add_argument("--K", type=_finite_float, required=True)
     sp.add_argument("--N", type=_finite_float, required=True)

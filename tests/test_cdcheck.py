@@ -827,18 +827,38 @@ def test_convexity_checks_fewer_than_2n_triples_in_linear_time():
     psi = 2.0 * np.log(np.cosh(math.sqrt(0.5) * x))
     t0 = time.perf_counter()
     rep = kn_convexity_check((x, psi), K=1.0, N=-2.0)
-    assert time.perf_counter() - t0 < 1.0
+    assert time.perf_counter() - t0 < 10.0  # about 0.3 s; only a gross slip
     assert n < rep.n_triples < 2 * n
+    assert rep.min_margin >= -1e-9
+    # with every node repeated the count stays below 2n
+    rep = kn_convexity_check((np.repeat(x[::3], 3), np.repeat(psi[::3], 3)),
+                             K=1.0, N=-2.0)
+    assert rep.n_triples < 2 * n
     assert rep.min_margin >= -1e-9
 
 
-def _strided_triples(n):
-    """(i0, im, i1) of every adjacent triple of x[::s], s = 1, 2, 4, ...,
-    while x[::s] has at least three nodes."""
+def _checked_triples(x, fN):
+    """(i, j, k) of each triple the check evaluates.  With the nodes grouped
+    by position: the adjacent triples of positions p[::s], s = 1, 2, 4, ...,
+    with the least f at the ends and the largest in the middle; then for the
+    k-th node of a position, k > 1, the triple with the last node to its
+    left and the largest f of the nodes before k there, and the triple with
+    the least f of the nodes before k there and the first node to its
+    right."""
+    pos = [list(g) for _, g in itertools.groupby(range(len(x)), x.__getitem__)]
+    lo = [min(p, key=fN.__getitem__) for p in pos]
+    hi = [max(p, key=fN.__getitem__) for p in pos]
     s = 1
-    while 2 * s < n:
-        yield from ((i, i + s, i + 2 * s) for i in range(0, n - 2 * s, s))
+    while 2 * s < len(pos):
+        yield from ((lo[i], hi[i + s], lo[i + 2 * s])
+                    for i in range(0, len(pos) - 2 * s, s))
         s *= 2
+    for i, p in enumerate(pos):
+        for k in range(1, len(p)):
+            if i > 0:
+                yield pos[i - 1][-1], max(p[:k], key=fN.__getitem__), p[k]
+            if i + 1 < len(pos):
+                yield min(p[:k], key=fN.__getitem__), p[k], pos[i + 1][0]
 
 
 def _least_margin(x, fN, kappa, triples):
@@ -849,7 +869,7 @@ def _least_margin(x, fN, kappa, triples):
                + sigma_kappa_lengths(kappa, x[j] - x[i], x[k] - x[j]) * fN[k]
                - fN[j]
                for i, j, k in triples if 0 < x[k] - x[i] < d_max * (1 - 1e-12)]
-    return min(margins), len(margins)
+    return min(margins, default=math.inf), len(margins)
 
 
 @pytest.mark.parametrize("K, N", [(0.0, -2.0), (1.0, -2.0), (-2.0, -2.0),
@@ -873,17 +893,35 @@ def test_convexity_matches_a_loop_over_every_triple(K, N):
             else:
                 g = np.cosh(math.sqrt(-kappa) * (x - 2.5))
             psi = -N * np.log(g) + 1e-13 * rng.normal(size=n)
+            repeated = np.flatnonzero(np.r_[x[1:] == x[:-1], False]
+                                      | np.r_[False, x[1:] == x[:-1]])
+            if trial % 6 == 0 and repeated.size:  # move one by +-1
+                psi[rng.choice(repeated)] += rng.choice([-1.0, 1.0])
         fN = np.exp(-psi / N)
         # the array pass against a scalar loop over the triples it checks
-        want, count = _least_margin(x, fN, kappa, _strided_triples(n))
+        want, count = _least_margin(x, fN, kappa, _checked_triples(x, fN))
+        every, _ = _least_margin(x, fN, kappa,
+                                 itertools.combinations(range(n), 3))
+        if count == 0:
+            with pytest.raises(InvalidParams, match="no admissible triple"):
+                kn_convexity_check((x, psi), K=K, N=N)
+            assert every == math.inf
+            continue
         rep = kn_convexity_check((x, psi), K=K, N=N)
         assert (rep.min_margin, rep.n_triples) == (want, count)
         # the checked triples are some of all triples, and at tol 1e-9 the
         # verdict is the exhaustive one
-        every, _ = _least_margin(x, fN, kappa,
-                                 itertools.combinations(range(n), 3))
         assert rep.min_margin >= every
         assert (rep.min_margin >= -1e-9) == (every >= -1e-9)
+
+
+def test_convexity_takes_the_least_value_at_a_repeated_end():
+    # f = 2 then 1 at x = 0 passes f_j - f_k there; the chord from the lesser
+    # value, (1 + 2) / 2, is below f = 1.6 at x = 1, the one from 2 is not
+    f = np.array([2.0, 1.0, 1.6, 2.0])
+    rep = kn_convexity_check(([0, 0, 1, 2], 2.0 * np.log(f)), K=0.0, N=-2.0)
+    assert rep.min_margin == pytest.approx(-0.1, rel=1e-12)
+    assert rep.worst == (0.0, 1.0, 2.0, 0.5)
 
 
 def test_convexity_domain_guards():

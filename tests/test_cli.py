@@ -262,6 +262,24 @@ def test_convexity_bounds_past_the_doubles_pass(tmp_path):
     assert doc["worst_triple"] is None
 
 
+@pytest.mark.parametrize("x, psi, margin", [
+    ([0, 1, 1, 1, 2], [0, -2, 0, 0, 0], 1 / math.e - 1),
+    ([0, 1, 1, 1], [0, 0, 0, -math.inf], -1.0),
+], ids=["interior", "right_end"])
+def test_convexity_refutes_unequal_values_at_one_node(tmp_path, x, psi, margin):
+    # f at a repeated node may not exceed f at an earlier node of its
+    # position when a node lies to the right, nor fall below it when one lies
+    # to the left: the triple at (1, 1, 2) of the first file has margin
+    # e^-1 - 1, the one at (0, 1, 1) of the second 0 - 1
+    p = tmp_path / "rep.json"
+    p.write_text(json.dumps({"x": x, "psi": psi}))
+    out = tmp_path / "c.json"
+    assert main(["convexity", "--psi", str(p), "--K", "0", "--N", "-2",
+                 "--out", str(out)]) == EXIT_VIOLATION
+    assert float(json.loads(out.read_text())["min_margin"]) == \
+        pytest.approx(margin, rel=1e-15)
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_convexity_draws_rare_admissible_triples(tmp_path, seed):
     # at K = N = -2 a triple must be shorter than pi: of 1001 nodes 2 apart
