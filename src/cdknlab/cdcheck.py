@@ -87,9 +87,15 @@ def default_nprime_grid(N: float, count: int = 9) -> np.ndarray:
 
 
 def default_t_grid(count: int = 11) -> np.ndarray:
+    """count equispaced times from 0 to 1, mirror-exact: the lower half is
+    1 - the upper half, which is exact for times in [1/2, 1] (Sterbenz), so
+    1 - t is again a time of the grid and tau is needed at count times only.
+    Each time is within 2 ulp at 1/2 (2.2e-16) of np.linspace's."""
     if count < 1:
         raise InvalidParams("need at least one time")
-    return np.linspace(0.0, 1.0, count)
+    ts = np.linspace(0.0, 1.0, count)
+    ts[:count // 2] = 1.0 - ts[::-1][:count // 2]
+    return ts
 
 
 # ---------------------------------------------------------------------------
@@ -103,8 +109,10 @@ def t_functional(coupling: Coupling, rho0: DensityWrtM, rho1: DensityWrtM,
     N is one N' or a 1-D array of them, and t one time or a 1-D array of
     times.  Two scalars give a float; otherwise the result has an axis per
     array argument, N' first, and each entry equals the call with that N'
-    and time alone.  tau is evaluated one N' at a time over every time, so
-    the working memory is O(times x segments) whatever the number of N'.
+    and time alone.  tau is evaluated one N' at a time at the distinct times
+    of ts and 1 - ts, so the working memory is O(times x segments) whatever
+    the number of N'.  The weights w rho^(-1/N') are formed first, one per
+    segment, and each side is a row sum of tau times them.
     """
     nps = np.asarray(N, dtype=float).reshape(-1)
     if not np.all(nps < 0):  # NaN too
@@ -117,20 +125,21 @@ def t_functional(coupling: Coupling, rho0: DensityWrtM, rho1: DensityWrtM,
             "coupling carries mass where a marginal density vanishes")
     ts = np.asarray(t, dtype=float).reshape(-1)
     d = np.abs(coupling.x - coupling.y)
-    # tau once per distinct time of ts and 1 - ts; on a linspace grid 1 - t
-    # misses its mirror time by an ulp for some t, so 11 times give 17
     times, back = np.unique(np.concatenate([1.0 - ts, ts]), return_inverse=True)
     out = np.empty((nps.size, ts.size))
     for k, nprime in enumerate(nps.tolist()):
-        tau = tau_KN_vec(K, nprime, times, d)[back]
-        tau0, tau1 = tau[:ts.size], tau[ts.size:]
+        tau = tau_KN_vec(K, nprime, times, d)
         expo = -1.0 / nprime
+        sides = []  # one sum per distinct time, for each endpoint
         with np.errstate(over="ignore", invalid="ignore"):
-            terms = (np.where(tau0 == 0, 0, tau0 * r0 ** expo)
-                     + np.where(tau1 == 0, 0, tau1 * r1 ** expo))
-            out[k] = np.sum(w * terms, axis=-1)
-        # an infinite tau makes its term inf, or NaN against a zero density
-        out[k, ~np.isfinite(terms).all(axis=-1)] = math.inf
+            for p in (w * r0 ** expo, w * r1 ** expo):
+                # an infinite tau gives inf, or NaN against a zero weight
+                terms = tau * p
+                if not np.isfinite(p).all():  # an overflowed weight, where
+                    terms[tau == 0] = 0.0     # a zero tau still adds 0
+                sides.append(np.sum(terms, axis=-1))
+        out[k] = sides[0][back[:ts.size]] + sides[1][back[ts.size:]]
+    out[~np.isfinite(out)] = math.inf
     out = out.reshape(np.shape(N) + np.shape(t))
     return out if out.ndim else float(out)
 

@@ -31,9 +31,9 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VIOLATION = 2
 
-# Largest value of each count flag.  --t-grid sizes (2 x t-grid x segments)
-# arrays, a cdcheck report has samples x t-grid x nprime-grid rows (capped
-# by MAX_ROWS); every test and benchmark stays at or below 500.
+# Largest value of each count flag.  --t-grid sizes (distinct times x
+# segments) arrays, a cdcheck report has samples x t-grid x nprime-grid rows
+# (capped by MAX_ROWS); every test and benchmark stays at or below 500.
 MAX_GRID_COUNT = 1000      # --t-grid, --nprime-grid
 MAX_SAMPLES = 10_000       # --samples, --cd-samples
 MAX_ROWS = 10**6           # cdcheck samples x t-grid x nprime-grid

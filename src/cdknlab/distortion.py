@@ -53,7 +53,11 @@ def sigma_kappa(kappa: float, t: float, theta: float) -> float:
 
 def sigma_kappa_vec(kappa: float, t, theta) -> np.ndarray:
     """sigma_kappa^(t) over an array of angles theta >= 0.  A 1-D array of
-    times t gives one row per time."""
+    times t gives one row per time.
+
+    Every angle takes the branch of kappa's sign in one pass; the angles past
+    the pi^2 threshold are then set to inf and those with kappa theta^2 = 0
+    to t, so each entry equals the call with that angle alone."""
     if not math.isfinite(kappa):
         raise DomainError(f"kappa={kappa} must be finite")
     ts = _times(t)
@@ -63,23 +67,18 @@ def sigma_kappa_vec(kappa: float, t, theta) -> np.ndarray:
         # sinh ratio below already has its limit and t = 0, 1 stay exact
         # (+inf needs nothing: it lies past the pi^2 threshold)
         x = np.maximum(kappa * theta * theta, -_XMAX)
-    tc = ts[..., None]  # the times as a column against the angles
+    tc = ts.reshape(ts.shape + (1,) * x.ndim)  # the times against the angles
+    r = np.sqrt(np.abs(x))
+    # the angles patched below give 0/0 or sin of inf here
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if kappa > 0.0:
+            out = np.sin(tc * r) / np.sin(r)
+        else:  # sinh ratio in a form stable for large arguments
+            out = (np.exp((tc - 1.0) * r) * (-np.expm1(-2.0 * tc * r))
+                   / (-np.expm1(-2.0 * r)))
     rows = (slice(None),) * ts.ndim  # every row, ahead of an angle mask
-    out = np.empty(ts.shape + x.shape)
-    inf_mask = x >= _PI2 - _THRESHOLD_TOL
-    zero = x == 0.0
-    pos = (x > 0.0) & ~inf_mask
-    neg = x < 0.0
-    out[rows + (inf_mask,)] = np.inf
-    out[rows + (zero,)] = tc
-    if pos.any():
-        r = np.sqrt(x[pos])
-        out[rows + (pos,)] = np.sin(tc * r) / np.sin(r)
-    if neg.any():
-        r = np.sqrt(-x[neg])
-        # sinh ratio in a form stable for large arguments
-        out[rows + (neg,)] = (np.exp((tc - 1.0) * r) * (-np.expm1(-2.0 * tc * r))
-                              / (-np.expm1(-2.0 * r)))
+    out[rows + (x >= _PI2 - _THRESHOLD_TOL,)] = np.inf
+    out[rows + (x == 0.0,)] = ts[..., None]
     return out
 
 
@@ -123,17 +122,15 @@ def tau_KN_vec(K: float, N: float, t, theta) -> np.ndarray:
         raise DomainError("tau_KN requires N < 0")
     ts = _times(t)
     theta = _lengths("theta", theta)
-    # tau = t at theta = 0, and everywhere when K = 0 (sigma is then t)
-    out = np.empty(ts.shape + theta.shape)
-    out[...] = ts.reshape(ts.shape + (1,) * theta.ndim)
-    pos = theta > 0.0
-    if K != 0.0 and pos.any():
-        s = sigma_kappa_vec(K / (N - 1.0), ts, theta[pos])
-        # libm's log of each time; at t = 0 the -inf of log sigma gives 0,
-        # and at t = 1 sigma is 1, so both ends come out exact
-        lt = np.array([math.log(v) / N if v > 0.0 else 0.0 for v in ts.flat])
-        rows = (slice(None),) * ts.ndim
-        with np.errstate(over="ignore", divide="ignore"):
-            out[rows + (pos,)] = np.exp(lt.reshape(ts.shape + (1,))
-                                        + (1.0 - 1.0 / N) * np.log(s))
+    tc = ts.reshape(ts.shape + (1,) * theta.ndim)
+    if K == 0.0:  # sigma is t, and so is tau
+        return np.broadcast_to(tc, ts.shape + theta.shape).copy()
+    s = sigma_kappa_vec(K / (N - 1.0), ts, theta)
+    # libm's log of each time; at t = 0 the -inf of log sigma gives 0,
+    # and at t = 1 sigma is 1, so both ends come out exact
+    lt = np.array([math.log(v) / N if v > 0.0 else 0.0 for v in ts.flat])
+    with np.errstate(over="ignore", divide="ignore"):
+        out = np.exp(lt.reshape(tc.shape) + (1.0 - 1.0 / N) * np.log(s))
+    # tau = t at theta = 0, where sigma = t gives it only to rounding
+    out[(slice(None),) * ts.ndim + (theta == 0.0,)] = ts[..., None]
     return out

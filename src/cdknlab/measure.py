@@ -76,7 +76,8 @@ def radon_nikodym(mu: DiscreteMeasure, space: PointedSpace1D) -> DensityWrtM:
     mass is zero or infinite (the discrete representation cannot reproduce
     mu there).
     """
-    if mu.grid.n != space.grid.n or not np.allclose(mu.grid.edges, space.grid.edges):
+    if mu.grid is not space.grid and (
+            mu.grid.n != space.grid.n or not np.allclose(mu.grid.edges, space.grid.edges)):
         raise InvalidParams("measure and space live on different grids")
     m = space.cell_masses
     bad = (mu.masses > 0) & ~(np.isfinite(m) & (m > 0))

@@ -65,7 +65,7 @@ from cdknlab.measure import (
 )
 from cdknlab.geodesics1d import bin_blocks, blocks_cdf
 from cdknlab.mmspace import Grid1D, ModelSpec, PointedSpace1D, build_model_space
-from cdknlab.transport import monotone_map
+from cdknlab.transport import Coupling, monotone_map
 
 from conftest import flat_space
 
@@ -83,6 +83,24 @@ def test_default_grids():
     assert nps[0] == -2.0
     with pytest.raises(DomainError):
         default_nprime_grid(1.0)
+
+
+def test_default_t_grid_is_mirror_exact():
+    # the lower half is 1 - the upper half, so 1 - t is again a time of the
+    # grid, bit for bit, while every time stays within 2 ulp at 1/2
+    # (2.2e-16) of linspace's
+    assert default_t_grid(1).tolist() == [0.0]
+    for n in range(1, 65):
+        ts = default_t_grid(n)
+        lin = np.linspace(0.0, 1.0, n)
+        assert ts.size == n and np.all(np.diff(ts) > 0)
+        assert ts[0] == 0.0
+        assert np.all(np.abs(ts - lin) <= 2 * np.spacing(0.5))
+        if n > 1:
+            assert ts[-1] == 1.0
+            assert np.array_equal(np.sort(1.0 - ts), ts)
+    with pytest.raises(InvalidParams):
+        default_t_grid(0)
 
 
 def test_margin_scale_saturates_at_one():
@@ -194,6 +212,58 @@ def test_t_functional_over_nprimes_equals_one_nprime_at_a_time(lebesgue):
             t_functional(coup, rho0, rho1, 1.5, bad, ts)
 
 
+def test_t_functional_evaluates_tau_at_the_distinct_times(lebesgue, monkeypatch):
+    # ts and 1 - ts of the default grid are the same 11 times
+    mu0 = uniform_block(lebesgue.grid, 0.1, 0.3)
+    mu1 = uniform_block(lebesgue.grid, 0.6, 0.9)
+    coup = monotone_map(mu0, mu1).as_coupling()
+    rho0, rho1 = radon_nikodym(mu0, lebesgue), radon_nikodym(mu1, lebesgue)
+    seen = []
+
+    def spy(K, N, t, theta):
+        seen.append(np.size(t))
+        return tau_KN_vec(K, N, t, theta)
+
+    monkeypatch.setattr(cdcheck, "tau_KN_vec", spy)
+    nps = default_nprime_grid(-2.0, 3)
+    t_functional(coup, rho0, rho1, -1.0, nps, default_t_grid(11))
+    assert seen == [11] * nps.size
+
+
+def _two_segment_coupling(w_small: float):
+    """A segment of mass 1 - w_small at distance 0 and one of mass w_small
+    carried over 0.3 on a two-cell grid."""
+    g = Grid1D(np.array([0.0, 1.0, 2.0]))
+    coup = Coupling(i=np.array([0, 1]), j=np.array([0, 1]),
+                    w=np.array([1.0 - w_small, w_small]),
+                    x=np.array([0.5, 1.2]), y=np.array([0.5, 1.5]),
+                    src_grid=g, dst_grid=g)
+    return g, coup
+
+
+def test_t_functional_weighs_by_w_before_tau():
+    # tau * rho1^(-1/N') is about 6e310 on the short segment, past the
+    # doubles, while its weight w = 1e-6 brings the term to about 6e304
+    g, coup = _two_segment_coupling(1e-6)
+    rho0 = DensityWrtM(g, np.array([1.0, 1.0]))
+    rho1 = DensityWrtM(g, np.array([1.0, 10 ** 3.06]))
+    K, N, t = -10.0, -0.01, 0.5
+    expo = -1.0 / N
+    tau0 = tau_KN_vec(K, N, 1.0 - t, np.abs(coup.x - coup.y))
+    tau1 = tau_KN_vec(K, N, t, np.abs(coup.x - coup.y))
+    assert math.isinf(float(tau1[1]) * float(rho1.values[1]) ** expo)
+    want = sum(w * r0 ** expo * a + w * r1 ** expo * b for w, r0, r1, a, b in zip(
+        coup.w.tolist(), rho0.values.tolist(), rho1.values.tolist(),
+        tau0.tolist(), tau1.tolist()))
+    got = t_functional(coup, rho0, rho1, K, N, t)
+    assert math.isfinite(got) and got > 1e300
+    assert got == pytest.approx(want, rel=1e-12)
+    # a weight that overflows by itself still gives inf, except where tau = 0
+    rho1 = DensityWrtM(g, np.array([1.0, 1e4]))
+    assert math.isinf(t_functional(coup, rho0, rho1, K, N, t))
+    assert math.isfinite(t_functional(coup, rho0, rho1, K, N, 0.0))
+
+
 def test_t_functional_memory_does_not_grow_with_the_nprimes():
     # tau is evaluated one N' plane at a time: 200 N' may not take 10x the
     # working memory of 20, as an (N', times, segments) array would
@@ -222,6 +292,23 @@ def test_t_functional_memory_does_not_grow_with_the_nprimes():
 
 # ---------------------------------------------------------------------------
 # verify_cd statuses
+
+
+def test_verify_cd_row_is_ok_where_tau_times_rho_alone_overflows():
+    # a cos_n pair of the certify benchmark (grid 1024, K -2, N -1): at
+    # t = 0.1 and N' = -0.00237 the terms tau rho^(-1/N') overflow, but
+    # weighed by w first the right side is finite
+    space = build_model_space(ModelSpec(kind="cos_n", K=-2.0, N=-2.0, grid_n=1024))
+    mu0 = measure_from_dict(space.grid, {"type": "bump", "center": -1.1440772867472628,
+                                         "width": 0.3296034081405758})
+    mu1 = measure_from_dict(space.grid, {"type": "bump", "center": -0.4292600031067769,
+                                         "width": 0.17976726602420354})
+    nps = default_nprime_grid(-1.0, 9)
+    rep = verify_cd(space, mu0, mu1, K=-2.0, N=-1.0, nprime_grid=nps)
+    row = rep.rows[1 * nps.size + 7]
+    assert row.t == default_t_grid(11)[1] and row.nprime == nps[7]
+    assert row.status == STATUS_OK
+    assert row.t_value == pytest.approx(3.787e307, rel=1e-3)
 
 
 def test_trivial_flat_equality(lebesgue):

@@ -286,3 +286,23 @@ def test_tau_vec_keeps_the_one_time_formula():
         want = np.array([np.exp(math.log(t) / N + (1.0 - 1.0 / N) * np.log(row))
                          for t, row in zip(ts, s)])
         assert np.array_equal(tau_KN_vec(K, N, ts, thetas), want)
+
+
+def test_one_pass_kernels_equal_the_per_angle_calls():
+    # zero, finite, past-threshold and overflowing angles in one call: the
+    # patched entries and the computed ones equal each angle's own call
+    thetas = np.array([0.0, 0.3, 0.0, 1e-200, 2.9, 3.2, 1e200, 0.86, 40.0, 1.0])
+    ts = np.array([0.0, 0.37, 1.0])
+    for kappa in (-3.0, 0.0, 1.0, 1e-300):
+        got = sigma_kappa_vec(kappa, ts, thetas)
+        for k, theta in enumerate(thetas.tolist()):
+            for row, t in zip(got, ts.tolist()):
+                assert row[k] == sigma_kappa(kappa, t, theta)
+    for K, N in ((-40.0, -2.0), (9.0, -2.0), (-2.0, -0.001), (0.0, -1.0)):
+        got = tau_KN_vec(K, N, ts, thetas)
+        for k, theta in enumerate(thetas.tolist()):
+            for row, t in zip(got, ts.tolist()):
+                assert row[k] == tau_KN(K, N, t, theta)
+        assert got[:, thetas == 0.0].tolist() == [[t, t] for t in ts.tolist()]
+    assert np.isinf(sigma_kappa_vec(1.0, 0.5, thetas)[thetas >= math.pi]).all()
+    assert np.isinf(tau_KN_vec(-40.0, -2.0, 0.5, thetas)[thetas > 0.86]).all()

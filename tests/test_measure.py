@@ -278,3 +278,23 @@ def test_density_and_radon_nikodym(lebesgue):
     rho = radon_nikodym(mu, lebesgue)
     inside = (lebesgue.grid.centers > 0.3) & (lebesgue.grid.centers < 0.7)
     np.testing.assert_allclose(rho.values[inside], 2.0, rtol=1e-12)
+
+
+def test_radon_nikodym_compares_edges_only_on_another_grid(lebesgue, monkeypatch):
+    # a measure built on the space's own grid object skips the edge check;
+    # an equal copy passes it and a different grid fails it
+    calls = []
+    allclose = np.allclose
+    monkeypatch.setattr(np, "allclose", lambda *a, **k: calls.append(1) or allclose(*a, **k))
+    mu = uniform_block(lebesgue.grid, 0.25, 0.75)
+    want = radon_nikodym(mu, lebesgue).values
+    assert calls == []
+    copy = DiscreteMeasure(Grid1D(lebesgue.grid.edges.copy()), mu.masses)
+    assert np.array_equal(radon_nikodym(copy, lebesgue).values, want)
+    assert calls == [1]
+    moved = DiscreteMeasure(Grid1D(lebesgue.grid.edges + 0.5), mu.masses)
+    with pytest.raises(InvalidParams):
+        radon_nikodym(moved, lebesgue)
+    other = DiscreteMeasure(Grid1D(np.linspace(0.0, 1.0, 5)), [0.25] * 4)
+    with pytest.raises(InvalidParams):
+        radon_nikodym(other, lebesgue)
