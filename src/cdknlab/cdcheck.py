@@ -154,9 +154,7 @@ def regular_intervals(space: PointedSpace1D, k: int) -> list[tuple[float, float]
     r = 2.0 ** (-(k + 1))
     lo = max(space.grid.a, space.base_point - R)
     hi = min(space.grid.b, space.base_point + R)
-    if hi <= lo:
-        return []
-    return [(a, b) for a, b in carve([(lo, hi)], space.anchors, r) if b - a > 0]
+    return carve([(lo, hi)], space.anchors, r)
 
 
 def mass_in_intervals(u0: np.ndarray, u1: np.ndarray, w: np.ndarray,

@@ -1,9 +1,10 @@
 """Distances between pointed spaces with blow-up reference measures.
 
 All values here are computed at the identity embedding of the spaces into
-the line, which realizes (and upper-bounds) the intrinsic infimum over
-isometric embeddings; for subsets of R with the inherited metric this is the
-canonical realization, so convergence verdicts are unaffected.  The
+the line.  That gives an upper bound on the infimum over isometric
+embeddings, not the infimum itself: the values are not invariant under
+isometries of the line (a space against its translate or its mirror image
+gives a positive `ikrw`), which ROADMAP item 12 is to fix.  The
 transport term between normalized cuts is an LP solved by HiGHS at its
 default tolerances, so it is good to about 1e-7, after rebinning both
 measures onto a common grid of DEFAULT_WC_GRID cells (aggregation to a

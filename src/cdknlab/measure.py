@@ -118,8 +118,6 @@ def entropy_from_masses(w: np.ndarray, m: np.ndarray, N):
     """
     many = isinstance(N, np.ndarray) and N.ndim == 1
     mask = np.asarray(w) > 0
-    if not mask.any():
-        return np.zeros(N.shape) if many else 0.0
     with np.errstate(over="ignore"):
         terms = _entropy_terms(np.asarray(w, float)[mask], np.asarray(m, float)[mask],
                                N[:, None] if many else N)
@@ -223,7 +221,7 @@ def mixture(parts: Sequence[tuple]) -> DiscreteMeasure:
         raise InvalidParams("mixture weights must be positive")
     masses = np.zeros(grid.n)
     for w, m in parts:
-        if m.grid.n != grid.n:
+        if m.grid is not grid and not np.array_equal(m.grid.edges, grid.edges):
             raise InvalidParams("mixture parts on different grids")
         masses += (w / total_w) * m.masses / m.total_mass
     return DiscreteMeasure(grid, masses)

@@ -67,10 +67,6 @@ class Coupling:
     src_grid: Grid1D
     dst_grid: Grid1D
 
-    @property
-    def total_mass(self) -> float:
-        return float(np.sum(self.w))
-
 
 @dataclass(frozen=True)
 class MonotoneMap:

@@ -17,6 +17,7 @@ from cdknlab.cdcheck import estimate_Omega, estimate_omega
 from cdknlab.cli import (EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, MAX_GRID_COUNT,
                          MAX_ROWS, MAX_SAMPLES, _fmt, _load_space,
                          build_parser, main)
+from cdknlab.ikrw import ikrw
 
 
 def _space_file(tmp_path, name="space.json", **kw):
@@ -342,7 +343,7 @@ def test_ikrw_value_is_the_library_value_and_the_column_sum(tmp_path):
                "--out", str(out)])
     assert rc == EXIT_OK
     report = json.loads(out.read_text())
-    value, _ = cdknlab.ikrw(_load_space(a), _load_space(b), 1, 4, c_kind="cap1")
+    value, _ = ikrw(_load_space(a), _load_space(b), 1, 4, c_kind="cap1")
     assert report["summary"]["value"] == _fmt(value)
     contribs = [r["contribution"] for r in report["rows"]]
     assert [r["k"] for r in report["rows"]] == [1, 2, 3, 4]

@@ -251,6 +251,19 @@ def test_bump_and_mixture():
         mixture([])
 
 
+def test_mixture_refuses_parts_on_grids_with_other_edges():
+    a, b = Grid1D.uniform(0.0, 1.0, 8), Grid1D.uniform(5.0, 6.0, 8)
+    with pytest.raises(InvalidParams, match="different grids"):
+        mixture([(1.0, uniform_block(a, 0.0, 0.25)),
+                 (1.0, uniform_block(b, 5.75, 6.0))])
+    # a second grid object with the same edges is the same grid
+    twin = Grid1D(a.edges.copy())
+    mix = mixture([(1.0, uniform_block(a, 0.0, 0.25)),
+                   (1.0, uniform_block(twin, 0.75, 1.0))])
+    assert mix.grid is a
+    assert mix.masses.tolist() == [0.25, 0.25, 0, 0, 0, 0, 0.25, 0.25]
+
+
 def test_measure_from_dict_roundtrip():
     g = Grid1D.uniform(0.0, 2.0, 40)
     spec = {"type": "mixture", "parts": [
