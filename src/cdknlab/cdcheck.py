@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .distortion import sigma_kappa_lengths, tau_KN_vec
+from .distortion import _lengths, _times, sigma_kappa_lengths, tau_KN_vec
 from .errors import (
     DomainError,
     InvalidParams,
@@ -38,7 +38,7 @@ from .measure import (
     radon_nikodym,
     renyi_entropy,
 )
-from .mmspace import PointedSpace1D, carve
+from .mmspace import Grid1D, PointedSpace1D, carve
 from .transport import Coupling, monotone_map
 
 STATUS_OK = "ok"
@@ -109,10 +109,15 @@ def t_functional(coupling: Coupling, rho0: DensityWrtM, rho1: DensityWrtM,
     N is one N' or a 1-D array of them, and t one time or a 1-D array of
     times.  Two scalars give a float; otherwise the result has an axis per
     array argument, N' first, and each entry equals the call with that N'
-    and time alone.  tau is evaluated one N' at a time at the distinct times
-    of ts and 1 - ts, so the working memory is O(times x segments) whatever
-    the number of N'.  The weights w rho^(-1/N') are formed first, one per
-    segment, and each side is a row sum of tau times them.
+    and time alone.  The weights w rho^(-1/N') are formed first, one per
+    segment, and each side is a row sum of tau times them at the distinct
+    times of ts and 1 - ts.  tau is evaluated one N' at a time, so the
+    working memory is O(times x segments) whatever the number of N'.
+
+    At K = 0 tau is the time itself, so each side is the time times the sum
+    of its weights, formed once per N'.  Only an N' whose sum overflows
+    keeps the row sums, so that no finite side becomes inf; tau_KN_vec is
+    not called.
     """
     nps = np.asarray(N, dtype=float).reshape(-1)
     if not np.all(nps < 0):  # NaN too
@@ -126,18 +131,29 @@ def t_functional(coupling: Coupling, rho0: DensityWrtM, rho1: DensityWrtM,
     ts = np.asarray(t, dtype=float).reshape(-1)
     d = np.abs(coupling.x - coupling.y)
     times, back = np.unique(np.concatenate([1.0 - ts, ts]), return_inverse=True)
+    if K == 0.0:  # the checks of the tau calls that this case skips
+        _times(times)
+        _lengths("theta", d)
     out = np.empty((nps.size, ts.size))
     for k, nprime in enumerate(nps.tolist()):
-        tau = tau_KN_vec(K, nprime, times, d)
         expo = -1.0 / nprime
-        sides = []  # one sum per distinct time, for each endpoint
         with np.errstate(over="ignore", invalid="ignore"):
-            for p in (w * r0 ** expo, w * r1 ** expo):
-                # an infinite tau gives inf, or NaN against a zero weight
-                terms = tau * p
-                if not np.isfinite(p).all():  # an overflowed weight, where
-                    terms[tau == 0] = 0.0     # a zero tau still adds 0
-                sides.append(np.sum(terms, axis=-1))
+            ps = (w * r0 ** expo, w * r1 ** expo)
+            # at K = 0 tau is the time itself: each side is the time times
+            # the sum of its weights, unless that sum is past the doubles
+            sums = [float(p.sum()) for p in ps] if K == 0.0 else []
+            if sums and all(map(math.isfinite, sums)):
+                sides = [times * s for s in sums]
+            else:  # per segment; at K = 0, where a row below t = 1 may be finite
+                tau = (tau_KN_vec(K, nprime, times, d) if K != 0.0
+                       else np.broadcast_to(times[:, None], (times.size, d.size)))
+                sides = []  # one sum per distinct time, for each endpoint
+                for p in ps:
+                    # an infinite tau gives inf, or NaN against a zero weight
+                    terms = tau * p
+                    if not np.isfinite(p).all():  # an overflowed weight, where
+                        terms[tau == 0] = 0.0     # a zero tau still adds 0
+                    sides.append(np.sum(terms, axis=-1))
         out[k] = sides[0][back[:ts.size]] + sides[1][back[ts.size:]]
     out[~np.isfinite(out)] = math.inf
     out = out.reshape(np.shape(N) + np.shape(t))
@@ -192,8 +208,10 @@ def _support_in_intervals(mu: DiscreteMeasure,
 # The CD report
 
 
-@dataclass(frozen=True)
-class CdRow:
+class CdRow(NamedTuple):
+    """One (t, N') row of a CD check: the entropy S at time t, the right
+    side T, the margin T - S and the status.  A named tuple, so that the
+    rows of a check are built without a dataclass __init__ each."""
     t: float
     nprime: float
     s_value: float
@@ -237,11 +255,43 @@ class CdReport:
         return max(0.0, float(np.max(-m / margin_scale(s, t), initial=0.0)))
 
 
+class _CdSetup(NamedTuple):
+    """What every pair of one check shares: the times and N', the refined
+    reference grid with its cell masses, and R^k (None when unrestricted)."""
+    ts: np.ndarray
+    nps: np.ndarray
+    rgrid: Grid1D
+    rmass: np.ndarray
+    regular: Optional[list]
+
+
+def _cd_setup(space: PointedSpace1D, N: float, t_grid, nprime_grid,
+              restrict_to_regular_k: Optional[int]) -> _CdSetup:
+    """The shared constants of verify_cd for these arguments."""
+    if N >= 0:
+        raise DomainError("verify_cd requires N < 0")
+    ts = default_t_grid(t_grid) if isinstance(t_grid, int) else np.asarray(t_grid, float)
+    nps = (default_nprime_grid(N, nprime_grid) if isinstance(nprime_grid, int)
+           else np.asarray(nprime_grid, float))
+    if not (ts.size and nps.size and np.all((nps < 0) & (nps >= N - 1e-12))):  # NaN too
+        raise InvalidParams("need at least one time, and nprime values in [N, 0)")
+    # the refined reference keeps every cell's density unchanged, so the
+    # t=0/1 slices reproduce the endpoint entropies exactly instead of to
+    # discretization order
+    rgrid = space.grid.refined(REFINE_FACTOR)
+    with np.errstate(invalid="ignore"):
+        rmass = np.repeat(space.density, REFINE_FACTOR) * rgrid.widths
+    regular = (None if restrict_to_regular_k is None
+               else regular_intervals(space, restrict_to_regular_k))
+    return _CdSetup(ts, nps, rgrid, rmass, regular)
+
+
 def verify_cd(space: PointedSpace1D, mu0: DiscreteMeasure,
               mu1: DiscreteMeasure, K: float, N: float,
               t_grid=11, nprime_grid=9,
               restrict_to_regular_k: Optional[int] = None,
-              tol: float = DEFAULT_TOL) -> CdReport:
+              tol: float = DEFAULT_TOL, *,
+              setup: Optional[_CdSetup] = None) -> CdReport:
     """Check the CD(K, N) inequality along the monotone geodesic.
 
     t_grid and nprime_grid are counts of default grid points or 1-D arrays
@@ -250,42 +300,34 @@ def verify_cd(space: PointedSpace1D, mu0: DiscreteMeasure,
     the right side is evaluated per quantile segment (midpoint distances,
     endpoint-cell densities).  Margins are reported absolutely, but a row
     only counts as violated when it fails `tol` in units of margin_scale
-    (relative once the sides exceed 1).  The grid takes one t_functional
-    and one bin_blocks call, one entropy call per time over every N', and
-    statuses decided on (t, N') arrays.
+    (relative once the sides exceed 1).  The grid takes one t_functional,
+    one bin_blocks and one entropy call over every (t, N'), and statuses
+    decided on (t, N') arrays.
+
+    setup holds the grids, the refined reference and R^k that these
+    arguments give; cd_suite builds it once for all its pairs, and it is
+    built here when None.
     """
     if N >= 0:
         raise DomainError("verify_cd requires N < 0")
     rho0 = radon_nikodym(mu0, space)
     rho1 = radon_nikodym(mu1, space)
-    if restrict_to_regular_k is not None:
-        ivs = regular_intervals(space, restrict_to_regular_k)
-        if not (_support_in_intervals(mu0, ivs) and _support_in_intervals(mu1, ivs)):
-            raise SupportViolation(
-                f"marginal support leaves the regular region k={restrict_to_regular_k}")
-
-    ts = default_t_grid(t_grid) if isinstance(t_grid, int) else np.asarray(t_grid, float)
-    nps = (default_nprime_grid(N, nprime_grid) if isinstance(nprime_grid, int)
-           else np.asarray(nprime_grid, float))
-    if not (ts.size and nps.size and np.all((nps < 0) & (nps >= N - 1e-12))):  # NaN too
-        raise InvalidParams("need at least one time, and nprime values in [N, 0)")
+    if setup is None:
+        setup = _cd_setup(space, N, t_grid, nprime_grid, restrict_to_regular_k)
+    ts, nps = setup.ts, setup.nps
+    if setup.regular is not None and not (_support_in_intervals(mu0, setup.regular)
+                                          and _support_in_intervals(mu1, setup.regular)):
+        raise SupportViolation(
+            f"marginal support leaves the regular region k={restrict_to_regular_k}")
 
     tmap = monotone_map(mu0, mu1)
     coup = tmap.as_coupling()
-    # the refined reference keeps every cell's density unchanged, so the
-    # t=0/1 slices reproduce the endpoint entropies exactly instead of to
-    # discretization order
-    rgrid = space.grid.refined(REFINE_FACTOR)
-    with np.errstate(invalid="ignore"):
-        rmass = np.repeat(space.density, REFINE_FACTOR) * rgrid.widths
-
     # (t, N') arrays: one row per time, one column per N'
     skipped = ~(np.isfinite(renyi_entropy(mu0, space, nps))
                 & np.isfinite(renyi_entropy(mu1, space, nps)))
     t_vals = t_functional(coup, rho0, rho1, K, nps, ts).T
     u0s, u1s, w = tmap.interpolate_blocks(ts)
-    s_ts = np.array([entropy_from_masses(ws, rmass, nps)
-                     for ws in bin_blocks(u0s, u1s, w, rgrid)])
+    s_ts = entropy_from_masses(bin_blocks(u0s, u1s, w, setup.rgrid), setup.rmass, nps)
     vacuous, blown = ~np.isfinite(t_vals), ~np.isfinite(s_ts)
     with np.errstate(invalid="ignore"):
         margin = t_vals - s_ts
@@ -408,19 +450,22 @@ def cd_suite(space: PointedSpace1D, K: float, N: float, n_samples: int,
              seed: int, t_grid=11, nprime_grid=9, tol: float = DEFAULT_TOL,
              pair_specs: Optional[Sequence[tuple[dict, dict]]] = None,
              restrict_to_regular_k: Optional[int] = None) -> SuiteReport:
-    """verify_cd over sampled marginal pairs; specs reusable across grids."""
+    """verify_cd over sampled marginal pairs; specs reusable across grids.
+    The times, N', refined reference and R^k are built once and shared by
+    every pair."""
     if pair_specs is None:
         pair_specs = sample_pair_specs(space, N, n_samples, seed,
                                        restrict_to_regular_k)
     if not pair_specs:
         raise InvalidParams("need at least one marginal pair")
+    setup = _cd_setup(space, N, t_grid, nprime_grid, restrict_to_regular_k)
     reports = []
     for spec0, spec1 in pair_specs:
         mu0 = measure_from_dict(space.grid, spec0)
         mu1 = measure_from_dict(space.grid, spec1)
-        reports.append(verify_cd(space, mu0, mu1, K, N, t_grid=t_grid,
-                                 nprime_grid=nprime_grid, tol=tol,
-                                 restrict_to_regular_k=restrict_to_regular_k))
+        reports.append(verify_cd(space, mu0, mu1, K, N, tol=tol,
+                                 restrict_to_regular_k=restrict_to_regular_k,
+                                 setup=setup))
     return SuiteReport(rows=tuple(r for rep in reports for r in rep.rows),
                        K=K, N=N, grid_n=space.grid.n, tol=tol,
                        reports=tuple(reports), pair_specs=tuple(pair_specs))

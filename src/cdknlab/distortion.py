@@ -55,27 +55,42 @@ def sigma_kappa_vec(kappa: float, t, theta) -> np.ndarray:
     """sigma_kappa^(t) over an array of angles theta >= 0.  A 1-D array of
     times t gives one row per time.
 
-    Every angle takes the branch of kappa's sign in one pass; the angles past
-    the pi^2 threshold are then set to inf and those with kappa theta^2 = 0
-    to t, so each entry equals the call with that angle alone."""
+    The ratio of kappa's sign is evaluated at the times 0 < t < 1 only; t = 0
+    and t = 1 keep their time, which is what the ratio gives there.  The
+    angles past the pi^2 threshold are then set to inf and those with
+    kappa theta^2 = 0 to t, so each entry equals the call with that time and
+    angle alone."""
+    return _sigma(kappa, _times(t), _lengths("theta", theta))
+
+
+def _sigma(kappa: float, ts: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """sigma_kappa_vec on checked times and angles."""
     if not math.isfinite(kappa):
         raise DomainError(f"kappa={kappa} must be finite")
-    ts = _times(t)
-    theta = _lengths("theta", theta)
     with np.errstate(over="ignore"):
         # an overflowed -inf is held at the most negative double, where the
-        # sinh ratio below already has its limit and t = 0, 1 stay exact
+        # sinh ratio below already has its limit
         # (+inf needs nothing: it lies past the pi^2 threshold)
         x = np.maximum(kappa * theta * theta, -_XMAX)
-    tc = ts.reshape(ts.shape + (1,) * x.ndim)  # the times against the angles
     r = np.sqrt(np.abs(x))
+    out = np.empty(ts.shape + x.shape)
+    out[...] = ts.reshape(ts.shape + (1,) * x.ndim)
+    inner = (ts > 0.0) & (ts < 1.0)
+    tc = ts[inner].reshape((-1,) + (1,) * x.ndim)  # the times against the angles
     # the angles patched below give 0/0 or sin of inf here
     with np.errstate(divide="ignore", invalid="ignore"):
         if kappa > 0.0:
-            out = np.sin(tc * r) / np.sin(r)
-        else:  # sinh ratio in a form stable for large arguments
-            out = (np.exp((tc - 1.0) * r) * (-np.expm1(-2.0 * tc * r))
-                   / (-np.expm1(-2.0 * r)))
+            v = np.multiply(tc, r)
+            np.sin(v, out=v)
+            v /= np.sin(r)
+        else:  # sinh ratio in a form stable for large arguments, with the
+            # signs of its two expm1 factors cancelled
+            v = np.multiply(tc - 1.0, r)
+            np.exp(v, out=v)
+            e = np.multiply(-2.0 * tc, r)
+            v *= np.expm1(e, out=e)
+            v /= np.expm1(-2.0 * r)
+    out[inner] = v
     rows = (slice(None),) * ts.ndim  # every row, ahead of an angle mask
     out[rows + (x >= _PI2 - _THRESHOLD_TOL,)] = np.inf
     out[rows + (x == 0.0,)] = ts[..., None]
@@ -125,12 +140,16 @@ def tau_KN_vec(K: float, N: float, t, theta) -> np.ndarray:
     tc = ts.reshape(ts.shape + (1,) * theta.ndim)
     if K == 0.0:  # sigma is t, and so is tau
         return np.broadcast_to(tc, ts.shape + theta.shape).copy()
-    s = sigma_kappa_vec(K / (N - 1.0), ts, theta)
+    s = _sigma(K / (N - 1.0), ts, theta)
     # libm's log of each time; at t = 0 the -inf of log sigma gives 0,
     # and at t = 1 sigma is 1, so both ends come out exact
-    lt = np.array([math.log(v) / N if v > 0.0 else 0.0 for v in ts.flat])
+    lt = np.array([math.log(v) / N if v > 0.0 else 0.0 for v in ts.ravel().tolist()])
+    # exp(lt + (1 - 1/N) log sigma), in place on sigma's array
     with np.errstate(over="ignore", divide="ignore"):
-        out = np.exp(lt.reshape(tc.shape) + (1.0 - 1.0 / N) * np.log(s))
+        np.log(s, out=s)
+        s *= 1.0 - 1.0 / N
+        s += lt.reshape(tc.shape)
+        np.exp(s, out=s)
     # tau = t at theta = 0, where sigma = t gives it only to rounding
-    out[(slice(None),) * ts.ndim + (theta == 0.0,)] = ts[..., None]
-    return out
+    s[(slice(None),) * ts.ndim + (theta == 0.0,)] = ts[..., None]
+    return s

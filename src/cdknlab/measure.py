@@ -90,18 +90,6 @@ def radon_nikodym(mu: DiscreteMeasure, space: PointedSpace1D) -> DensityWrtM:
     return DensityWrtM(grid=mu.grid, values=rho)
 
 
-def _entropy_terms(w: np.ndarray, m: np.ndarray, N) -> np.ndarray:
-    """Cell contributions w^(1-1/N) m^(1/N), in log space, for w > 0 cells;
-    one row per N' when N is a column of them."""
-    with np.errstate(divide="ignore"):
-        lw = np.log(w)
-        lm = np.log(m)
-    # lw + (lm - lw)/N is exact when w == m (rho = 1 cells)
-    expo = lw + (lm - lw) / N
-    with np.errstate(over="ignore"):
-        return np.exp(expo)
-
-
 def renyi_entropy(mu: DiscreteMeasure, space: PointedSpace1D, N):
     """S_N(mu | m) for N < 0; +inf when mu is not absolutely continuous.
     N may be a 1-D array of N' (see entropy_from_masses)."""
@@ -114,14 +102,31 @@ def entropy_from_masses(w: np.ndarray, m: np.ndarray, N):
     """Entropy from raw mass vectors (same convention as renyi_entropy).
 
     N is one N' (a float is returned) or a 1-D array of them (an array with
-    one entropy per N', each equal to the call with that N' alone).
+    one entropy per N', each equal to the call with that N' alone).  (T, n)
+    masses w, one row per slice against the one reference m, give (T,) or
+    (T, N') entropies, each row equal to the 1-D call on that row.
+
+    Each charged cell contributes w^(1-1/N) m^(1/N) = exp(lw + (lm - lw)/N),
+    exact when w == m (rho = 1 cells).  log m is taken once; each row's
+    terms are then built in place and summed with np.sum, so the working
+    memory is that of one row.
     """
+    w = np.asarray(w, float)
     many = isinstance(N, np.ndarray) and N.ndim == 1
-    mask = np.asarray(w) > 0
-    with np.errstate(over="ignore"):
-        terms = _entropy_terms(np.asarray(w, float)[mask], np.asarray(m, float)[mask],
-                               N[:, None] if many else N)
-        return np.sum(terms, axis=-1) if many else float(np.sum(terms))
+    nc = N[:, None] if many else N
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lm = np.log(np.asarray(m, float))
+    out = []
+    with np.errstate(divide="ignore", over="ignore"):
+        for row in w.reshape(-1, w.shape[-1]):
+            on = row > 0  # the charged cells
+            lw = np.log(row[on])
+            terms = np.subtract(lm[on], lw) / nc
+            terms += lw
+            out.append(np.sum(np.exp(terms, out=terms), axis=-1))
+    if w.ndim == 1:
+        return out[0] if many else float(out[0])
+    return np.array(out).reshape(w.shape[:-1] + N.shape if many else w.shape[:-1])
 
 
 # ---------------------------------------------------------------------------

@@ -290,6 +290,76 @@ def test_t_functional_memory_does_not_grow_with_the_nprimes():
     assert peak(200) <= 1.5 * peak(20)
 
 
+def _t_functional_row_sums(coup, rho0, rho1, nps, ts):
+    """T at K = 0 as the per-segment row sums of tau = t times the weights:
+    the reference for the affine side."""
+    out = []
+    for nprime in nps:
+        expo = -1.0 / nprime
+        row = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            p0 = coup.w * rho0.values[coup.i] ** expo
+            p1 = coup.w * rho1.values[coup.j] ** expo
+            for t in ts:
+                sides = [np.sum(np.where(u == 0.0, 0.0, u * p))
+                         for u, p in ((1.0 - t, p0), (t, p1))]
+                row.append(float(sides[0] + sides[1]))
+        out.append([v if math.isfinite(v) else math.inf for v in row])
+    return np.array(out)
+
+
+def test_t_functional_at_k_zero_is_affine_in_the_time(monkeypatch):
+    # K = 0 on sampled cauchy pairs: within 1e-15 of the row sums, with no
+    # tau call, and the ends t = 0, 1 bit for bit
+    sp = build_model_space(ModelSpec(kind="cauchy", alpha=1.0,
+                                     domain=(-4.0, 4.0), grid_n=256))
+    calls = []
+    monkeypatch.setattr(cdcheck, "tau_KN_vec", lambda *a: calls.append(a))
+    ts, nps = default_t_grid(11), default_nprime_grid(-1.0, 9)
+    seen = set()
+    for spec0, spec1 in sample_pair_specs(sp, -1.0, 4, seed=3):
+        mu0 = measure_from_dict(sp.grid, spec0)
+        mu1 = measure_from_dict(sp.grid, spec1)
+        coup = monotone_map(mu0, mu1).as_coupling()
+        rho0, rho1 = radon_nikodym(mu0, sp), radon_nikodym(mu1, sp)
+        got = t_functional(coup, rho0, rho1, 0.0, nps, ts)
+        want = _t_functional_row_sums(coup, rho0, rho1, nps, ts)
+        fin = np.isfinite(want)
+        assert np.array_equal(np.isfinite(got), fin)
+        assert np.all(np.abs(got[fin] - want[fin]) <= 1e-15 * np.abs(want[fin]))
+        assert got[:, [0, -1]].tolist() == want[:, [0, -1]].tolist()
+        seen |= set(fin.ravel().tolist())
+    assert seen == {True, False} and calls == []
+
+
+def test_t_functional_at_k_zero_keeps_overflowed_sides():
+    g, coup = _two_segment_coupling(1e-6)
+    one = DensityWrtM(g, np.array([1.0, 1.0]))
+    # an overflowed weight (1e4^100) is inf for t > 0 and adds 0 at t = 0
+    big = DensityWrtM(g, np.array([1.0, 1e4]))
+    got = t_functional(coup, one, big, 0.0, -0.01, np.array([0.0, 0.5, 1.0]))
+    assert not np.isnan(got).any()
+    assert got[0] == 1.0 and np.isinf(got[1:]).all()
+    # two weights of 1e308 each: their sum overflows, while u times each
+    # adds to a finite side for u <= 0.8; the N' = -2 row has a finite sum
+    coup2 = Coupling(i=coup.i, j=coup.j, w=np.array([1.0, 1.0]), x=coup.x,
+                     y=coup.y, src_grid=g, dst_grid=g)
+    huge = DensityWrtM(g, np.array([1e308, 1e308]))
+    ts = np.array([0.0, 0.25, 0.5, 1.0])
+    got = t_functional(coup2, one, huge, 0.0, np.array([-1.0, -2.0]), ts)
+    want = _t_functional_row_sums(coup2, one, huge, [-1.0, -2.0], ts)
+    assert got[0].tolist() == want[0].tolist() == [2.0, 0.5e308 + 1.5, 1e308 + 1.0, math.inf]
+    assert np.allclose(got[1], want[1], rtol=1e-15, atol=0.0)
+    # the time and distance checks of the tau call that K = 0 skips
+    for bad in (1.5, -0.1, math.nan, np.array([0.5, math.nan])):
+        with pytest.raises(DomainError):
+            t_functional(coup, one, one, 0.0, -1.0, bad)
+    far = Coupling(i=coup.i, j=coup.j, w=coup.w, x=np.array([0.5, math.inf]),
+                   y=coup.y, src_grid=g, dst_grid=g)
+    with pytest.raises(DomainError):
+        t_functional(far, one, one, 0.0, -1.0, 0.5)
+
+
 # ---------------------------------------------------------------------------
 # verify_cd statuses
 
@@ -734,6 +804,34 @@ def test_suite_reuses_specs_across_grids():
     assert coarse.pair_specs == fine.pair_specs
     assert fine.grid_n == 256
     assert coarse.passes() and fine.passes()
+
+
+def test_suite_builds_its_shared_constants_once(monkeypatch):
+    # the refined reference and R^k are built once for the four pairs, not
+    # once per pair, and each pair's rows equal verify_cd on that pair alone
+    sp = build_model_space(ModelSpec(kind="cos_n", K=-2.0, N=-2.0, grid_n=128))
+    specs = sample_pair_specs(sp, -1.0, 4, seed=5, restrict_to_regular_k=1)
+    calls = []
+
+    def spy(fn, name):
+        def counted(*args):
+            calls.append(name)
+            return fn(*args)
+        return counted
+
+    monkeypatch.setattr(Grid1D, "refined", spy(Grid1D.refined, "refined"))
+    monkeypatch.setattr(cdcheck, "regular_intervals",
+                        spy(cdcheck.regular_intervals, "regular"))
+    suite = cd_suite(sp, -2.0, -1.0, 4, 0, t_grid=7, nprime_grid=5,
+                     pair_specs=specs, restrict_to_regular_k=1)
+    assert sorted(calls) == ["refined", "regular"]
+    for rep, (spec0, spec1) in zip(suite.reports, specs):
+        mu0 = measure_from_dict(sp.grid, spec0)
+        mu1 = measure_from_dict(sp.grid, spec1)
+        alone = verify_cd(sp, mu0, mu1, -2.0, -1.0, t_grid=7, nprime_grid=5,
+                          restrict_to_regular_k=1)
+        assert alone.rows == rep.rows and len(rep.rows) == 35
+    assert len(suite.reports) == 4 and len(calls) == 10
 
 
 def _fold_per_report(suite) -> dict:

@@ -306,3 +306,62 @@ def test_one_pass_kernels_equal_the_per_angle_calls():
         assert got[:, thetas == 0.0].tolist() == [[t, t] for t in ts.tolist()]
     assert np.isinf(sigma_kappa_vec(1.0, 0.5, thetas)[thetas >= math.pi]).all()
     assert np.isinf(tau_KN_vec(-40.0, -2.0, 0.5, thetas)[thetas > 0.86]).all()
+
+
+def _sigma_over_every_time(kappa, ts, theta):
+    """sigma as the ratio of kappa's sign over every time, then the pi^2 and
+    kappa theta^2 = 0 patches: the reference for the fills at t = 0, 1."""
+    with np.errstate(over="ignore"):
+        x = np.maximum(kappa * theta * theta, -np.finfo(float).max)
+    tc = ts.reshape(ts.shape + (1,) * x.ndim)
+    r = np.sqrt(np.abs(x))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if kappa > 0.0:
+            out = np.sin(tc * r) / np.sin(r)
+        else:
+            out = (np.exp((tc - 1.0) * r) * (-np.expm1(-2.0 * tc * r))
+                   / (-np.expm1(-2.0 * r)))
+    rows = (slice(None),) * ts.ndim
+    out[rows + (x >= math.pi * math.pi - 1e-12,)] = np.inf
+    out[rows + (x == 0.0,)] = ts[..., None]
+    return out
+
+
+def _tau_over_every_time(K, N, ts, theta):
+    """tau as exp(lt + (1 - 1/N) log sigma) on _sigma_over_every_time."""
+    s = _sigma_over_every_time(K / (N - 1.0), ts, theta)
+    lt = np.array([math.log(v) / N if v > 0.0 else 0.0 for v in ts.flat])
+    with np.errstate(over="ignore", divide="ignore"):
+        out = np.exp(lt.reshape(ts.shape + (1,)) + (1.0 - 1.0 / N) * np.log(s))
+    out[(slice(None),) * ts.ndim + (theta == 0.0,)] = ts[..., None]
+    return out
+
+
+def test_interior_time_fills_equal_the_ratio_over_every_time():
+    # t = 0 and t = 1 are filled rather than computed, which must give the
+    # bits the ratio gave, also at angles 0, past pi^2 (inf at every time)
+    # and with an underflowing kappa theta^2 (= 0, so sigma = t)
+    ts = np.array([0.0, 0.1, 0.5, 0.9, 1.0])
+    thetas = np.array([0.0, 0.4, 1.3, 2.0, 3.5, 1e-170, 1e200])
+    for kappa in (1.0, -1.0):
+        with np.errstate(over="ignore"):
+            x = kappa * thetas * thetas
+        assert (x[5] == 0.0) and (kappa < 0 or x[4] > math.pi ** 2)
+        want = _sigma_over_every_time(kappa, ts, thetas)
+        got = sigma_kappa_vec(kappa, ts, thetas)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        for t in ts.tolist():
+            one = sigma_kappa_vec(kappa, t, thetas)
+            assert one.tobytes() == _sigma_over_every_time(kappa, np.array(t), thetas).tobytes()
+        assert want[:, 5].tolist() == ts.tolist()
+        if kappa > 0:
+            assert np.isinf(got[:, 4]).all()
+    for K, N in ((-3.0, -0.5), (3.0, -0.5)):  # kappa = K / (N - 1) of each sign
+        want = _tau_over_every_time(K, N, ts, thetas)
+        got = tau_KN_vec(K, N, ts, thetas)
+        assert got.tobytes() == want.tobytes()
+        for t in ts.tolist():
+            assert tau_KN_vec(K, N, t, thetas).tobytes() == \
+                _tau_over_every_time(K, N, np.array(t), thetas).tobytes()
+        if K < 0:
+            assert np.isinf(got[:, 4]).all()

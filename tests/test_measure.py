@@ -150,6 +150,32 @@ def test_entropy_over_nprimes_equals_one_nprime_at_a_time(rng):
         renyi_entropy(mu, space, np.array([-1.0, 0.0]))
 
 
+def test_entropy_over_slices_equals_one_slice_at_a_time(rng):
+    # (T, n) masses against one reference: each row equals the 1-D call on
+    # it, for one N' and for an array of them, with uncharged cells, a
+    # charged zero-mass cell (inf), an overflow near N' = 0 (inf) and an
+    # all-zero row (0)
+    nps = np.array([-2.0, -1.0, -0.37, -0.05, -1e-3])
+    m = rng.uniform(0.1, 3.0, 64)
+    m[5] = math.inf
+    m[9] = 0.0
+    w = rng.uniform(0.0, 1.0, (6, 64)) * (rng.uniform(size=(6, 64)) < 0.6)
+    w[:, 9] = 0.0
+    w[1, 9] = 0.5  # charges the zero-mass cell
+    w[2] = 0.0
+    w[3, :] = 0.0
+    w[3, 0] = 1e3  # overflows for N' = -1e-3 only
+    for N in (nps, -0.37, -1e-3):
+        got = entropy_from_masses(w, m, N)
+        assert isinstance(got, np.ndarray) and got.shape == (6,) + np.shape(N)
+        want = [entropy_from_masses(row, m, N) for row in w]
+        assert [np.asarray(v).tolist() for v in want] == got.tolist()
+    got = entropy_from_masses(w, m, nps)
+    assert got[1].tolist() == [math.inf] * 5 and got[2].tolist() == [0.0] * 5
+    assert np.isinf(got[3]).tolist() == [False] * 4 + [True]
+    assert np.isfinite(got[[0, 4, 5], :4]).all()
+
+
 # ---------------------------------------------------------------------------
 # Legendre-type dual form
 
