@@ -247,9 +247,14 @@ class CdReport:
         return all(r.status != STATUS_VIOLATED for r in self.rows)
 
     def worst_deficit(self) -> float:
-        """Largest scaled violation max(0, -margin / scale) over rows."""
-        s, t, m = np.array([(r.s_value, r.t_value, r.margin) for r in self.rows
-                            if r.status in (STATUS_OK, STATUS_VIOLATED)]).reshape(-1, 3).T
+        """Largest scaled violation max(0, -margin / scale) over the rows
+        whose status was decided (ok or violated)."""
+        if not self.rows:
+            return 0.0
+        _, _, s, t, m, status = zip(*self.rows)
+        status = np.array(status, dtype=object)
+        decided = (status == STATUS_OK) | (status == STATUS_VIOLATED)
+        s, t, m = (np.array(c, dtype=float)[decided] for c in (s, t, m))
         # a -inf margin gives +inf, as the unit is finite; max(0.0, ...) keeps
         # the +0.0 that a -0.0 deficit (a zero margin) would otherwise give
         return max(0.0, float(np.max(-m / margin_scale(s, t), initial=0.0)))
@@ -275,9 +280,9 @@ def _cd_setup(space: PointedSpace1D, N: float, t_grid, nprime_grid,
            else np.asarray(nprime_grid, float))
     if not (ts.size and nps.size and np.all((nps < 0) & (nps >= N - 1e-12))):  # NaN too
         raise InvalidParams("need at least one time, and nprime values in [N, 0)")
-    # the refined reference keeps every cell's density unchanged, so the
-    # t=0/1 slices reproduce the endpoint entropies exactly instead of to
-    # discretization order
+    # the refined reference keeps every cell's density unchanged, so a
+    # slice's entropy on it agrees with the coarse grid's to rounding, not to
+    # discretization order (verify_cd takes t = 0 and t = 1 from mu0 and mu1)
     rgrid = space.grid.refined(REFINE_FACTOR)
     with np.errstate(invalid="ignore"):
         rmass = np.repeat(space.density, REFINE_FACTOR) * rgrid.widths
@@ -295,14 +300,17 @@ def verify_cd(space: PointedSpace1D, mu0: DiscreteMeasure,
     """Check the CD(K, N) inequality along the monotone geodesic.
 
     t_grid and nprime_grid are counts of default grid points or 1-D arrays
-    of at least one time and one N' in [N, 0).  Entropies of intermediate
-    slices are taken against a 4x refined copy of the reference measure;
-    the right side is evaluated per quantile segment (midpoint distances,
-    endpoint-cell densities).  Margins are reported absolutely, but a row
-    only counts as violated when it fails `tol` in units of margin_scale
-    (relative once the sides exceed 1).  The grid takes one t_functional,
-    one bin_blocks and one entropy call over every (t, N'), and statuses
-    decided on (t, N') arrays.
+    of at least one time and one N' in [N, 0).  The entropy S at t = 0 and
+    t = 1 is that of mu0 and mu1, the values that also decide which rows are
+    skipped.  Entropies of the slices at 0 < t < 1 are taken against a 4x
+    refined copy of the reference measure; the right side is evaluated per
+    quantile segment (midpoint distances, endpoint-cell densities).  Margins
+    are reported absolutely, but a row only counts as violated when it fails
+    `tol` in units of margin_scale (relative once the sides exceed 1).  The
+    grid takes one t_functional over every (t, N'), one bin_blocks and one
+    entropy call over the interior times (none when there are none), and
+    statuses decided on (t, N') arrays; the rows are then built in one pass
+    over flattened columns.
 
     setup holds the grids, the refined reference and R^k that these
     arguments give; cd_suite builds it once for all its pairs, and it is
@@ -323,11 +331,16 @@ def verify_cd(space: PointedSpace1D, mu0: DiscreteMeasure,
     tmap = monotone_map(mu0, mu1)
     coup = tmap.as_coupling()
     # (t, N') arrays: one row per time, one column per N'
-    skipped = ~(np.isfinite(renyi_entropy(mu0, space, nps))
-                & np.isfinite(renyi_entropy(mu1, space, nps)))
+    s0, s1 = renyi_entropy(mu0, space, nps), renyi_entropy(mu1, space, nps)
+    skipped = ~(np.isfinite(s0) & np.isfinite(s1))
     t_vals = t_functional(coup, rho0, rho1, K, nps, ts).T
-    u0s, u1s, w = tmap.interpolate_blocks(ts)
-    s_ts = entropy_from_masses(bin_blocks(u0s, u1s, w, setup.rgrid), setup.rmass, nps)
+    s_ts = np.empty(t_vals.shape)
+    s_ts[ts == 0.0], s_ts[ts == 1.0] = s0, s1
+    inner = (ts > 0.0) & (ts < 1.0)
+    if inner.any():
+        u0s, u1s, w = tmap.interpolate_blocks(ts[inner])
+        s_ts[inner] = entropy_from_masses(bin_blocks(u0s, u1s, w, setup.rgrid),
+                                          setup.rmass, nps)
     vacuous, blown = ~np.isfinite(t_vals), ~np.isfinite(s_ts)
     with np.errstate(invalid="ignore"):
         margin = t_vals - s_ts
@@ -336,10 +349,8 @@ def verify_cd(space: PointedSpace1D, mu0: DiscreteMeasure,
     status = np.array([STATUS_SKIPPED, STATUS_VACUOUS, STATUS_VIOLATED, STATUS_OK],
                       dtype=object)[np.select([skipped, vacuous, blown, ok], [0, 1, 2, 3], 2)]
     margin = np.select([skipped | vacuous, blown], [math.inf, -math.inf], margin)
-    # rows one time at a time, so that no list of every row's values is held
-    nps_list = nps.tolist()
-    rows = tuple(CdRow(t, *r) for t, *per_t in zip(ts.tolist(), s_ts, t_vals, margin, status)
-                 for r in zip(nps_list, *(c.tolist() for c in per_t)))
+    cols = (np.repeat(ts, nps.size), np.tile(nps, ts.size), s_ts, t_vals, margin, status)
+    rows = tuple(map(CdRow._make, zip(*(c.ravel().tolist() for c in cols))))
     return CdReport(rows=rows, K=K, N=N, grid_n=space.grid.n, tol=tol)
 
 
@@ -347,10 +358,19 @@ def verify_cd(space: PointedSpace1D, mu0: DiscreteMeasure,
 # Marginal-pair sampling (specs in real coordinates, measures per grid)
 
 
+class SamplingIntervals(NamedTuple):
+    """Disjoint intervals for marginal supports, with the CDF by which a
+    marginal picks one in proportion to its length."""
+    pieces: list
+    cdf: np.ndarray
+
+
 def sampling_intervals(space: PointedSpace1D,
                        base: Optional[Sequence[tuple[float, float]]] = None
-                       ) -> list[tuple[float, float]]:
-    """Intervals safe for marginal supports: away from edges and anchors."""
+                       ) -> SamplingIntervals:
+    """Intervals safe for marginal supports: away from edges and anchors.
+    The CDF is formed once here, as rng.choice(p=lengths / total) forms it
+    on every call: the cumulative sum, divided by its last entry."""
     g = space.grid
     # 2 % of the span, but at most a quarter of the closest anchor gap, so
     # that spaces with many short arches keep room between their pads
@@ -362,12 +382,20 @@ def sampling_intervals(space: PointedSpace1D,
     out = [(a, b) for a, b in pieces if b - a > min_len]
     if not out:
         raise InvalidParams("no room for marginal supports on this space")
-    return out
+    lens = np.array([b - a for a, b in out])
+    cdf = np.cumsum(lens / lens.sum())
+    cdf /= cdf[-1]
+    return SamplingIntervals(out, cdf)
 
 
-def _one_spec(rng: np.random.Generator, intervals, kind: str) -> dict:
-    lens = np.array([b - a for a, b in intervals])
-    a, b = intervals[int(rng.choice(len(intervals), p=lens / lens.sum()))]
+def _one_spec(rng: np.random.Generator, intervals: SamplingIntervals,
+              kind: str) -> dict:
+    """One marginal descriptor of `kind` on an interval drawn by length.
+
+    The interval is drawn as rng.choice(p=...) would draw it, from one
+    rng.random() against the precomputed CDF, so a seed gives the same
+    specs; the width, position and mixture weights follow."""
+    a, b = intervals.pieces[int(intervals.cdf.searchsorted(rng.random(), side="right"))]
     span = b - a
     width = span * (0.1 + 0.25 * rng.random())
     lo = a + rng.random() * (span - width)
@@ -393,11 +421,12 @@ def _pair_sampler(space: PointedSpace1D, N: float, caps: Sequence[float],
     pair is yielded after a cap has failed."""
     ivs_k = None if k is None else regular_intervals(space, k)
     ivs = sampling_intervals(space, base=ivs_k)
+    rk = None if k is None else np.asarray(ivs_k, dtype=float).reshape(-1, 2)
 
     def entropy(mu: DiscreteMeasure) -> float:
         # a block near an end of R^k can charge a cell centred outside it;
         # such a marginal gets NaN, which no cap takes
-        if ivs_k is not None and not _support_in_intervals(mu, ivs_k):
+        if rk is not None and not _support_in_intervals(mu, rk):
             return math.nan
         return renyi_entropy(mu, space, N)
 
@@ -409,7 +438,9 @@ def _pair_sampler(space: PointedSpace1D, N: float, caps: Sequence[float],
                 raise SamplerEntropyViolation(
                     f"default sampler cannot satisfy S_N <= {caps[first]} on this space")
             pending = [g < n and m < MAX_TRIES for g, m in zip(got, misses)]
-            specs = tuple(_one_spec(rng, ivs, kind or str(rng.choice(SPEC_KINDS)))
+            # a kind drawn as rng.choice(SPEC_KINDS) draws it, from one integer
+            specs = tuple(_one_spec(rng, ivs,
+                                    kind or SPEC_KINDS[rng.integers(len(SPEC_KINDS))])
                           for _ in range(2))
             try:
                 mus = tuple(measure_from_dict(space.grid, s) for s in specs)

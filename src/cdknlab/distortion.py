@@ -132,24 +132,33 @@ def tau_KN(K: float, N: float, t: float, theta: float) -> float:
 
 def tau_KN_vec(K: float, N: float, t, theta) -> np.ndarray:
     """tau_{K,N}^(t) over an array of angles.  A 1-D array of times t gives
-    one row per time, each equal to the call with that time alone."""
+    one row per time, each equal to the call with that time alone.
+
+    exp(log(t) / N + (1 - 1/N) log sigma) is formed at the times
+    0 < t < 1 only.  At t = 0 and t = 1 sigma is 0 or 1 (or inf past the
+    pi^2 threshold), which that formula maps to itself, so sigma's rows
+    there are tau's."""
     if not N < 0:  # NaN too: with K = 0 nothing below would see it
         raise DomainError("tau_KN requires N < 0")
     ts = _times(t)
     theta = _lengths("theta", theta)
-    tc = ts.reshape(ts.shape + (1,) * theta.ndim)
     if K == 0.0:  # sigma is t, and so is tau
-        return np.broadcast_to(tc, ts.shape + theta.shape).copy()
-    s = _sigma(K / (N - 1.0), ts, theta)
-    # libm's log of each time; at t = 0 the -inf of log sigma gives 0,
-    # and at t = 1 sigma is 1, so both ends come out exact
-    lt = np.array([math.log(v) / N if v > 0.0 else 0.0 for v in ts.ravel().tolist()])
-    # exp(lt + (1 - 1/N) log sigma), in place on sigma's array
+        return np.broadcast_to(ts.reshape(ts.shape + (1,) * theta.ndim),
+                               ts.shape + theta.shape).copy()
+    # + 0.0 turns a time of -0.0 into +0.0 in sigma's row, which is tau's
+    # there: the formula gives exp(-inf) = +0.0 (the theta = 0 entries are
+    # set to the time itself below)
+    s = _sigma(K / (N - 1.0), ts + 0.0, theta)
+    inner = (ts > 0.0) & (ts < 1.0)
+    v = s[inner]
+    # libm's log of each interior time
+    lt = np.array([math.log(u) / N for u in ts[inner].tolist()])
     with np.errstate(over="ignore", divide="ignore"):
-        np.log(s, out=s)
-        s *= 1.0 - 1.0 / N
-        s += lt.reshape(tc.shape)
-        np.exp(s, out=s)
+        np.log(v, out=v)
+        v *= 1.0 - 1.0 / N
+        v += lt.reshape((-1,) + (1,) * theta.ndim)
+        np.exp(v, out=v)
+    s[inner] = v
     # tau = t at theta = 0, where sigma = t gives it only to rounding
     s[(slice(None),) * ts.ndim + (theta == 0.0,)] = ts[..., None]
     return s

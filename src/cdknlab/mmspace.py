@@ -49,19 +49,33 @@ def f_cut(x):
     return float(out) if out.ndim == 0 else out
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """a, flagged so that a write into it raises ValueError."""
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class Grid1D:
-    """Strictly increasing cell edges over a bounded interval."""
+    """Strictly increasing cell edges over a bounded interval.
+
+    The cell widths and centres are computed once, at construction, and
+    every read returns the same array.  They and the edges, a copy of the
+    edges given, are read-only, so that none can change under the others."""
 
     edges: np.ndarray
 
     def __post_init__(self):
-        edges = np.asarray(self.edges, dtype=float)
+        edges = _read_only(np.array(self.edges, dtype=float))
         if edges.ndim != 1 or edges.size < 3:
             raise InvalidParams("grid needs at least 2 cells")
-        if not np.all(np.diff(edges) > 0):
+        widths = np.diff(edges)
+        if not np.all(widths > 0):
             raise InvalidParams("grid edges must be strictly increasing")
         object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "_widths", _read_only(widths))
+        object.__setattr__(self, "_centers",
+                           _read_only(0.5 * (edges[:-1] + edges[1:])))
 
     @classmethod
     def uniform(cls, a: float, b: float, n: int) -> "Grid1D":
@@ -78,11 +92,11 @@ class Grid1D:
 
     @property
     def centers(self) -> np.ndarray:
-        return 0.5 * (self.edges[:-1] + self.edges[1:])
+        return self._centers
 
     @property
     def widths(self) -> np.ndarray:
-        return np.diff(self.edges)
+        return self._widths
 
     @property
     def a(self) -> float:
@@ -133,7 +147,8 @@ class PointedSpace1D:
     kind: Optional[str] = None
 
     def __post_init__(self):
-        dens = np.asarray(self.density, dtype=float)
+        # a read-only copy, as cell_masses is computed from it once
+        dens = _read_only(np.array(self.density, dtype=float))
         if dens.shape != (self.grid.n,):
             raise InvalidParams("density must have one value per cell")
         if np.any(dens < 0) or np.any(np.isnan(dens)):
@@ -151,6 +166,9 @@ class PointedSpace1D:
             s = self.singular_points[int(np.argmax(outside))]
             raise InvalidParams(f"singular point {s} outside the domain")
         _require_on_edge(self.grid, self.singular_points)
+        with np.errstate(invalid="ignore"):
+            object.__setattr__(self, "_cell_masses",
+                               _read_only(dens * self.grid.widths))
 
     @property
     def anchors(self) -> tuple:
@@ -170,8 +188,9 @@ class PointedSpace1D:
 
     @property
     def cell_masses(self) -> np.ndarray:
-        with np.errstate(invalid="ignore"):
-            return self.density * self.grid.widths
+        """density * cell width per cell, computed once at construction and
+        read-only."""
+        return self._cell_masses
 
     def scaled(self, c: float) -> "PointedSpace1D":
         """Space with reference measure multiplied by c > 0."""

@@ -552,7 +552,8 @@ def test_verify_cd_refuses_a_check_of_nothing(lebesgue):
 def _verify_cd_per_row(space, mu0, mu1, K, N, t_grid, nprime_grid,
                       tol=DEFAULT_TOL):
     """verify_cd's rows as one call of each entropy and t_functional per
-    (t, N') row, the way they were computed before the array passes."""
+    (t, N') row, the way they were computed before the array passes, with S
+    at t = 0 and t = 1 the endpoint entropies."""
     rho0 = radon_nikodym(mu0, space)
     rho1 = radon_nikodym(mu1, space)
     ts = default_t_grid(t_grid) if isinstance(t_grid, int) else t_grid
@@ -571,7 +572,8 @@ def _verify_cd_per_row(space, mu0, mu1, K, N, t_grid, nprime_grid,
             nprime = float(nprime)
             s0 = renyi_entropy(mu0, space, nprime)
             s1 = renyi_entropy(mu1, space, nprime)
-            s_t = entropy_from_masses(wslice, rmass, nprime)
+            s_t = (s0 if t == 0 else s1 if t == 1
+                   else entropy_from_masses(wslice, rmass, nprime))
             t_val = t_functional(coup, rho0, rho1, K, nprime, float(t))
             if not (math.isfinite(s0) and math.isfinite(s1)):
                 status, margin = STATUS_SKIPPED, math.inf
@@ -635,6 +637,37 @@ def test_verify_cd_rows_equal_the_per_row_loop():
     rep = verify_cd(sp, mu0, mu1, K=0.0, N=-2.0, t_grid=5, nprime_grid=4)
     _assert_rows_identical(rep, _verify_cd_per_row(sp, mu0, mu1, 0.0, -2.0, 5, 4))
     assert rep.counts()[STATUS_VIOLATED] > 0
+
+
+def test_endpoint_rows_take_the_endpoint_entropies(monkeypatch):
+    # S at t = 0 and t = 1 is renyi_entropy of mu0 and mu1, bit for bit; the
+    # interior rows still equal the per-row loop, and a grid with no interior
+    # time bins no slice at all
+    binned = []
+    monkeypatch.setattr(cdcheck, "bin_blocks",
+                        lambda *a: binned.append(a) or bin_blocks(*a))
+    for spec, K in ((dict(kind="cos_n", K=-2.0, N=-2.0, grid_n=128), -2.0),
+                    (dict(kind="cauchy", alpha=1.0, domain=(-4.0, 4.0), grid_n=128), 0.0)):
+        sp = build_model_space(ModelSpec(**spec))
+        nps = default_nprime_grid(-1.0, 9)
+        for spec0, spec1 in sample_pair_specs(sp, -1.0, 2, seed=4):
+            mu0 = measure_from_dict(sp.grid, spec0)
+            mu1 = measure_from_dict(sp.grid, spec1)
+            ends = {0.0: renyi_entropy(mu0, sp, nps).tolist(),
+                    1.0: renyi_entropy(mu1, sp, nps).tolist()}
+            rep = verify_cd(sp, mu0, mu1, K, -1.0)
+            for t, want in ends.items():
+                assert [r.s_value for r in rep.rows if r.t == t] == want
+            for ts in ([0.3, 0.7], [0.0], [1.0], [0.0, 1.0], [1.0, 0.5, 0.0, 1.0]):
+                binned.clear()
+                rep = verify_cd(sp, mu0, mu1, K, -1.0, t_grid=np.array(ts),
+                                nprime_grid=nps)
+                _assert_rows_identical(rep, _verify_cd_per_row(
+                    sp, mu0, mu1, K, -1.0, np.array(ts), nps))
+                assert len(binned) == any(0.0 < t < 1.0 for t in ts)
+                for r in rep.rows:
+                    if r.t in ends:
+                        assert r.s_value == ends[r.t][list(nps).index(r.nprime)]
 
 
 def test_support_in_intervals_matches_the_interval_loop():
@@ -776,6 +809,75 @@ def test_pair_sampler_equals_both_loops_as_written(name):
                 assert [mu.masses.tolist() for mu in mus] == \
                     [measure_from_dict(sp.grid, s).masses.tolist() for s in specs]
             assert rng.random() == rng_want.random()  # the same stream used
+
+
+def _one_spec_by_choice(rng, intervals, kind):
+    """_one_spec as it drew the interval before its CDF was precomputed:
+    rng.choice with p = lengths / total on every call."""
+    lens = np.array([b - a for a, b in intervals])
+    a, b = intervals[int(rng.choice(len(intervals), p=lens / lens.sum()))]
+    span = b - a
+    width = span * (0.1 + 0.25 * rng.random())
+    lo = a + rng.random() * (span - width)
+    if kind == "uniform_block":
+        return {"type": "uniform_block", "a": lo, "b": lo + width}
+    if kind == "bump":
+        return {"type": "bump", "center": lo + width / 2, "width": width / 2}
+    parts = [dict(_one_spec_by_choice(rng, intervals, "uniform_block"),
+                  weight=0.3 + 0.4 * rng.random()),
+             dict(_one_spec_by_choice(rng, intervals, "uniform_block"),
+                  weight=0.3 + 0.4 * rng.random())]
+    return {"type": "mixture", "parts": parts}
+
+
+def _pair_specs_by_choice(space, N, n_pairs, seed, kind=None):
+    """The pair sampler's stream with no cap, every draw by rng.choice: the
+    kind, when not given, then each marginal's interval."""
+    rng = np.random.default_rng(seed)
+    ivs = sampling_intervals(space).pieces
+    pairs = []
+    while len(pairs) < n_pairs:
+        specs = tuple(_one_spec_by_choice(rng, ivs, kind or str(rng.choice(SPEC_KINDS)))
+                      for _ in range(2))
+        try:
+            mus = [measure_from_dict(space.grid, s) for s in specs]
+        except InvalidParams:
+            continue
+        if all(math.isfinite(renyi_entropy(mu, space, N)) for mu in mus):
+            pairs.append(specs)
+    return pairs
+
+
+def test_sampler_draws_the_stream_of_rng_choice(monkeypatch):
+    # the precomputed CDF and the integer kind draw take the values, and
+    # consume the generator, as rng.choice did: on a space whose sampling
+    # intervals are two pieces and on one where they are a single piece
+    glued = build_model_space(ModelSpec(kind="glued_cos_n", K=-2.0, N=-2.0, J=2,
+                                        grid_n=128))
+    cos = build_model_space(ModelSpec(kind="cos_n", K=-2.0, N=-2.0, grid_n=128))
+    assert len(sampling_intervals(glued).pieces) == 2
+    assert len(sampling_intervals(cos).pieces) == 1
+    kinds = set()
+    for sp in (glued, cos):
+        for seed in range(100):
+            got = sample_pair_specs(sp, -2.0, 2, seed)
+            assert got == _pair_specs_by_choice(sp, -2.0, 2, seed)
+            kinds |= {s["type"] for pair in got for s in pair}
+            kind = SPEC_KINDS[seed % len(SPEC_KINDS)]
+            draws = _pair_sampler(sp, -2.0, [math.inf], kind=kind)
+            assert [specs for specs, _, _ in draws(np.random.default_rng(seed), 1)] \
+                == _pair_specs_by_choice(sp, -2.0, 1, seed, kind)
+    assert kinds == set(SPEC_KINDS)
+    # estimate_omega's values, against its sampler drawing by rng.choice
+    want = []
+    with monkeypatch.context() as m:
+        m.setattr(cdcheck, "_one_spec",
+                  lambda rng, ivs, kind: _one_spec_by_choice(rng, ivs.pieces, kind))
+        for seed in range(100):
+            want.append(estimate_omega(glued, 2, [2, 4], 10.0, n_samples=2, seed=seed))
+    got = [estimate_omega(glued, 2, [2, 4], 10.0, n_samples=2, seed=seed)
+           for seed in range(100)]
+    assert got == want and any(v[0] > 0 for v in got)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])

@@ -365,3 +365,21 @@ def test_interior_time_fills_equal_the_ratio_over_every_time():
                 _tau_over_every_time(K, N, np.array(t), thetas).tobytes()
         if K < 0:
             assert np.isinf(got[:, 4]).all()
+
+
+def test_tau_rows_at_the_ends_are_sigmas_rows():
+    # the formula runs on the interior rows only; grids with no interior
+    # time, repeated ends, a time of -0.0 (whose sigma row is -0.0 but whose
+    # tau is exp(-inf) = +0.0 away from theta = 0) and a 2-D array of times
+    # give the bits of the formula over every time
+    thetas = np.array([0.0, 0.4, 1.3, 2.0, 3.5, 1e-170, 1e200])
+    grids = [np.array([0.0, 1.0]), np.array([1.0]), np.array([-0.0, 1.0, 0.0]),
+             np.array([0.3, 0.7]), np.array([[0.0, 0.5], [1.0, -0.0]]),
+             np.array(-0.0), np.array(0.0), np.array(1.0)]
+    for K, N in ((-3.0, -0.5), (3.0, -0.5), (-40.0, -2.0)):
+        for ts in grids:
+            got = tau_KN_vec(K, N, ts, thetas)
+            want = _tau_over_every_time(K, N, ts, thetas)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert np.signbit(tau_KN_vec(K, N, -0.0, thetas)).tolist() == \
+            [True] + [False] * (thetas.size - 1)

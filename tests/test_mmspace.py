@@ -2,6 +2,7 @@
 
 import math
 import time
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -76,6 +77,57 @@ def test_space_validation():
     sp = PointedSpace1D(grid=g, density=np.ones(4), singular_points=(),
                         base_point=0.6, cut_anchors=(0.3,))
     assert sp.anchors == (0.3,)
+
+
+def _assert_arrays_are_the_expressions(sp):
+    """The grid's widths and centres and the space's cell masses equal the
+    expressions they were once computed by on every read, bit for bit, and
+    are one read-only array each, as are the edges and the density."""
+    g, e = sp.grid, sp.grid.edges
+    with np.errstate(invalid="ignore"):
+        masses = sp.density * np.diff(e)
+    for got, want in ((g.widths, np.diff(e)), (g.centers, 0.5 * (e[:-1] + e[1:])),
+                      (sp.cell_masses, masses)):
+        assert got.tobytes() == want.tobytes()
+    assert g.widths is g.widths and g.centers is g.centers
+    assert sp.cell_masses is sp.cell_masses
+    for arr in (g.widths, g.centers, sp.cell_masses, g.edges, sp.density):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+        with pytest.raises(ValueError):
+            arr *= 2.0
+
+
+def test_grid_and_space_arrays_are_computed_once_and_read_only():
+    rng = np.random.default_rng(11)
+    for case in range(20):
+        n = int(rng.integers(2, 60))
+        g = (Grid1D.uniform(-3.0, 2.0, n) if case % 2 else
+             Grid1D(np.cumsum(rng.uniform(1e-3, 1.0, n + 1)) - 7.0))
+        dens = rng.uniform(0.0, 2.0, n)
+        dens[rng.uniform(size=n) < 0.2] = 0.0
+        dens[rng.uniform(size=n) < 0.2] = np.inf
+        sp = PointedSpace1D(grid=g, density=dens, singular_points=(),
+                            base_point=float(g.centers[n // 2]))
+        _assert_arrays_are_the_expressions(sp)
+        # every derived grid and space rebuilds its own arrays
+        _assert_arrays_are_the_expressions(sp.scaled(3.0))
+        _assert_arrays_are_the_expressions(replace(sp, density=dens[::-1]))
+        fine = g.refined(3)
+        _assert_arrays_are_the_expressions(
+            PointedSpace1D(grid=fine, density=np.repeat(dens, 3),
+                           singular_points=(), base_point=sp.base_point))
+    # the arrays given are copied: a later write into them changes nothing
+    e, dens = np.linspace(0.0, 1.0, 9), np.ones(8)
+    sp = PointedSpace1D(grid=Grid1D(e), density=dens, singular_points=(),
+                        base_point=0.5)
+    e[1], dens[0] = 0.05, 7.0
+    assert sp.grid.edges[1] == 0.125 and sp.density[0] == 1.0
+    assert sp.cell_masses[0] == sp.grid.widths[0] == 0.125
+    cos = build_model_space(ModelSpec(kind="cos_n", K=-2.0, N=-2.0, grid_n=64))
+    assert np.isinf(cos.cell_masses).any()
+    _assert_arrays_are_the_expressions(cos)
+    _assert_arrays_are_the_expressions(k_cut(cos, 0))
 
 
 def test_scaled_space(lebesgue):
