@@ -31,7 +31,6 @@ from .errors import (
 )
 from .geodesics1d import bin_blocks, blocks_cdf
 from .measure import (
-    DensityWrtM,
     DiscreteMeasure,
     entropy_from_masses,
     measure_from_dict,
@@ -57,6 +56,9 @@ RICHARDSON_SLACK = 1e-4
 MAX_TRIES = 60
 SPEC_KINDS = ("uniform_block", "bump", "mixture")
 OMEGA_T_GRID = 9
+# Refined-cell masses of interior slices that one cd_suite group holds at
+# once (2 MB of doubles): 7 pairs of a grid-1024 space at 9 interior times.
+PAIR_GROUP_ELEMS = 1 << 18
 
 
 def margin_scale(s_value, t_value):
@@ -102,61 +104,74 @@ def default_t_grid(count: int = 11) -> np.ndarray:
 # The distortion functional
 
 
-def t_functional(coupling: Coupling, rho0: DensityWrtM, rho1: DensityWrtM,
-                 K: float, N, t):
+def t_functional(coupling, rho0, rho1, K: float, N, t):
     """Right-hand side of the CD inequality for one coupling; may be +inf.
 
     N is one N' or a 1-D array of them, and t one time or a 1-D array of
     times.  Two scalars give a float; otherwise the result has an axis per
     array argument, N' first, and each entry equals the call with that N'
-    and time alone.  The weights w rho^(-1/N') are formed first, one per
-    segment, and each side is a row sum of tau times them at the distinct
-    times of ts and 1 - ts.  tau is evaluated one N' at a time, so the
-    working memory is O(times x segments) whatever the number of N'.
+    and time alone.  coupling, rho0 and rho1 may also be equal-length
+    sequences, one entry per marginal pair: the result then has a leading
+    pair axis, and each pair's entries equal the call on that pair alone.
+
+    The weights w rho^(-1/N') are formed first, one per segment, and each
+    side is a sum of tau times them at the distinct times of ts and 1 - ts
+    over each pair's own segments.  tau is evaluated one N' at a time, in
+    one call over the segments of all pairs, so the working memory is
+    O(times x segments of all pairs) whatever the number of N'.
 
     At K = 0 tau is the time itself, so each side is the time times the sum
-    of its weights, formed once per N'.  Only an N' whose sum overflows
+    of its weights, formed once per N'.  Only a pair whose sum overflows
     keeps the row sums, so that no finite side becomes inf; tau_KN_vec is
     not called.
     """
     nps = np.asarray(N, dtype=float).reshape(-1)
     if not np.all(nps < 0):  # NaN too
         raise DomainError("t_functional requires N < 0")
-    w = coupling.w
-    r0 = rho0.values[coupling.i]
-    r1 = rho1.values[coupling.j]
+    many = not isinstance(coupling, Coupling)
+    coups, dens0, dens1 = ((list(coupling), list(rho0), list(rho1)) if many
+                           else ([coupling], [rho0], [rho1]))
+    if not coups or not len(coups) == len(dens0) == len(dens1):
+        raise InvalidParams("need one density pair per coupling, and a coupling")
+    w = np.concatenate([c.w for c in coups])
+    r0 = np.concatenate([r.values[c.i] for c, r in zip(coups, dens0)])
+    r1 = np.concatenate([r.values[c.j] for c, r in zip(coups, dens1)])
     if np.any((w > 0) & ((r0 <= 0) | (r1 <= 0))):
         raise MarginalMismatch(
             "coupling carries mass where a marginal density vanishes")
+    ends = np.cumsum([0] + [c.w.size for c in coups]).tolist()
+    spans = list(zip(ends[:-1], ends[1:]))  # each pair's segments
     ts = np.asarray(t, dtype=float).reshape(-1)
-    d = np.abs(coupling.x - coupling.y)
+    d = np.concatenate([np.abs(c.x - c.y) for c in coups])
     times, back = np.unique(np.concatenate([1.0 - ts, ts]), return_inverse=True)
     if K == 0.0:  # the checks of the tau calls that this case skips
         _times(times)
         _lengths("theta", d)
-    out = np.empty((nps.size, ts.size))
+    out = np.empty((len(coups), nps.size, ts.size))
+    sides = np.empty((2, len(coups), times.size))  # per endpoint, pair and time
     for k, nprime in enumerate(nps.tolist()):
         expo = -1.0 / nprime
         with np.errstate(over="ignore", invalid="ignore"):
             ps = (w * r0 ** expo, w * r1 ** expo)
             # at K = 0 tau is the time itself: each side is the time times
             # the sum of its weights, unless that sum is past the doubles
-            sums = [float(p.sum()) for p in ps] if K == 0.0 else []
-            if sums and all(map(math.isfinite, sums)):
-                sides = [times * s for s in sums]
-            else:  # per segment; at K = 0, where a row below t = 1 may be finite
+            sums = [[float(p[a:b].sum()) for a, b in spans] for p in ps] if K == 0.0 else []
+            affine = [all(map(math.isfinite, s)) for s in zip(*sums)] or [False] * len(spans)
+            if not all(affine):  # per segment; at K = 0, where a row below t = 1 may be finite
                 tau = (tau_KN_vec(K, nprime, times, d) if K != 0.0
                        else np.broadcast_to(times[:, None], (times.size, d.size)))
-                sides = []  # one sum per distinct time, for each endpoint
-                for p in ps:
+            for side, p in enumerate(ps):
+                if not all(affine):
                     # an infinite tau gives inf, or NaN against a zero weight
                     terms = tau * p
-                    if not np.isfinite(p).all():  # an overflowed weight, where
-                        terms[tau == 0] = 0.0     # a zero tau still adds 0
-                    sides.append(np.sum(terms, axis=-1))
-        out[k] = sides[0][back[:ts.size]] + sides[1][back[ts.size:]]
+                    if not np.isfinite(p).all():  # an overflowed weight, where a
+                        terms[tau == 0] = 0.0     # zero tau still adds 0 (as a finite one does)
+                for pair, (a, b) in enumerate(spans):  # each pair's own sums
+                    sides[side, pair] = (times * sums[side][pair] if affine[pair]
+                                         else np.sum(terms[:, a:b], axis=-1))
+        out[:, k] = sides[0][:, back[:ts.size]] + sides[1][:, back[ts.size:]]
     out[~np.isfinite(out)] = math.inf
-    out = out.reshape(np.shape(N) + np.shape(t))
+    out = out.reshape(((len(coups),) if many else ()) + np.shape(N) + np.shape(t))
     return out if out.ndim else float(out)
 
 
@@ -261,9 +276,11 @@ class CdReport:
 
 
 class _CdSetup(NamedTuple):
-    """What every pair of one check shares: the times and N', the refined
-    reference grid with its cell masses, and R^k (None when unrestricted)."""
+    """What every pair of one check shares: the times, the mask of those
+    strictly between 0 and 1, and the N', the refined reference grid with
+    its cell masses, and R^k (None when unrestricted)."""
     ts: np.ndarray
+    inner: np.ndarray
     nps: np.ndarray
     rgrid: Grid1D
     rmass: np.ndarray
@@ -288,11 +305,10 @@ def _cd_setup(space: PointedSpace1D, N: float, t_grid, nprime_grid,
         rmass = np.repeat(space.density, REFINE_FACTOR) * rgrid.widths
     regular = (None if restrict_to_regular_k is None
                else regular_intervals(space, restrict_to_regular_k))
-    return _CdSetup(ts, nps, rgrid, rmass, regular)
+    return _CdSetup(ts, (ts > 0.0) & (ts < 1.0), nps, rgrid, rmass, regular)
 
 
-def verify_cd(space: PointedSpace1D, mu0: DiscreteMeasure,
-              mu1: DiscreteMeasure, K: float, N: float,
+def verify_cd(space: PointedSpace1D, mu0, mu1, K: float, N: float,
               t_grid=11, nprime_grid=9,
               restrict_to_regular_k: Optional[int] = None,
               tol: float = DEFAULT_TOL, *,
@@ -306,11 +322,18 @@ def verify_cd(space: PointedSpace1D, mu0: DiscreteMeasure,
     refined copy of the reference measure; the right side is evaluated per
     quantile segment (midpoint distances, endpoint-cell densities).  Margins
     are reported absolutely, but a row only counts as violated when it fails
-    `tol` in units of margin_scale (relative once the sides exceed 1).  The
-    grid takes one t_functional over every (t, N'), one bin_blocks and one
-    entropy call over the interior times (none when there are none), and
-    statuses decided on (t, N') arrays; the rows are then built in one pass
-    over flattened columns.
+    `tol` in units of margin_scale (relative once the sides exceed 1).
+
+    mu0 and mu1 are one marginal pair's measures, which give a CdReport, or
+    equal-length sequences of them, which give a SuiteReport over the pairs
+    in order (with no specs), each pair's report equal to the call on that
+    pair alone.  Only the densities, the support check, the monotone map and
+    the binning of the interior slices are per pair, in pair order, so that
+    the first bad pair raises what it raises alone.  The rest is one pass
+    over all pairs: one entropy call for every endpoint marginal, one
+    t_functional over every pair, N' and time, one entropy call over every
+    interior slice (none when there is no interior time), and statuses on
+    (pair, t, N') arrays, from which the rows are built in one pass.
 
     setup holds the grids, the refined reference and R^k that these
     arguments give; cd_suite builds it once for all its pairs, and it is
@@ -318,29 +341,37 @@ def verify_cd(space: PointedSpace1D, mu0: DiscreteMeasure,
     """
     if N >= 0:
         raise DomainError("verify_cd requires N < 0")
-    rho0 = radon_nikodym(mu0, space)
-    rho1 = radon_nikodym(mu1, space)
-    if setup is None:
-        setup = _cd_setup(space, N, t_grid, nprime_grid, restrict_to_regular_k)
-    ts, nps = setup.ts, setup.nps
-    if setup.regular is not None and not (_support_in_intervals(mu0, setup.regular)
-                                          and _support_in_intervals(mu1, setup.regular)):
-        raise SupportViolation(
-            f"marginal support leaves the regular region k={restrict_to_regular_k}")
-
-    tmap = monotone_map(mu0, mu1)
-    coup = tmap.as_coupling()
-    # (t, N') arrays: one row per time, one column per N'
-    s0, s1 = renyi_entropy(mu0, space, nps), renyi_entropy(mu1, space, nps)
+    many = not isinstance(mu0, DiscreteMeasure)
+    mu0s, mu1s = (list(mu0), list(mu1)) if many else ([mu0], [mu1])
+    if not mu0s or len(mu0s) != len(mu1s):
+        raise InvalidParams("need as many measures mu0 as mu1, and at least one")
+    P = len(mu0s)
+    rhos, maps, slices = [], [], None
+    for k, (a, b) in enumerate(zip(mu0s, mu1s)):
+        rhos.append((radon_nikodym(a, space), radon_nikodym(b, space)))
+        if setup is None:  # after the first densities, so their errors come first
+            setup = _cd_setup(space, N, t_grid, nprime_grid, restrict_to_regular_k)
+        if setup.regular is not None and not (_support_in_intervals(a, setup.regular)
+                                              and _support_in_intervals(b, setup.regular)):
+            raise SupportViolation(
+                f"marginal support leaves the regular region k={restrict_to_regular_k}")
+        maps.append(monotone_map(a, b))
+        if setup.inner.any():
+            if slices is None:  # (pair, interior time, refined cell) masses
+                slices = np.empty((P, np.count_nonzero(setup.inner), setup.rgrid.n))
+            u0s, u1s, w = maps[-1].interpolate_blocks(setup.ts[setup.inner])
+            slices[k] = bin_blocks(u0s, u1s, w, setup.rgrid)
+    ts, inner, nps = setup.ts, setup.inner, setup.nps
+    # (pair, t, N') arrays: one block per pair, one row per time, one column per N'
+    s0, s1 = entropy_from_masses(np.stack([mu.masses for mu in mu0s + mu1s]),
+                                 space.cell_masses, nps).reshape(2, P, 1, nps.size)
     skipped = ~(np.isfinite(s0) & np.isfinite(s1))
-    t_vals = t_functional(coup, rho0, rho1, K, nps, ts).T
+    t_vals = t_functional([m.as_coupling() for m in maps], *zip(*rhos), K, nps, ts)
+    t_vals = t_vals.transpose(0, 2, 1)
     s_ts = np.empty(t_vals.shape)
-    s_ts[ts == 0.0], s_ts[ts == 1.0] = s0, s1
-    inner = (ts > 0.0) & (ts < 1.0)
-    if inner.any():
-        u0s, u1s, w = tmap.interpolate_blocks(ts[inner])
-        s_ts[inner] = entropy_from_masses(bin_blocks(u0s, u1s, w, setup.rgrid),
-                                          setup.rmass, nps)
+    s_ts[:, ts == 0.0], s_ts[:, ts == 1.0] = s0, s1
+    if slices is not None:
+        s_ts[:, inner] = entropy_from_masses(slices, setup.rmass, nps)
     vacuous, blown = ~np.isfinite(t_vals), ~np.isfinite(s_ts)
     with np.errstate(invalid="ignore"):
         margin = t_vals - s_ts
@@ -349,9 +380,24 @@ def verify_cd(space: PointedSpace1D, mu0: DiscreteMeasure,
     status = np.array([STATUS_SKIPPED, STATUS_VACUOUS, STATUS_VIOLATED, STATUS_OK],
                       dtype=object)[np.select([skipped, vacuous, blown, ok], [0, 1, 2, 3], 2)]
     margin = np.select([skipped | vacuous, blown], [math.inf, -math.inf], margin)
-    cols = (np.repeat(ts, nps.size), np.tile(nps, ts.size), s_ts, t_vals, margin, status)
+    cols = (np.tile(np.repeat(ts, nps.size), P), np.tile(nps, P * ts.size),
+            s_ts, t_vals, margin, status)
     rows = tuple(map(CdRow._make, zip(*(c.ravel().tolist() for c in cols))))
-    return CdReport(rows=rows, K=K, N=N, grid_n=space.grid.n, tol=tol)
+    per = ts.size * nps.size
+    reports = tuple(CdReport(rows=rows[k * per:(k + 1) * per], K=K, N=N,
+                             grid_n=space.grid.n, tol=tol) for k in range(P))
+    if not many:
+        return reports[0]
+    return SuiteReport(rows=rows, K=K, N=N, grid_n=space.grid.n, tol=tol,
+                       reports=reports)
+
+
+@dataclass(frozen=True)
+class SuiteReport(CdReport):
+    """A CdReport over every pair's rows in order, with each pair's own
+    report and, from cd_suite, its grid-free spec."""
+    reports: tuple
+    pair_specs: tuple = ()
 
 
 # ---------------------------------------------------------------------------
@@ -469,34 +515,41 @@ def sample_pair_specs(space: PointedSpace1D, N: float, n_pairs: int,
     return [specs for specs, _, _ in draws(np.random.default_rng(seed), n_pairs)]
 
 
-@dataclass(frozen=True)
-class SuiteReport(CdReport):
-    """A CdReport over every pair's rows in order, with each pair's own
-    report and its grid-free spec."""
-    reports: tuple
-    pair_specs: tuple
-
-
 def cd_suite(space: PointedSpace1D, K: float, N: float, n_samples: int,
              seed: int, t_grid=11, nprime_grid=9, tol: float = DEFAULT_TOL,
              pair_specs: Optional[Sequence[tuple[dict, dict]]] = None,
              restrict_to_regular_k: Optional[int] = None) -> SuiteReport:
     """verify_cd over sampled marginal pairs; specs reusable across grids.
     The times, N', refined reference and R^k are built once and shared by
-    every pair."""
+    every pair.  The pairs are checked in consecutive groups, one verify_cd
+    call each, of as many pairs as keep their interior slices' refined-cell
+    masses within PAIR_GROUP_ELEMS (at least one pair), so the memory held
+    does not grow with the number of pairs."""
     if pair_specs is None:
         pair_specs = sample_pair_specs(space, N, n_samples, seed,
                                        restrict_to_regular_k)
     if not pair_specs:
         raise InvalidParams("need at least one marginal pair")
     setup = _cd_setup(space, N, t_grid, nprime_grid, restrict_to_regular_k)
+    per_pair = max(np.count_nonzero(setup.inner), 1) * setup.rgrid.n
+    size = max(1, PAIR_GROUP_ELEMS // per_pair)
+
+    def check(mus):
+        return verify_cd(space, *zip(*mus), K, N, tol=tol, setup=setup,
+                         restrict_to_regular_k=restrict_to_regular_k).reports
+
     reports = []
-    for spec0, spec1 in pair_specs:
-        mu0 = measure_from_dict(space.grid, spec0)
-        mu1 = measure_from_dict(space.grid, spec1)
-        reports.append(verify_cd(space, mu0, mu1, K, N, tol=tol,
-                                 restrict_to_regular_k=restrict_to_regular_k,
-                                 setup=setup))
+    for g in range(0, len(pair_specs), size):
+        mus = []
+        for spec0, spec1 in pair_specs[g:g + size]:
+            try:
+                mus.append((measure_from_dict(space.grid, spec0),
+                            measure_from_dict(space.grid, spec1)))
+            except Exception:  # the pairs before it raise first, as one at a time
+                if mus:
+                    check(mus)
+                raise
+        reports.extend(check(mus))
     return SuiteReport(rows=tuple(r for rep in reports for r in rep.rows),
                        K=K, N=N, grid_n=space.grid.n, tol=tol,
                        reports=tuple(reports), pair_specs=tuple(pair_specs))

@@ -49,15 +49,27 @@ def bin_blocks(u0: np.ndarray, u1: np.ndarray, w: np.ndarray,
     masses w as in blocks_cdf, are binned from one CDF call into (T, n)
     masses; each row is checked on its own and equals the masses of the
     1-D call on that row.
+
+    The CDF is evaluated only at the edges from the last one before the
+    first knot to the first one after the last knot: beyond them it is
+    exactly 0 or the blocks' total, so every other cell's mass is 0, and
+    the CDF at the window's two ends equals that at the grid's, so the mass
+    found outside the grid is the full grid's bit for bit.
     """
     total = float(np.sum(w))
-    cdf = blocks_cdf(u0, u1, w, grid.edges)
+    edges = grid.edges
+    lo = min(np.min(u0), np.min(u1))
+    hi = max(np.max(u0), np.max(u1))
+    i0 = max(int(edges.searchsorted(lo, side="left")) - 1, 0)
+    i1 = min(int(edges.searchsorted(hi, side="right")), grid.n)
+    cdf = blocks_cdf(u0, u1, w, edges[i0:i1 + 1])
     outside = cdf[..., 0] + (total - cdf[..., -1])
     leaks = outside[outside > tol * max(total, 1.0)]
     if leaks.size:
         raise GridTooCoarse(
             f"{leaks.max():.3e} of {total:.6g} mass falls outside the grid")
-    masses = np.maximum(np.diff(cdf, axis=-1), 0.0)
+    masses = np.zeros(cdf.shape[:-1] + (grid.n,))
+    np.maximum(np.diff(cdf, axis=-1), 0.0, out=masses[..., i0:i1])
     return masses if masses.ndim > 1 else DiscreteMeasure(grid, masses)
 
 

@@ -360,6 +360,39 @@ def test_t_functional_at_k_zero_keeps_overflowed_sides():
         t_functional(far, one, one, 0.0, -1.0, 0.5)
 
 
+def test_t_functional_over_pairs_equals_one_pair_at_a_time():
+    # a sequence of couplings gives a leading pair axis whose entries are
+    # the one-pair calls bit for bit, also when one pair's weights or sums
+    # overflow next to finite pairs (at K = 0 and K != 0)
+    sp = build_model_space(ModelSpec(kind="cauchy", alpha=1.0,
+                                     domain=(-4.0, 4.0), grid_n=128))
+    pairs = []
+    for spec0, spec1 in sample_pair_specs(sp, -1.0, 3, seed=6):
+        mu0 = measure_from_dict(sp.grid, spec0)
+        mu1 = measure_from_dict(sp.grid, spec1)
+        pairs.append((monotone_map(mu0, mu1).as_coupling(),
+                      radon_nikodym(mu0, sp), radon_nikodym(mu1, sp)))
+    g, coup = _two_segment_coupling(1e-6)
+    one = DensityWrtM(g, np.array([1.0, 1.0]))
+    coup2 = Coupling(i=coup.i, j=coup.j, w=np.array([1.0, 1.0]), x=coup.x,
+                     y=coup.y, src_grid=g, dst_grid=g)
+    pairs[1:1] = [(coup, one, DensityWrtM(g, np.array([1.0, 1e4]))),
+                  (coup2, one, DensityWrtM(g, np.array([1e308, 1e308])))]
+    ts = np.array([0.0, 0.25, 0.5, 1.0])
+    for K in (0.0, -2.0):
+        for N, t in ((np.array([-1.0, -0.5, -0.01]), ts), (-0.01, ts),
+                     (np.array([-1.0, -0.01]), 0.5), (-0.5, 0.25)):
+            got = t_functional(*zip(*pairs), K, N, t)
+            assert got.shape == (len(pairs),) + np.shape(N) + np.shape(t)
+            for k, pair in enumerate(pairs):
+                alone = t_functional(*pair, K, N, t)
+                assert np.asarray(got[k]).tobytes() == np.asarray(alone).tobytes()
+    with pytest.raises(InvalidParams):
+        t_functional([coup, coup], [one], [one, one], 0.0, -1.0, 0.5)
+    with pytest.raises(InvalidParams):
+        t_functional([], [], [], 0.0, -1.0, 0.5)
+
+
 # ---------------------------------------------------------------------------
 # verify_cd statuses
 
@@ -934,6 +967,151 @@ def test_suite_builds_its_shared_constants_once(monkeypatch):
                           restrict_to_regular_k=1)
         assert alone.rows == rep.rows and len(rep.rows) == 35
     assert len(suite.reports) == 4 and len(calls) == 10
+
+
+def _pairs_of_each_kind(space, N, count, seed, k=None):
+    """count specs of each of SPEC_KINDS from the sampler, in turn."""
+    draws = [_pair_sampler(space, N, [math.inf], k, kind)(
+        np.random.default_rng(seed), count) for kind in SPEC_KINDS]
+    return [specs for batch in zip(*draws) for specs, _, _ in batch]
+
+
+def _row_bits(rows):
+    return [tuple(repr(v) for v in r) for r in rows]
+
+
+def test_pairs_in_one_call_equal_one_pair_at_a_time(monkeypatch):
+    # verify_cd on sequences of marginals, and cd_suite with one pair per
+    # group or all pairs in one group, give each pair the rows of verify_cd
+    # on that pair alone, bit for bit
+    calls = []
+    monkeypatch.setattr(cdcheck, "verify_cd",
+                        lambda *a, **kw: calls.append(1) or verify_cd(*a, **kw))
+    nps3 = np.array([-1.0, -0.3, -0.01])
+    cases = (
+        (dict(kind="cos_n", K=-2.0, N=-2.0, grid_n=128), -2.0, None),
+        (dict(kind="cauchy", alpha=1.0, domain=(-4.0, 4.0), grid_n=128), 0.0, None),
+        (dict(kind="cos_n", K=-2.0, N=-2.0, grid_n=128), -2.0, 1),
+    )
+    grids = ((11, 9), (7, 5), (np.array([0.5, 0.0, 0.25, 1.0]), nps3),
+             (np.array([0.0, 1.0]), nps3), (np.array([1.0]), 2))
+    statuses = set()
+    for spec, K, k in cases:
+        sp = build_model_space(ModelSpec(**spec))
+        specs = _pairs_of_each_kind(sp, -1.0, 2, seed=3, k=k)
+        mus = [(measure_from_dict(sp.grid, a), measure_from_dict(sp.grid, b))
+               for a, b in specs]
+        assert {s["type"] for pair in specs for s in pair} == set(SPEC_KINDS)
+        for t_grid, nprime_grid in grids:
+            kw = dict(t_grid=t_grid, nprime_grid=nprime_grid, restrict_to_regular_k=k)
+            alone = [verify_cd(sp, mu0, mu1, K, -1.0, **kw) for mu0, mu1 in mus]
+            want = [_row_bits(rep.rows) for rep in alone]
+            many = verify_cd(sp, *zip(*mus), K, -1.0, **kw)
+            assert [_row_bits(rep.rows) for rep in many.reports] == want
+            assert _row_bits(many.rows) == [r for rows in want for r in rows]
+            for budget, groups in ((1, len(mus)), (10 ** 12, 1)):
+                monkeypatch.setattr(cdcheck, "PAIR_GROUP_ELEMS", budget)
+                calls.clear()
+                suite = cd_suite(sp, K, -1.0, len(specs), 0, pair_specs=specs, **kw)
+                assert len(calls) == groups
+                assert [_row_bits(rep.rows) for rep in suite.reports] == want
+                assert _row_bits(suite.rows) == [r for rows in want for r in rows]
+                assert suite.pair_specs == tuple(specs)
+            statuses |= {r.status for rep in alone for r in rep.rows}
+    assert {STATUS_OK, STATUS_SKIPPED} <= statuses
+
+
+def test_first_bad_pair_raises_what_it_raises_alone():
+    # the per-pair steps run in pair order, so a sequence of pairs raises
+    # the exception, with its message, of its first bad pair alone
+    g = Grid1D.uniform(0.0, 2.0, 64)
+    dens = np.ones(64)
+    dens[40:44] = 0.0  # a null corridor: charging it is not absolutely continuous
+    sp = PointedSpace1D(grid=g, density=dens, singular_points=(1.875,), base_point=0.5)
+    good = ({"type": "uniform_block", "a": 0.3, "b": 0.6},
+            {"type": "bump", "center": 0.8, "width": 0.2})
+    null = ({"type": "uniform_block", "a": 0.3, "b": 0.6},
+            {"type": "uniform_block", "a": 1.2, "b": 1.4})
+    outside = ({"type": "uniform_block", "a": 1.7, "b": 1.95}, good[1])
+    broken = ({"type": "uniform_block", "a": 5.0, "b": 6.0}, good[1])
+
+    def outcome(check):
+        try:
+            check()
+        except Exception as e:  # noqa: BLE001 - the type and message are compared
+            return type(e), str(e)
+        return None
+
+    def measures(specs):
+        return [measure_from_dict(g, s) for s in specs]
+
+    kw = dict(t_grid=5, nprime_grid=3, restrict_to_regular_k=0)
+    alone = {name: outcome(lambda p=pair: verify_cd(sp, *measures(p), 0.0, -1.0, **kw))
+             for name, pair in (("null", null), ("outside", outside))}
+    assert alone["null"][0] is NotAbsolutelyContinuous
+    assert alone["outside"][0] is SupportViolation
+    assert outcome(lambda: verify_cd(sp, *measures(good), 0.0, -1.0, **kw)) is None
+    for order in (("good", "null", "outside", "good"), ("outside", "null"),
+                  ("good", "good", "null"), ("good", "outside", "broken")):
+        pairs = [{"good": good, "null": null, "outside": outside,
+                  "broken": broken}[name] for name in order]
+        first = next(n for n in order if n != "good")
+        got = outcome(lambda: verify_cd(sp, *zip(*[measures(p) for p in pairs[:order.index(first) + 1]]),
+                                        0.0, -1.0, **kw))
+        assert got == alone[first]
+        # cd_suite, in one group, also with a spec that fails to build after it
+        assert outcome(lambda: cd_suite(sp, 0.0, -1.0, len(pairs), 0,
+                                        pair_specs=pairs, **kw)) == alone[first]
+    assert outcome(lambda: cd_suite(sp, 0.0, -1.0, 2, 0, pair_specs=[broken, null],
+                                    **kw))[0] is InvalidParams
+    mu = measures(good)
+    for mu0s, mu1s in (([], []), ([mu[0]], [mu[1], mu[1]])):
+        with pytest.raises(InvalidParams):
+            verify_cd(sp, mu0s, mu1s, 0.0, -1.0)
+
+
+def test_a_group_makes_one_t_functional_and_one_tau_call_per_nprime(monkeypatch):
+    # a 4-pair cos_n suite is one group: one verify_cd, one t_functional and
+    # one tau_KN_vec call per N' over the segments of all four pairs (one
+    # pair at a time makes 4 and 36)
+    sp = build_model_space(ModelSpec(kind="cos_n", K=-2.0, N=-2.0, grid_n=256))
+    specs = sample_pair_specs(sp, -1.0, 4, seed=8)
+    calls = {"verify_cd": 0, "t_functional": 0, "tau_KN_vec": 0}
+
+    def spy(name):
+        fn = getattr(cdcheck, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(cdcheck, name, spy(name))
+    suite = cd_suite(sp, -2.0, -1.0, 4, 0, pair_specs=specs)
+    assert calls == {"verify_cd": 1, "t_functional": 1, "tau_KN_vec": 9}
+    assert len(suite.reports) == 4 and len(suite.rows) == 4 * 99
+
+
+def test_suite_memory_does_not_grow_with_the_pairs():
+    # the pairs are checked in groups within PAIR_GROUP_ELEMS, so 64 pairs
+    # hold little more at once than 8 (one group of them would hold 8x the
+    # slice masses)
+    import tracemalloc
+
+    sp = build_model_space(ModelSpec(kind="cos_n", K=-2.0, N=-2.0, grid_n=512))
+    specs = sample_pair_specs(sp, -1.0, 64, seed=9)
+
+    def peak(pairs):
+        tracemalloc.start()
+        try:
+            cd_suite(sp, -2.0, -1.0, len(pairs), 0, pair_specs=pairs)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(specs[:8])  # warm
+    assert peak(specs) <= 3 * peak(specs[:8])
 
 
 def _fold_per_report(suite) -> dict:

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from cdknlab import geodesics1d
 from cdknlab.errors import GridTooCoarse, InvalidParams
 from cdknlab.geodesics1d import (
     bin_blocks,
@@ -119,6 +120,110 @@ def test_bin_blocks_over_slices_raises_when_one_row_leaks():
         bin_blocks(u0, u1, w, g)
     with pytest.raises(GridTooCoarse, match="1.000e[+]00 of 4 mass"):
         bin_blocks(u0[1], u1[1], w, g)
+
+
+def _bin_blocks_full_grid(u0, u1, w, grid, tol=1e-12):
+    """bin_blocks with the block CDF evaluated at every edge of the grid."""
+    total = float(np.sum(w))
+    cdf = blocks_cdf(u0, u1, w, grid.edges)
+    outside = cdf[..., 0] + (total - cdf[..., -1])
+    leaks = outside[outside > tol * max(total, 1.0)]
+    if leaks.size:
+        raise GridTooCoarse(
+            f"{leaks.max():.3e} of {total:.6g} mass falls outside the grid")
+    return np.maximum(np.diff(cdf, axis=-1), 0.0)
+
+
+def _ordered_blocks(rng, lo, hi, count, zero_width=0.0):
+    """count ordered, disjoint blocks spanning [lo, hi] exactly, a share of
+    them of zero width."""
+    ends = np.sort(rng.uniform(lo, hi, 2 * count))
+    ends[0], ends[-1] = lo, hi
+    u0, u1 = ends[0::2].copy(), ends[1::2].copy()
+    flat = rng.uniform(size=count) < zero_width
+    u1[flat] = u0[flat]
+    return u0, u1, rng.uniform(0.1, 1.0, count)
+
+
+def _binned_or_error(bin_them):
+    """The masses' bytes, or the message of the GridTooCoarse raised (a
+    zero-width block on the left end counts as mass outside the grid)."""
+    try:
+        return bin_them().tobytes()
+    except GridTooCoarse as e:
+        return str(e)
+
+
+def test_bin_blocks_window_equals_the_full_grid(monkeypatch):
+    # the CDF is evaluated only from the edge before the first knot to the
+    # edge after the last: the masses are those of every edge bit for bit,
+    # for 1-D and (T, S) ends, blocks in the interior, on an edge or at
+    # either end of the grid, and zero-width blocks
+    rng = np.random.default_rng(11)
+    points = []
+    monkeypatch.setattr(geodesics1d, "blocks_cdf",
+                        lambda *a: points.append(np.size(a[3])) or blocks_cdf(*a))
+    grids = (Grid1D.uniform(0.0, 1.0, 64),
+             Grid1D(np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, 50)), [1.0]])))
+    for g in grids:
+        e = g.edges
+        spans = [(0.3, 0.6), (e[0], 0.4), (0.55, e[-1]), (e[0], e[-1]),
+                 (e[5], e[9]), (e[3], e[3]), (e[0], e[0]), (e[-1], e[-1]),
+                 (0.5 * (e[7] + e[8]),) * 2]
+        for lo, hi in spans:
+            for zero_width in (0.0, 0.3, 1.0):
+                u0, u1, w = _ordered_blocks(rng, lo, hi, 7, zero_width)
+                points.clear()
+                got = _binned_or_error(lambda: bin_blocks(u0, u1, w, g).masses)
+                assert got == _binned_or_error(lambda: _bin_blocks_full_grid(u0, u1, w, g))
+                assert points[0] <= g.n + 1
+                if e[2] < lo <= hi < e[-3]:
+                    assert points[0] < g.n + 1
+        # ends that cross by rounding around an edge: the last knot is the
+        # crossed start, past the last block end
+        k = 20
+        for u0, u1 in ((np.array([e[k - 3], e[k] + 1e-14]), np.array([e[k - 1], e[k] - 1e-14])),
+                       (np.array([e[k] + 1e-14, e[k + 2]]), np.array([e[k] - 1e-14, e[k + 3]]))):
+            w = np.array([1.0, 2.0])
+            assert bin_blocks(u0, u1, w, g).masses.tobytes() == \
+                _bin_blocks_full_grid(u0, u1, w, g).tobytes()
+        # (T, S) ends: the slices of a monotone map, whose window is the
+        # union of the rows'
+        for sub in ((e[0], 0.3, 0.6, e[-1]), (0.1, 0.2, 0.7, 0.9), (e[0], e[4], e[-5], e[-1])):
+            mu0 = uniform_block(g, sub[0], sub[1])
+            mu1 = uniform_block(g, sub[2], sub[3])
+            u0s, u1s, w = monotone_map(mu0, mu1).interpolate_blocks(np.linspace(0.0, 1.0, 7))
+            got = bin_blocks(u0s, u1s, w, g)
+            assert got.tobytes() == _bin_blocks_full_grid(u0s, u1s, w, g).tobytes()
+            assert got.shape == (7, g.n)
+
+
+def test_bin_blocks_window_still_sees_a_leak_past_either_end():
+    g = Grid1D.uniform(0.0, 1.0, 16)
+    w = np.array([1.0, 3.0])
+    cases = [(np.array([-0.25, 0.5]), np.array([0.25, 0.75])),   # past the left end
+             (np.array([0.25, 0.5]), np.array([0.4, 1.25])),     # past the right end
+             (np.array([-0.5, 0.5]), np.array([-0.25, 1.5])),    # past both
+             (np.array([-0.1, 1.2]), np.array([-0.1, 1.2]))]     # zero-width, outside
+    for u0, u1 in cases:
+        with pytest.raises(GridTooCoarse) as want:
+            _bin_blocks_full_grid(u0, u1, w, g)
+        with pytest.raises(GridTooCoarse) as got:
+            bin_blocks(u0, u1, w, g)
+        assert str(got.value) == str(want.value)
+    # one leaking row of (T, S) ends, at either end
+    for shift in (-0.3, 0.3):
+        u0 = np.array([[0.25, 0.5], [0.25 + shift, 0.5 + shift]])
+        u1 = np.array([[0.4, 0.75], [0.4 + shift, 0.75 + shift]])
+        with pytest.raises(GridTooCoarse) as want:
+            _bin_blocks_full_grid(u0, u1, w, g)
+        with pytest.raises(GridTooCoarse) as got:
+            bin_blocks(u0, u1, w, g)
+        assert str(got.value) == str(want.value)
+    # the converge rebin's tolerance: a leak below it passes and bins as before
+    u0, u1 = np.array([-1e-12, 0.5]), np.array([0.25, 0.75])
+    got = bin_blocks(u0, u1, w, g, tol=1e-9).masses
+    assert got.tobytes() == _bin_blocks_full_grid(u0, u1, w, g, tol=1e-9).tobytes()
 
 
 def test_union_refined_grid_contains_both_edge_sets():
