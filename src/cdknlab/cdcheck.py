@@ -37,7 +37,7 @@ from .measure import (
     radon_nikodym,
     renyi_entropy,
 )
-from .mmspace import Grid1D, PointedSpace1D, carve
+from .mmspace import Grid1D, PointedSpace1D, carve, check_level
 from .transport import Coupling, monotone_map
 
 STATUS_OK = "ok"
@@ -181,7 +181,7 @@ def t_functional(coupling, rho0, rho1, K: float, N, t):
 
 def regular_intervals(space: PointedSpace1D, k: int) -> list[tuple[float, float]]:
     """The k-th regular region of the space as disjoint closed intervals."""
-    R = 2.0 ** (k + 1)
+    R = 2.0 ** (check_level("k", k) + 1)
     r = 2.0 ** (-(k + 1))
     lo = max(space.grid.a, space.base_point - R)
     hi = min(space.grid.b, space.base_point + R)
@@ -195,7 +195,7 @@ def mass_in_intervals(u0: np.ndarray, u1: np.ndarray, w: np.ndarray,
 
     Each set's mass is the sum over its own slice of the per-interval masses,
     so it does not depend on which other sets are passed with it.  (T, S)
-    blocks, one time slice per row, give (T, sets) masses.
+    blocks give (T, sets) masses, and (G, T, S) ones (G, T, sets).
     """
     pts = np.array([e for ivs in interval_sets for iv in ivs for e in iv], dtype=float)
     cdf = blocks_cdf(u0, u1, w, pts)
@@ -704,9 +704,12 @@ def estimate_omega(space: PointedSpace1D, k: int, h: Union[int, Sequence[int]],
     other levels are asked for.
     `M` is one entropy cap or a sequence of caps (a list with one entry per
     cap, each what that cap alone gives).  All caps share one stream of
-    candidate pairs of uniform blocks in R^k, each drawn, checked and sliced
+    candidate pairs of uniform blocks in R^k, each drawn, checked and mapped
     once; a cap keeps the first n_samples pairs with S_N at most that cap,
     and when several caps fail, the first in the order of `M` raises.
+    Pairs are measured in groups of at most PAIR_GROUP_ELEMS block ends, by
+    one mass_in_intervals call each, padded to the group's most segments (see
+    blocks_cdf); a group is measured before a later pair's error raises.
     """
     scalar_h, scalar_M = np.ndim(h) == 0, np.ndim(M) == 0
     hs = [h] if scalar_h else list(h)
@@ -715,15 +718,42 @@ def estimate_omega(space: PointedSpace1D, k: int, h: Union[int, Sequence[int]],
         raise InvalidParams("need at least one h, and h >= k for each")
     if not Ms:
         raise InvalidParams("need at least one entropy cap M")
+    if n_samples < 1:
+        raise InvalidParams("need at least one sampled pair")
     pairs = _pair_sampler(space, N, Ms, k, "uniform_block")(
         np.random.default_rng(seed), n_samples)
     ivs_h = [regular_intervals(space, hh) for hh in hs]
     ts = np.linspace(0.0, 1.0, OMEGA_T_GRID)
     worst = np.zeros((len(Ms), len(hs)))
-    for _, (mu0, mu1), takes in pairs:
-        u0, u1, w = monotone_map(mu0, mu1).interpolate_blocks(ts)
-        out = 1.0 - mass_in_intervals(u0, u1, w, ivs_h) / float(np.sum(w))
-        worst[takes] = np.fmax(worst[takes], np.fmax.reduce(out, axis=0))
+    group, widest = [], 0  # (map, takes) of the pairs not yet measured
+
+    def measure():
+        if group:
+            maps, takes = zip(*group)
+            group.clear()
+            u0, u1 = np.empty((2, len(maps), ts.size, max(m.w.size for m in maps)))
+            w = np.zeros((len(maps), u0.shape[-1]))
+            for p, m in enumerate(maps):
+                a, b, wp = m.interpolate_blocks(ts)
+                u0[p, :, :wp.size], u1[p, :, :wp.size], w[p, :wp.size] = a, b, wp
+                u0[p, :, wp.size:] = u1[p, :, wp.size:] = b[:, -1:]
+            totals = np.array([np.sum(m.w) for m in maps])[:, None, None]
+            out = 1.0 - mass_in_intervals(u0, u1, w, ivs_h) / totals
+            taken = np.where(np.array(takes)[:, :, None],  # over time, then each cap's pairs
+                             np.fmax.reduce(out, axis=1)[:, None], -np.inf)
+            np.fmax(worst, np.fmax.reduce(taken, axis=0), out=worst)
+
+    try:
+        for _, (mu0, mu1), takes in pairs:
+            tmap = monotone_map(mu0, mu1)
+            if (len(group) + 1) * ts.size * max(widest, tmap.w.size) > PAIR_GROUP_ELEMS:
+                measure()
+            widest = max(widest if group else 0, tmap.w.size)
+            group.append((tmap, takes))
+    except Exception:  # the pairs before it raise first, as one at a time
+        measure()
+        raise
+    measure()
     per_cap = [row[0] if scalar_h else row
                for row in np.clip(worst, 0.0, 1.0).tolist()]
     return per_cap[0] if scalar_M else per_cap

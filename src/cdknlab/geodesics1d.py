@@ -27,18 +27,26 @@ def blocks_cdf(u0: np.ndarray, u1: np.ndarray, w: np.ndarray,
     is a step.  Ends that cross by rounding are clamped; a real overlap
     raises InvalidParams.  (T, S) ends are T block sets sharing the masses
     w, such as the slices of one map at T times: the result is (T, P), each
-    row checked and evaluated as the 1-D call on that row.
+    row checked and evaluated as the 1-D call on that row; (G, T, S) ends
+    and (G, S) masses give (G, T, P), set g as its own (T, S) call (padded
+    at its last end by zero-mass, zero-width blocks if need be).
     """
-    knots = np.stack([u0, u1], axis=-1).reshape(np.shape(u0)[:-1] + (-1,))
-    ordered = np.maximum.accumulate(knots, axis=-1)
-    span = ordered[..., -1:] - np.min(knots, axis=-1, keepdims=True)
-    if np.any(ordered - knots > 1e-12 * span):
-        raise InvalidParams("blocks must be ordered and disjoint")
-    c = np.concatenate([[0.0], np.cumsum(w)])
-    vals = np.column_stack([c[:-1], c[1:]]).ravel()
-    rows = ordered.reshape(-1, ordered.shape[-1])
-    return np.array([np.interp(pts, row, vals, left=0.0, right=c[-1])
-                     for row in rows]).reshape(ordered.shape[:-1] + np.shape(pts))
+    w = np.asarray(w, dtype=float)
+    if w.ndim > 1 and w.shape != np.shape(u0)[:-2] + np.shape(u0)[-1:]:
+        raise InvalidParams("per-set masses must match the block ends")
+    c = np.concatenate([np.zeros(w.shape[:-1] + (1,)), np.cumsum(w, axis=-1)], axis=-1)
+    vals = np.stack([c[..., :-1], c[..., 1:]], axis=-1).reshape(-1, 2 * w.shape[-1])
+    cdf = []
+    for v, a, b in zip(vals, *(np.reshape(u, (len(vals), -1, np.shape(u)[-1])) for u in (u0, u1))):
+        ordered = np.stack([a, b], axis=-1).reshape(len(a), -1)  # the rows weighed by v
+        if not (ordered[:, 1:] >= ordered[:, :-1]).all():  # crossed (or NaN) ends
+            lo = np.min(ordered, axis=-1, keepdims=True)
+            np.maximum.accumulate(ordered, axis=-1, out=ordered)  # in place
+            tol = 1e-12 * (ordered[:, -1:] - lo)
+            if any(np.any(ordered[:, k::2] - u > tol) for k, u in enumerate((a, b))):
+                raise InvalidParams("blocks must be ordered and disjoint")
+        cdf.extend(np.interp(pts, row, v, left=0.0, right=v[-1]) for row in ordered)
+    return np.array(cdf).reshape(np.shape(u0)[:-1] + np.shape(pts))
 
 
 def bin_blocks(u0: np.ndarray, u1: np.ndarray, w: np.ndarray,

@@ -22,31 +22,33 @@ from .errors import (
     InvalidTestFunction,
     NotAbsolutelyContinuous,
 )
-from .mmspace import Grid1D, PointedSpace1D, _singular_adjacent_cells
+from .mmspace import Grid1D, PointedSpace1D, _read_only, _singular_adjacent_cells
 
 
 @dataclass(frozen=True)
 class DiscreteMeasure:
-    """Nonnegative cell masses over a grid."""
+    """Nonnegative cell masses (a read-only copy) over a grid; support and total computed once."""
 
     grid: Grid1D
     masses: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.masses, dtype=float)
+        w = _read_only(np.array(self.masses, dtype=float))
         if w.shape != (self.grid.n,):
             raise InvalidParams("masses must have one value per cell")
-        if np.any(w < 0) or not np.all(np.isfinite(w)):
+        if not ((w >= 0).all() and np.isfinite(w).all()):  # NaN fails both
             raise InvalidParams("masses must be finite and nonnegative")
         object.__setattr__(self, "masses", w)
+        object.__setattr__(self, "_support", _read_only((w > 0).nonzero()[0]))
+        object.__setattr__(self, "_total", float(w.sum()))
 
     @property
     def total_mass(self) -> float:
-        return float(np.sum(self.masses))
+        return self._total
 
     @property
     def support(self) -> np.ndarray:
-        return np.nonzero(self.masses > 0)[0]
+        return self._support
 
     def normalized(self) -> "DiscreteMeasure":
         tm = self.total_mass
@@ -107,21 +109,20 @@ def entropy_from_masses(w: np.ndarray, m: np.ndarray, N):
     (T, N') entropies, each row equal to the 1-D call on that row.
 
     Each charged cell contributes w^(1-1/N) m^(1/N) = exp(lw + (lm - lw)/N),
-    exact when w == m (rho = 1 cells).  log m is taken once; each row's
-    terms are then built in place and summed with np.sum, so the working
-    memory is that of one row.
+    exact when w == m (rho = 1 cells).  log m is taken once (at the charged
+    cells only for 1-D w); each row's terms are then built in place and
+    summed with np.sum, so the working memory is that of one row.
     """
-    w = np.asarray(w, float)
+    w, m = np.asarray(w, float), np.asarray(m, float)
     many = isinstance(N, np.ndarray) and N.ndim == 1
     nc = N[:, None] if many else N
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lm = np.log(np.asarray(m, float))
     out = []
-    with np.errstate(divide="ignore", over="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        lm = np.log(m) if w.ndim > 1 else None
         for row in w.reshape(-1, w.shape[-1]):
             on = row > 0  # the charged cells
             lw = np.log(row[on])
-            terms = np.subtract(lm[on], lw) / nc
+            terms = np.subtract(np.log(m[on]) if lm is None else lm[on], lw) / nc
             terms += lw
             out.append(np.sum(np.exp(terms, out=terms), axis=-1))
     if w.ndim == 1:

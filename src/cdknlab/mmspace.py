@@ -485,7 +485,7 @@ def k_cut(space: PointedSpace1D, k: int) -> PointedSpace1D:
     densities never survive a cut.  Singular points and anchors are kept as
     metadata on the cut space; the cut carries no analytic density.
     """
-    if k < space.regularity_k:
+    if check_level("k", k) < space.regularity_k:
         raise InvalidParams(f"k={k} below regularity parameter {space.regularity_k}")
     w = cut_weights(space, k)
     with np.errstate(invalid="ignore"):

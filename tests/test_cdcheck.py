@@ -1603,6 +1603,117 @@ def test_omega_guards():
         estimate_omega(sp, 2, 2, 1e-6, n_samples=1, seed=1)
 
 
+def test_omega_needs_a_sampled_pair():
+    # no pair would leave a supremum over nothing, reported as 0
+    sp = build_model_space(ModelSpec(kind="glued_cos_n", K=-2.0, N=-2.0, J=2,
+                                     grid_n=256))
+    for n in (0, -3):
+        with pytest.raises(InvalidParams, match="at least one sampled pair"):
+            estimate_omega(sp, 2, [2, 3], 10.0, n_samples=n)
+        with pytest.raises(InvalidParams, match="at least one sampled pair"):
+            estimate_Omega(sp, 2, [2, 3], 10.0, delta=0.1, n_samples=n)
+
+
+def test_levels_past_the_level_range_are_typed_errors():
+    sp = build_model_space(ModelSpec(kind="glued_cos_n", K=-2.0, N=-2.0, J=2,
+                                     grid_n=256))
+    for bad in (2000, -2000, 65):
+        with pytest.raises(InvalidParams, match=f"k {bad} outside"):
+            regular_intervals(sp, bad)
+    assert regular_intervals(sp, 64)  # the last level in range
+    with pytest.raises(InvalidParams, match="k 2000 outside"):
+        estimate_omega(sp, 2, [2, 2000], 10.0, n_samples=2)
+    with pytest.raises(InvalidParams, match="k 2000 outside"):
+        cd_suite(sp, -2.0, -2.0, 1, 0, restrict_to_regular_k=2000)
+
+
+def _omega_per_pair(space, k, hs, Ms, n_samples, N, seed):
+    """estimate_omega over lists of levels and caps as it was written: one
+    monotone map and one mass_in_intervals call per sampled pair, in turn."""
+    pairs = _pair_sampler(space, N, Ms, k, "uniform_block")(
+        np.random.default_rng(seed), n_samples)
+    ivs_h = [regular_intervals(space, h) for h in hs]
+    ts = np.linspace(0.0, 1.0, OMEGA_T_GRID)
+    worst = np.zeros((len(Ms), len(hs)))
+    for _, (mu0, mu1), takes in pairs:
+        u0, u1, w = cdcheck.monotone_map(mu0, mu1).interpolate_blocks(ts)
+        out = 1.0 - mass_in_intervals(u0, u1, w, ivs_h) / float(np.sum(w))
+        worst[takes] = np.fmax(worst[takes], np.fmax.reduce(out, axis=0))
+    return np.clip(worst, 0.0, 1.0).tolist()
+
+
+@pytest.mark.parametrize("group_elems", [1, cdcheck.PAIR_GROUP_ELEMS, 1 << 40],
+                         ids=["one_pair_a_group", "default", "one_group"])
+def test_omega_batch_equals_the_per_pair_loop(monkeypatch, group_elems):
+    sp = build_model_space(ModelSpec(kind="glued_cos_n", K=-2.0, N=-2.0, J=2,
+                                     grid_n=256))
+    monkeypatch.setattr(cdcheck, "PAIR_GROUP_ELEMS", group_elems)
+    calls, real = [], cdcheck.mass_in_intervals
+    monkeypatch.setattr(cdcheck, "mass_in_intervals",
+                        lambda *a: calls.append(a[0].shape) or real(*a))
+    N, hs, n = -2.0, [4, 2, 5, 3], 7
+    caps = [10.0, 1.1]  # the second cap rejects some of the first one's pairs
+    for seed in range(3):
+        calls.clear()
+        got = estimate_omega(sp, 2, hs, caps, n_samples=n, N=N, seed=seed)
+        groups = calls[:]
+        assert got == _omega_per_pair(sp, 2, hs, caps, n, N, seed)
+        assert got == [estimate_omega(sp, 2, hs, M, n_samples=n, N=N, seed=seed)
+                       for M in caps]
+        stream = list(_pair_sampler(sp, N, caps, 2, "uniform_block")(
+            np.random.default_rng(seed), n))
+        takes = np.array([t for _, _, t in stream])
+        assert takes[:, 0].sum() == takes[:, 1].sum() == n and len(takes) > n
+        segments = {monotone_map(*mus).w.size for _, mus, _ in stream}
+        assert len(segments) > 1  # padded pairs in every multi-pair group
+        # one call per group, of (pairs, times, widest segment count)
+        if group_elems == 1:
+            assert [c[0] for c in groups] == [1] * len(stream)
+        elif group_elems > OMEGA_T_GRID * max(segments) * len(stream):
+            assert groups == [(len(stream), OMEGA_T_GRID, max(segments))]
+        assert got[0][1] > 0  # h = k still loses mass across the joints
+
+
+class _OverlappingMap:
+    """A monotone map whose slices put its second block inside its first."""
+
+    def __init__(self, tmap):
+        self.w = tmap.w
+        self._map = tmap
+
+    def interpolate_blocks(self, t):
+        u0, u1, w = self._map.interpolate_blocks(t)
+        u0 = u0.copy()
+        u0[..., 1] = u0[..., 0]
+        return u0, u1, w
+
+
+@pytest.mark.parametrize("group_elems", [1, cdcheck.PAIR_GROUP_ELEMS])
+def test_omega_batch_raises_what_the_overlapping_pair_raises(monkeypatch,
+                                                            group_elems):
+    sp = build_model_space(ModelSpec(kind="glued_cos_n", K=-2.0, N=-2.0, J=2,
+                                     grid_n=256))
+    monkeypatch.setattr(cdcheck, "PAIR_GROUP_ELEMS", group_elems)
+    real, count = monotone_map, itertools.count()
+
+    def mapped(mu0, mu1):  # the third pair overlaps, the fifth fails outright
+        i = next(count)
+        if i == 4:
+            raise MarginalMismatch("a later pair's own error")
+        return _OverlappingMap(real(mu0, mu1)) if i == 2 else real(mu0, mu1)
+
+    monkeypatch.setattr(cdcheck, "monotone_map", mapped)
+    errors = []
+    for estimate in (lambda: _omega_per_pair(sp, 2, [2, 3], [10.0], 6, -2.0, 0),
+                     lambda: estimate_omega(sp, 2, [2, 3], [10.0], n_samples=6,
+                                            N=-2.0, seed=0)):
+        count = itertools.count()
+        with pytest.raises(InvalidParams, match="ordered and disjoint") as err:
+            estimate()
+        errors.append((type(err.value), str(err.value)))
+    assert errors[0] == errors[1]
+
+
 # (space, k, caps): at each M only some of the candidates pass, and at the
 # scaled cap 2^(1 - 1/N) M all of them do
 _DIVERGING_CAPS = [

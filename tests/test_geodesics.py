@@ -82,6 +82,49 @@ def test_unordered_blocks_are_rejected(u0, u1):
         bin_blocks(u0, u1, w, Grid1D.uniform(0.0, 1.0, 4))
 
 
+def _padded(blocks):
+    """(G, T, S) ends and (G, S) masses of G maps' (T, S_g) slices, each
+    padded to the most segments with zero-mass, zero-width blocks at its
+    last end."""
+    width = max(w.size for _, _, w in blocks)
+    u0 = np.empty((len(blocks), blocks[0][0].shape[0], width))
+    u1, w = np.empty_like(u0), np.zeros((len(blocks), width))
+    for g, (a, b, wg) in enumerate(blocks):
+        u0[g, :, :wg.size], u1[g, :, :wg.size], w[g, :wg.size] = a, b, wg
+        u0[g, :, wg.size:] = u1[g, :, wg.size:] = b[:, -1:]
+    return u0, u1, w
+
+
+def test_blocks_cdf_with_per_set_masses_equals_each_set_alone(rng):
+    # maps with unequal segment counts, padded to one array: each set's rows
+    # equal the (T, S) call on its own unpadded blocks, padded rows included
+    g0, g1 = Grid1D.uniform(0.0, 1.0, 48), Grid1D.uniform(0.3, 1.7, 31)
+    ts = np.array([0.0, 0.2, 0.5, 0.5, 0.9, 1.0])
+    blocks = [monotone_map(random_measure(g0, rng, sparsity=s),
+                           random_measure(g1, rng, sparsity=s)).interpolate_blocks(ts)
+              for s in (0.0, 0.5, 0.8, 0.3)]
+    assert len({w.size for _, _, w in blocks}) == 4
+    pts = np.concatenate([np.linspace(-0.2, 2.0, 41), [1.0, 1.7, 1.7]])
+    u0, u1, w = _padded(blocks)
+    got = blocks_cdf(u0, u1, w, pts)
+    assert got.shape == (4, ts.size, pts.size)
+    for cdf, (a, b, wg) in zip(got, blocks):
+        assert cdf.tobytes() == blocks_cdf(a, b, wg, pts).tobytes()
+        for row, ra, rb in zip(cdf, a, b):
+            assert row.tobytes() == blocks_cdf(ra, rb, wg, pts).tobytes()
+    # a shared w still weighs every row alike
+    assert blocks_cdf(u0, u1, w[0], pts)[0].tobytes() == got[0].tobytes()
+    # one overlapping row of one set fails the call, as it fails that set's
+    bad0 = u0.copy()
+    bad0[2, 3, 1] = bad0[2, 3, 0]
+    with pytest.raises(InvalidParams, match="ordered and disjoint"):
+        blocks_cdf(bad0[2], u1[2], w[2], pts)
+    with pytest.raises(InvalidParams, match="ordered and disjoint"):
+        blocks_cdf(bad0, u1, w, pts)
+    with pytest.raises(InvalidParams, match="per-set masses"):
+        blocks_cdf(u0, u1, w[:3], pts)
+
+
 def test_bin_blocks_conserves_mass(rng):
     ends = np.sort(rng.uniform(0.0, 1.0, 600))
     u0, u1 = ends[0::2], ends[1::2]

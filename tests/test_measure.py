@@ -165,11 +165,14 @@ def test_entropy_over_slices_equals_one_slice_at_a_time(rng):
     w[2] = 0.0
     w[3, :] = 0.0
     w[3, 0] = 1e3  # overflows for N' = -1e-3 only
+    w[4, 5] = 0.25  # charges the infinite reference cell, which adds 0
     for N in (nps, -0.37, -1e-3):
         got = entropy_from_masses(w, m, N)
         assert isinstance(got, np.ndarray) and got.shape == (6,) + np.shape(N)
         want = [entropy_from_masses(row, m, N) for row in w]
         assert [np.asarray(v).tolist() for v in want] == got.tolist()
+        # bit for bit: the 1-D call takes log m at its charged cells only
+        assert np.array(want).tobytes() == got.tobytes()
     got = entropy_from_masses(w, m, nps)
     assert got[1].tolist() == [math.inf] * 5 and got[2].tolist() == [0.0] * 5
     assert np.isinf(got[3]).tolist() == [False] * 4 + [True]
@@ -310,6 +313,27 @@ def test_explicit_and_normalized():
     assert mu.total_mass == pytest.approx(4.0)
     assert mu.normalized().total_mass == pytest.approx(1.0, abs=1e-9)
     assert list(mu.support) == [1, 2, 3]
+
+
+def test_measure_fields_are_computed_once_and_read_only(rng):
+    g = Grid1D.uniform(0.0, 1.0, 40)
+    given = rng.uniform(0.0, 1.0, 40) * (rng.uniform(size=40) < 0.5)
+    before = given.copy()
+    mu = DiscreteMeasure(g, given)
+    # a copy of the caller's array: neither aliased nor made read-only
+    assert mu.masses is not given and not np.shares_memory(mu.masses, given)
+    assert given.flags.writeable
+    given[:] = 7.0
+    assert mu.masses.tobytes() == before.tobytes()
+    for arr in (mu.masses, mu.support):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+    # the cached fields are the ones computed afresh, and every read the same
+    assert mu.support.tolist() == np.nonzero(before > 0)[0].tolist()
+    assert mu.total_mass == float(np.sum(before))
+    assert mu.support is mu.support and type(mu.total_mass) is float
+    assert DiscreteMeasure(g, np.zeros(40)).support.size == 0
+    assert DiscreteMeasure(g, mu.masses).masses.flags.writeable is False
 
 
 def test_density_and_radon_nikodym(lebesgue):

@@ -305,6 +305,14 @@ def test_cut_k_below_regularity_raises():
         k_cut(sp, 0)
 
 
+def test_cut_level_past_the_level_range_raises_a_typed_error():
+    sp = build_model_space(ModelSpec(kind="power_n", N=-2.0, domain=(0.0, 2.0)))
+    for bad in (2000, 65):  # 2.0 ** 2000 would overflow
+        with pytest.raises(InvalidParams, match=f"k {bad} outside"):
+            k_cut(sp, bad)
+    assert k_cut(sp, 64).grid is sp.grid
+
+
 def test_empty_cut_raises():
     g = Grid1D.uniform(0.0, 1.0, 8)
     sp = PointedSpace1D(grid=g, density=np.ones(8),
