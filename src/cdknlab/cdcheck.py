@@ -207,16 +207,20 @@ def mass_in_intervals(u0: np.ndarray, u1: np.ndarray, w: np.ndarray,
     return out
 
 
+def _centres_in(grid: Grid1D, intervals: Sequence[tuple[float, float]]) -> np.ndarray:
+    """Per cell, whether its centre lies in one of the closed intervals,
+    which must be sorted and disjoint (as regular_intervals returns them): a
+    centre's interval is the last one starting at or before it."""
+    ivs = np.asarray(intervals, dtype=float).reshape(-1, 2)
+    ends = np.r_[-np.inf, ivs[:, 1]]  # -inf for the centres before every interval
+    return grid.centers <= ends[np.searchsorted(ivs[:, 0], grid.centers, side="right")]
+
+
 def _support_in_intervals(mu: DiscreteMeasure,
                           intervals: Sequence[tuple[float, float]]) -> bool:
-    """Whether every charged cell's centre lies in one of the closed
-    intervals, which must be sorted and disjoint (as regular_intervals
-    returns them): a centre's interval is the last one starting at or
-    before it."""
-    ivs = np.asarray(intervals, dtype=float).reshape(-1, 2)
-    c = mu.grid.centers[mu.support]
-    i = np.searchsorted(ivs[:, 0], c, side="right")
-    return bool((i > 0).all() and (c <= ivs[i - 1, 1]).all())
+    """Whether every charged cell's centre lies in one of the intervals
+    (see _centres_in)."""
+    return bool(_centres_in(mu.grid, intervals)[mu.support].all())
 
 
 # ---------------------------------------------------------------------------
@@ -464,44 +468,48 @@ def _pair_sampler(space: PointedSpace1D, N: float, caps: Sequence[float],
     what a loop of redraws at that cap alone would return.  A cap that
     rejects MAX_TRIES pairs in a row fails: the first failed cap in the
     order of caps raises once every cap before it has its n pairs, and no
-    pair is yielded after a cap has failed."""
+    pair is yielded after a cap has failed.
+
+    Pairs are drawn in rounds of as many as the neediest cap still needs,
+    but of no more than keep the round's masses within PAIR_GROUP_ELEMS, so
+    every pair drawn is looked at unless a cap fails.  A round's masses
+    come from one measure_from_dict call and its S_N from one renyi_entropy
+    call; the takes are then decided pair by pair, and measures are built
+    only for the pairs yielded."""
     ivs_k = None if k is None else regular_intervals(space, k)
     ivs = sampling_intervals(space, base=ivs_k)
-    rk = None if k is None else np.asarray(ivs_k, dtype=float).reshape(-1, 2)
-
-    def entropy(mu: DiscreteMeasure) -> float:
-        # a block near an end of R^k can charge a cell centred outside it;
-        # such a marginal gets NaN, which no cap takes
-        if rk is not None and not _support_in_intervals(mu, rk):
-            return math.nan
-        return renyi_entropy(mu, space, N)
+    # a block near an end of R^k can charge a cell centred outside it, and
+    # no cap takes such a marginal
+    outside = None if k is None else ~_centres_in(space.grid, ivs_k)
+    most = max(1, PAIR_GROUP_ELEMS // (2 * space.grid.n))  # pairs a round
 
     def draws(rng: np.random.Generator, n: int):
         got, misses = [0] * len(caps), [0] * len(caps)
         while any(g < n for g in got):
-            first = next(c for c, g in enumerate(got) if g < n)
-            if misses[first] >= MAX_TRIES:
-                raise SamplerEntropyViolation(
-                    f"default sampler cannot satisfy S_N <= {caps[first]} on this space")
-            pending = [g < n and m < MAX_TRIES for g, m in zip(got, misses)]
             # a kind drawn as rng.choice(SPEC_KINDS) draws it, from one integer
-            specs = tuple(_one_spec(rng, ivs,
-                                    kind or SPEC_KINDS[rng.integers(len(SPEC_KINDS))])
-                          for _ in range(2))
-            try:
-                mus = tuple(measure_from_dict(space.grid, s) for s in specs)
-            except InvalidParams:
-                mus = ()
-            takes = pending if mus else [False] * len(caps)
-            for mu in mus:
-                if any(takes):  # S_N only while some cap may take the pair
-                    s = entropy(mu)
-                    takes = [tk and math.isfinite(s) and s <= cap
-                             for tk, cap in zip(takes, caps)]
-            got = [g + tk for g, tk in zip(got, takes)]
-            misses = [0 if tk else m + p for m, tk, p in zip(misses, takes, pending)]
-            if any(takes) and max(misses) < MAX_TRIES:
-                yield specs, mus, np.array(takes)
+            specs = [tuple(_one_spec(rng, ivs,
+                                     kind or SPEC_KINDS[rng.integers(len(SPEC_KINDS))])
+                           for _ in range(2))
+                     for _ in range(min(n - min(got), most))]
+            # a spec that makes no measure has NaN masses, so NaN S_N
+            masses = measure_from_dict(space.grid, [s for pair in specs for s in pair])
+            s = renyi_entropy(masses, space, N)
+            s[np.isnan(masses[:, 0])] = math.nan
+            if outside is not None:
+                s[((masses > 0) & outside).any(axis=-1)] = math.nan
+            fits = (np.isfinite(s)[:, None] & (s[:, None] <= np.array(caps, dtype=float)))
+            for p, fit in enumerate(fits.reshape(-1, 2, len(caps)).all(axis=1).tolist()):
+                first = next(c for c, g in enumerate(got) if g < n)
+                if misses[first] >= MAX_TRIES:
+                    raise SamplerEntropyViolation(
+                        f"default sampler cannot satisfy S_N <= {caps[first]} on this space")
+                pending = [g < n and m < MAX_TRIES for g, m in zip(got, misses)]
+                takes = [pd and f for pd, f in zip(pending, fit)]
+                got = [g + tk for g, tk in zip(got, takes)]
+                misses = [0 if tk else m + pd for m, tk, pd in zip(misses, takes, pending)]
+                if any(takes) and max(misses) < MAX_TRIES:
+                    yield specs[p], tuple(DiscreteMeasure(space.grid, w)
+                                          for w in masses[2 * p:2 * p + 2]), np.array(takes)
 
     return draws
 
@@ -540,15 +548,25 @@ def cd_suite(space: PointedSpace1D, K: float, N: float, n_samples: int,
 
     reports = []
     for g in range(0, len(pair_specs), size):
-        mus = []
-        for spec0, spec1 in pair_specs[g:g + size]:
-            try:
-                mus.append((measure_from_dict(space.grid, spec0),
-                            measure_from_dict(space.grid, spec1)))
-            except Exception:  # the pairs before it raise first, as one at a time
-                if mus:
-                    check(mus)
-                raise
+        group = pair_specs[g:g + size]
+        try:
+            masses = measure_from_dict(space.grid, [s for pair in group for s in pair])
+        except Exception:
+            masses = None
+        if masses is not None and not np.isnan(masses[:, 0]).any():
+            mus = [tuple(DiscreteMeasure(space.grid, w) for w in masses[2 * p:2 * p + 2])
+                   for p in range(len(group))]
+        else:  # some spec makes no measure: one pair at a time, so that the
+            # pairs before it raise first
+            mus = []
+            for spec0, spec1 in group:
+                try:
+                    mus.append((measure_from_dict(space.grid, spec0),
+                                measure_from_dict(space.grid, spec1)))
+                except Exception:
+                    if mus:
+                        check(mus)
+                    raise
         reports.extend(check(mus))
     return SuiteReport(rows=tuple(r for rep in reports for r in rep.rows),
                        K=K, N=N, grid_n=space.grid.n, tol=tol,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -377,6 +378,13 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main uses, built once per process: parse_args fills a new
+    namespace on every call and the parser holds no state between calls."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     """Run one command from its argument list (default: sys.argv[1:]) and
     return its exit code."""
@@ -385,8 +393,7 @@ def main(argv=None) -> int:
         sys.stderr.write(f"error: CDKNLAB_THREADS={threads!r} is not an "
                          "integer >= 1\n")
         return EXIT_USAGE
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except UsageError as e:

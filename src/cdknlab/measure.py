@@ -92,12 +92,15 @@ def radon_nikodym(mu: DiscreteMeasure, space: PointedSpace1D) -> DensityWrtM:
     return DensityWrtM(grid=mu.grid, values=rho)
 
 
-def renyi_entropy(mu: DiscreteMeasure, space: PointedSpace1D, N):
+def renyi_entropy(mu, space: PointedSpace1D, N):
     """S_N(mu | m) for N < 0; +inf when mu is not absolutely continuous.
-    N may be a 1-D array of N' (see entropy_from_masses)."""
+    N may be a 1-D array of N' (see entropy_from_masses).  mu is one
+    DiscreteMeasure, or (rows, n) cell masses, which give one entropy (or
+    one row of them) per row, each equal to the call on that row's measure."""
     if (N >= 0).any() if isinstance(N, np.ndarray) else N >= 0:
         raise DomainError("renyi_entropy requires N < 0")
-    return entropy_from_masses(mu.masses, space.cell_masses, N)
+    return entropy_from_masses(mu.masses if isinstance(mu, DiscreteMeasure) else mu,
+                               space.cell_masses, N)
 
 
 def entropy_from_masses(w: np.ndarray, m: np.ndarray, N):
@@ -194,27 +197,24 @@ def legendre_entropy(mu: DiscreteMeasure, space: PointedSpace1D, N: float,
 
 def uniform_block(grid: Grid1D, a: float, b: float) -> DiscreteMeasure:
     """Probability measure with uniform (Lebesgue) density on [a, b]."""
-    if not a < b:
-        raise InvalidParams("block needs a < b")
-    lo = np.maximum(grid.edges[:-1], a)
-    hi = np.minimum(grid.edges[1:], b)
-    overlap = np.maximum(hi - lo, 0.0)
-    tot = overlap.sum()
-    if tot <= 0:
-        raise InvalidParams("block does not meet the grid")
-    return DiscreteMeasure(grid, overlap / tot)
+    return measure_from_dict(grid, {"type": "uniform_block", "a": a, "b": b})
 
 
 def bump(grid: Grid1D, center: float, width: float) -> DiscreteMeasure:
     """Probability measure with a triangular hat density of given half-width."""
-    if width <= 0:
-        raise InvalidParams("bump needs width > 0")
-    c = grid.centers
-    vals = np.maximum(0.0, 1.0 - np.abs(c - center) / width) * grid.widths
-    tot = vals.sum()
-    if tot <= 0:
-        raise InvalidParams("bump does not meet the grid")
-    return DiscreteMeasure(grid, vals / tot)
+    return measure_from_dict(grid, {"type": "bump", "center": center, "width": width})
+
+
+def _mixed(n: int, weights: Sequence[float], rows, totals) -> np.ndarray:
+    """The masses of a mixture of parts with these cell masses and total
+    masses, added from zero in part order."""
+    total_w = sum(weights)
+    if total_w <= 0:
+        raise InvalidParams("mixture weights must be positive")
+    masses = np.zeros(n)
+    for w, row, tot in zip(weights, rows, totals):
+        masses += (w / total_w) * row / tot
+    return masses
 
 
 def mixture(parts: Sequence[tuple]) -> DiscreteMeasure:
@@ -222,24 +222,102 @@ def mixture(parts: Sequence[tuple]) -> DiscreteMeasure:
     if not parts:
         raise InvalidParams("empty mixture")
     grid = parts[0][1].grid
-    total_w = sum(w for w, _ in parts)
-    if total_w <= 0:
-        raise InvalidParams("mixture weights must be positive")
-    masses = np.zeros(grid.n)
-    for w, m in parts:
+    for _, m in parts:
         if m.grid is not grid and not np.array_equal(m.grid.edges, grid.edges):
             raise InvalidParams("mixture parts on different grids")
-        masses += (w / total_w) * m.masses / m.total_mass
-    return DiscreteMeasure(grid, masses)
+    weights, mus = zip(*parts)
+    return DiscreteMeasure(grid, _mixed(grid.n, weights, [m.masses for m in mus],
+                                        [m.total_mass for m in mus]))
 
 
-def measure_from_dict(grid: Grid1D, d: dict) -> DiscreteMeasure:
-    kind = d["type"]
-    if kind == "uniform_block":
-        return uniform_block(grid, float(d["a"]), float(d["b"]))
-    if kind == "bump":
-        return bump(grid, float(d["center"]), float(d["width"]))
-    if kind == "mixture":
-        parts = [(float(p["weight"]), measure_from_dict(grid, p)) for p in d["parts"]]
-        return mixture(parts)
-    raise InvalidParams(f"unknown measure type {kind!r}")
+def _shape_rows(grid: Grid1D, kind: str, x: np.ndarray, y: np.ndarray):
+    """(k, n) unnormalised cell masses of k blocks [x, y] or k bumps of
+    centre x and half-width y, and their (k,) totals."""
+    if kind == "block":
+        lo = np.maximum(grid.edges[:-1], x[:, None])
+        hi = np.minimum(grid.edges[1:], y[:, None])
+        vals = np.maximum(hi - lo, 0.0)
+    else:
+        vals = np.maximum(0.0, 1.0 - np.abs(grid.centers - x[:, None]) / y[:, None]) * grid.widths
+    return vals, vals.sum(axis=-1)
+
+
+def _spec_masses(grid: Grid1D, specs: Sequence[dict]):
+    """(len(specs), n) cell masses, one row per spec, and per spec the error
+    that building its measure alone raises first, or None, but for the
+    check of DiscreteMeasure itself (see _refused).  A row with an error is
+    NaN.  The blocks are built in one array pass and the bumps in another;
+    a mixture is built from its parts, all in one call."""
+    out = np.full((len(specs), grid.n), np.nan)
+    errs: list = [None] * len(specs)
+    shapes: dict = {"block": [], "bump": []}  # (spec, x, y) of each shape
+    for i, d in enumerate(specs):
+        try:  # each error is kept, to be raised in its spec's place
+            kind = d["type"]
+            if kind == "uniform_block":
+                a, b = float(d["a"]), float(d["b"])
+                if not a < b:
+                    raise InvalidParams("block needs a < b")
+                shapes["block"].append((i, a, b))
+            elif kind == "bump":
+                c, w = float(d["center"]), float(d["width"])
+                if w <= 0:
+                    raise InvalidParams("bump needs width > 0")
+                shapes["bump"].append((i, c, w))
+            elif kind == "mixture":
+                parts = list(d["parts"])
+                rows, part_errs = _spec_masses(grid, parts)
+                weights = []
+                for p, err, refused in zip(parts, part_errs, _refused(rows)):
+                    weights.append(float(p["weight"]))  # read before its part is built
+                    if err is not None:
+                        raise err
+                    if refused:
+                        raise InvalidParams("masses must be finite and nonnegative")
+                if not parts:
+                    raise InvalidParams("empty mixture")
+                # a part's total mass is its row's sum, as DiscreteMeasure takes it
+                out[i] = _mixed(grid.n, weights, rows, rows.sum(axis=-1))
+            else:
+                raise InvalidParams(f"unknown measure type {kind!r}")
+        except Exception as e:
+            errs[i] = e
+    for kind, rows in shapes.items():
+        if rows:
+            idx, x, y = np.array(rows).T
+            idx = idx.astype(int)
+            vals, tot = _shape_rows(grid, kind, x, y)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                out[idx] = vals / tot[:, None]
+            for i, t in zip(idx.tolist(), tot.tolist()):
+                if t <= 0:
+                    errs[i] = InvalidParams(f"{kind} does not meet the grid")
+    return out, errs
+
+
+def _refused(masses: np.ndarray) -> np.ndarray:
+    """Per row, whether DiscreteMeasure refuses it (NaN fails both tests)."""
+    return ~((masses >= 0) & (masses < np.inf)).all(axis=-1)
+
+
+def measure_from_dict(grid: Grid1D, d):
+    """The measure of one spec: a dict with "type" "uniform_block" (and "a",
+    "b"), "bump" ("center", "width") or "mixture" ("parts", specs that each
+    add a "weight").
+
+    d may also be a sequence of specs, which gives their (len(d), n) cell
+    masses, each row bit for bit that of its spec's measure alone.  A spec
+    whose measure alone raises InvalidParams gives a row of NaN; any other
+    error raises, the first in the order of the specs.
+    """
+    one = isinstance(d, dict)
+    masses, errs = _spec_masses(grid, [d] if one else d)
+    if one:
+        if errs[0] is not None:
+            raise errs[0]
+        return DiscreteMeasure(grid, masses[0])
+    for e in errs:
+        if e is not None and not isinstance(e, InvalidParams):
+            raise e
+    masses[_refused(masses)] = np.nan
+    return masses

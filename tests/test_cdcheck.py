@@ -64,6 +64,7 @@ from cdknlab.measure import (
     uniform_block,
 )
 from cdknlab.geodesics1d import bin_blocks, blocks_cdf
+from cdknlab.ikrw import glued_drift_space
 from cdknlab.mmspace import Grid1D, ModelSpec, PointedSpace1D, build_model_space
 from cdknlab.transport import Coupling, monotone_map
 
@@ -760,19 +761,153 @@ def test_pair_sampler_entropy_cap(lebesgue):
 
 
 def test_pair_sampler_keeps_a_failed_cap_failed(lebesgue, monkeypatch):
-    # scripted S_N per marginal against caps (2, 1): 0.5 passes both, 1.5
+    # scripted (S0, S1) per pair against caps (2, 1): 0.5 passes both, 1.5
     # only the first, 3.0 neither.  The second cap fails on its MAX_TRIES-th
     # rejection in a row while the first still needs a pair; the pairs drawn
     # for the first after that must neither revive it nor be yielded
-    script = iter([0.5, 0.5] + [3.0] * (MAX_TRIES - 1) + [1.5, 1.5]
-                  + [0.5, 0.5] * 3)
-    monkeypatch.setattr(cdcheck, "renyi_entropy", lambda mu, space, N: next(script))
+    script = iter([(0.5, 0.5)] + [(3.0, 3.0)] * (MAX_TRIES - 1) + [(1.5, 1.5)]
+                  + [(0.5, 0.5)] * 5)
+    monkeypatch.setattr(cdcheck, "renyi_entropy", lambda masses, space, N: np.array(
+        [s for _ in range(len(masses) // 2) for s in next(script)]))
     draws = _pair_sampler(lebesgue, -2.0, [2.0, 1.0], kind="uniform_block")
     yielded = []
     with pytest.raises(SamplerEntropyViolation, match=r"S_N <= 1\.0 on"):
         for _, _, takes in draws(np.random.default_rng(0), 3):
             yielded.append(takes.tolist())
     assert yielded == [[True, True]]
+
+
+def _pair_sampler_one_pair_at_a_time(space, N, caps, k=None, kind=None):
+    """_pair_sampler as it was written before its rounds: each pair is drawn,
+    built and measured on its own, and its second marginal's S_N is taken
+    only while some cap may still take the pair.  draws also appends each
+    pair drawn to `drawn`."""
+    ivs_k = None if k is None else regular_intervals(space, k)
+    ivs = sampling_intervals(space, base=ivs_k)
+
+    def draws(rng, n, drawn):
+        got, misses = [0] * len(caps), [0] * len(caps)
+        while any(g < n for g in got):
+            first = next(c for c, g in enumerate(got) if g < n)
+            if misses[first] >= MAX_TRIES:
+                raise SamplerEntropyViolation(
+                    f"default sampler cannot satisfy S_N <= {caps[first]} on this space")
+            pending = [g < n and m < MAX_TRIES for g, m in zip(got, misses)]
+            specs = tuple(cdcheck._one_spec(rng, ivs,
+                                            kind or SPEC_KINDS[rng.integers(len(SPEC_KINDS))])
+                          for _ in range(2))
+            drawn.append(specs)
+            try:
+                mus = tuple(measure_from_dict(space.grid, s) for s in specs)
+            except InvalidParams:
+                mus = ()
+            takes = pending if mus else [False] * len(caps)
+            for mu in mus:
+                if any(takes):
+                    s = (renyi_entropy(mu, space, N)
+                         if ivs_k is None or _support_in_intervals(mu, ivs_k) else math.nan)
+                    takes = [tk and math.isfinite(s) and s <= cap
+                             for tk, cap in zip(takes, caps)]
+            got = [g + tk for g, tk in zip(got, takes)]
+            misses = [0 if tk else m + p for m, tk, p in zip(misses, takes, pending)]
+            if any(takes) and max(misses) < MAX_TRIES:
+                yield specs, mus, np.array(takes)
+
+    return draws
+
+
+def _sampler_outcome(stream, seed):
+    """Each yielded pair's specs, mass bytes and takes, the message of the
+    error raised (or None) and, when none was, the generator's next value."""
+    rng, got = np.random.default_rng(seed), []
+    try:
+        for specs, mus, takes in stream(rng):
+            got.append((specs, [mu.masses.tobytes() for mu in mus], takes.tolist()))
+    except SamplerEntropyViolation as e:
+        return got, str(e), None
+    return got, None, rng.random()
+
+
+_SAMPLER_CASES = {  # space, N, caps, k, kind
+    "blocks_in_Rk_two_caps": (dict(kind="glued_cos_n", K=-2.0, N=-2.0, J=2, grid_n=256),
+                              -2.0, [Omega_cap(1.05, -2.0), 1.05], 2, "uniform_block"),
+    "bumps_and_mixtures": (dict(kind="cauchy", alpha=1.0, domain=(-4.0, 4.0), grid_n=128),
+                           -1.0, [math.inf], None, None),
+    "glued_drift": ("glued_drift", -2.0, [math.inf], None, None),
+    "glued_drift_in_Rk": ("glued_drift", -2.0, [10.0, 1.2], 1, "uniform_block"),
+    "failing_cap": (dict(kind="glued_cos_n", K=-2.0, N=-2.0, J=2, grid_n=256),
+                    -2.0, [10.0, 1e-6], 2, "uniform_block"),
+    "failing_cap_mixtures": (dict(kind="cos_n", K=-2.0, N=-2.0, grid_n=128),
+                             -2.0, [math.inf, 0.6], None, None),
+}
+
+
+@pytest.mark.parametrize("case", list(_SAMPLER_CASES))
+def test_pair_sampler_rounds_equal_one_pair_at_a_time(case, monkeypatch):
+    # the same specs, bit-identical masses and takes, and the same error
+    # after the same pairs; when no cap fails, the same pairs are drawn:
+    # _one_spec is called twice per pair the one-pair loop draws
+    spec, N, caps, k, kind = _SAMPLER_CASES[case]
+    sp = (glued_drift_space(2, grid_n=128) if spec == "glued_drift"
+          else build_model_space(ModelSpec(**spec)))
+    assert (np.ptp(sp.grid.widths) > 1e-6) == (spec == "glued_drift")
+    calls, depth, real = [0], [0], cdcheck._one_spec
+
+    def counted(*args):  # calls from outside _one_spec (mixtures recurse)
+        calls[0] += depth[0] == 0
+        depth[0] += 1
+        try:
+            return real(*args)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(cdcheck, "_one_spec", counted)
+    # rounds of as many pairs as a cap needs, and of one pair (a tiny budget)
+    rounds = [_pair_sampler(sp, N, caps, k, kind)]
+    monkeypatch.setattr(cdcheck, "PAIR_GROUP_ELEMS", 1)
+    rounds.append(_pair_sampler(sp, N, caps, k, kind))
+    one_at_a_time = _pair_sampler_one_pair_at_a_time(sp, N, caps, k, kind)
+    kinds, errors = set(), set()
+    for seed in range(4):
+        calls[0], drawn = 0, []
+        want = _sampler_outcome(lambda rng: one_at_a_time(rng, 5, drawn), seed)
+        assert calls[0] == 2 * len(drawn)
+        for draws in rounds:
+            calls[0] = 0
+            got = _sampler_outcome(lambda rng: draws(rng, 5), seed)
+            assert got == want
+            if want[1] is None:
+                assert calls[0] == 2 * len(drawn)
+        kinds |= {s["type"] for specs in drawn for s in specs}
+        errors.add(want[1])
+        if len(caps) > 1 and want[1] is None:  # the caps take different pairs
+            assert len(got[0]) > 5
+    assert (kinds == set(SPEC_KINDS)) == (kind is None)
+    assert (None not in errors) == case.startswith("failing_cap")
+
+
+def test_pair_sampler_rejects_a_pair_whose_spec_makes_no_measure(monkeypatch):
+    # every third spec drawn (mixture parts too) is a block off the grid,
+    # which makes no measure: its pair is rejected, as in the one-pair loop
+    sp = build_model_space(ModelSpec(kind="cos_n", K=-2.0, N=-2.0, grid_n=128))
+    real, count = cdcheck._one_spec, [0]
+
+    def spoiled(rng, ivs, kind):
+        spec = real(rng, ivs, kind)
+        count[0] += 1
+        return ({"type": "uniform_block", "a": 1e6, "b": 1e6 + 1.0}
+                if count[0] % 3 == 0 else spec)
+
+    monkeypatch.setattr(cdcheck, "_one_spec", spoiled)
+    for caps, k, kind in (([math.inf], None, None), ([10.0, 1.2], 1, "uniform_block")):
+        rounds = _pair_sampler(sp, -2.0, caps, k, kind)
+        one_at_a_time = _pair_sampler_one_pair_at_a_time(sp, -2.0, caps, k, kind)
+        for seed in range(3):
+            count[0], drawn = 0, []
+            want = _sampler_outcome(lambda rng: one_at_a_time(rng, 4, drawn), seed)
+            count[0] = 0
+            assert _sampler_outcome(lambda rng: rounds(rng, 4), seed) == want
+            assert want[1] is None and len(drawn) > 4
 
 
 def _sample_pair_specs_as_written(space, N, n_pairs, seed):
@@ -1034,6 +1169,7 @@ def test_first_bad_pair_raises_what_it_raises_alone():
             {"type": "uniform_block", "a": 1.2, "b": 1.4})
     outside = ({"type": "uniform_block", "a": 1.7, "b": 1.95}, good[1])
     broken = ({"type": "uniform_block", "a": 5.0, "b": 6.0}, good[1])
+    malformed = ({"type": "uniform_block", "a": 0.3}, good[1])
 
     def outcome(check):
         try:
@@ -1052,9 +1188,10 @@ def test_first_bad_pair_raises_what_it_raises_alone():
     assert alone["outside"][0] is SupportViolation
     assert outcome(lambda: verify_cd(sp, *measures(good), 0.0, -1.0, **kw)) is None
     for order in (("good", "null", "outside", "good"), ("outside", "null"),
-                  ("good", "good", "null"), ("good", "outside", "broken")):
+                  ("good", "good", "null"), ("good", "outside", "broken"),
+                  ("good", "outside", "malformed")):
         pairs = [{"good": good, "null": null, "outside": outside,
-                  "broken": broken}[name] for name in order]
+                  "broken": broken, "malformed": malformed}[name] for name in order]
         first = next(n for n in order if n != "good")
         got = outcome(lambda: verify_cd(sp, *zip(*[measures(p) for p in pairs[:order.index(first) + 1]]),
                                         0.0, -1.0, **kw))
@@ -1064,6 +1201,8 @@ def test_first_bad_pair_raises_what_it_raises_alone():
                                         pair_specs=pairs, **kw)) == alone[first]
     assert outcome(lambda: cd_suite(sp, 0.0, -1.0, 2, 0, pair_specs=[broken, null],
                                     **kw))[0] is InvalidParams
+    assert outcome(lambda: cd_suite(sp, 0.0, -1.0, 2, 0, pair_specs=[malformed, null],
+                                    **kw)) == (KeyError, "'b'")
     mu = measures(good)
     for mu0s, mu1s in (([], []), ([mu[0]], [mu[1], mu[1]])):
         with pytest.raises(InvalidParams):

@@ -146,6 +146,37 @@ def test_cdcheck_json_format_is_single_file(tmp_path):
     assert not (tmp_path / "rep.json.summary.json").exists()
 
 
+def test_back_to_back_main_calls_keep_no_state(tmp_path):
+    # main parses with one parser per process; a call's flags, format and
+    # usage error leave the next call's report that of a fresh parser
+    from cdknlab import cli
+
+    assert cli._parser() is cli._parser() and build_parser() is not build_parser()
+    sp = _space_file(tmp_path)
+    argv = ["cdcheck", "--space", sp, "--K", "-2.0", "--N", "-2.0",
+            "--samples", "2", "--seed", "4", "--t-grid", "3", "--nprime-grid", "2"]
+
+    def report(name, *flags):
+        out = tmp_path / name
+        assert main(argv + ["--out", str(out), *flags]) == EXIT_OK
+        return sorted((p.name[len(name):], p.read_bytes())
+                      for p in tmp_path.glob(name + "*"))
+
+    cli._parser.cache_clear()
+    want = report("fresh.csv")
+    cli._parser.cache_clear()
+    restricted = report("k.json", "--restrict-k", "1", "--format", "json")
+    assert [suffix for suffix, _ in restricted] == [""]  # one json file
+    assert report("after_k.csv") == want
+    with pytest.raises(SystemExit) as e:
+        main(argv + ["--out", str(tmp_path / "bad.csv"), "--samples", "0"])
+    assert e.value.code == EXIT_USAGE
+    assert report("after_error.csv") == want
+    assert [suffix for suffix, _ in want] == ["", ".summary.json"]
+    args = cli._parser().parse_args(argv + ["--out", "x"])
+    assert args.restrict_k is None and args.format == "csv" and args.samples == 2
+
+
 # ---------------------------------------------------------------------------
 # convexity
 

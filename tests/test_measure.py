@@ -6,6 +6,7 @@ independent route, including the infinite-mass and zero-mass conventions.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -148,6 +149,16 @@ def test_entropy_over_nprimes_equals_one_nprime_at_a_time(rng):
     assert got.tolist() == [renyi_entropy(mu, space, float(n)) for n in nps]
     with pytest.raises(DomainError):
         renyi_entropy(mu, space, np.array([-1.0, 0.0]))
+    # (rows, n) masses give one entropy, or one row of them, per row, each
+    # bit-identical to the call on that row's measure
+    rows = np.stack([spread, atom, charges_null, np.zeros(64)])
+    for N in (-2.0, -1e-3, nps):
+        got = renyi_entropy(rows, space, N)
+        assert [np.asarray(v).tobytes() for v in got] == [
+            np.asarray(renyi_entropy(DiscreteMeasure(g, w), space, N)).tobytes()
+            for w in rows]
+    with pytest.raises(DomainError):
+        renyi_entropy(rows, space, 0.0)
 
 
 def test_entropy_over_slices_equals_one_slice_at_a_time(rng):
@@ -305,6 +316,101 @@ def test_measure_from_dict_roundtrip():
     np.testing.assert_allclose(mu.masses, direct.masses, rtol=1e-14)
     with pytest.raises(InvalidParams):
         measure_from_dict(g, {"type": "nope"})
+
+
+def _measure_as_written(grid, d):
+    """measure_from_dict of one spec as it was written before its batch
+    form: each shape and each mixture builds its own DiscreteMeasure."""
+    kind = d["type"]
+    if kind == "uniform_block":
+        a, b = float(d["a"]), float(d["b"])
+        if not a < b:
+            raise InvalidParams("block needs a < b")
+        overlap = np.maximum(np.minimum(grid.edges[1:], b)
+                             - np.maximum(grid.edges[:-1], a), 0.0)
+        if overlap.sum() <= 0:
+            raise InvalidParams("block does not meet the grid")
+        return DiscreteMeasure(grid, overlap / overlap.sum())
+    if kind == "bump":
+        center, width = float(d["center"]), float(d["width"])
+        if width <= 0:
+            raise InvalidParams("bump needs width > 0")
+        vals = np.maximum(0.0, 1.0 - np.abs(grid.centers - center) / width) * grid.widths
+        if vals.sum() <= 0:
+            raise InvalidParams("bump does not meet the grid")
+        return DiscreteMeasure(grid, vals / vals.sum())
+    if kind == "mixture":
+        parts = [(float(p["weight"]), _measure_as_written(grid, p)) for p in d["parts"]]
+        if not parts:
+            raise InvalidParams("empty mixture")
+        total_w = sum(w for w, _ in parts)
+        if total_w <= 0:
+            raise InvalidParams("mixture weights must be positive")
+        masses = np.zeros(grid.n)
+        for w, m in parts:
+            masses += (w / total_w) * m.masses / m.total_mass
+        return DiscreteMeasure(grid, masses)
+    raise InvalidParams(f"unknown measure type {kind!r}")
+
+
+def _random_spec(rng, depth=0):
+    """A spec of any type, now and then one that makes no measure (each
+    InvalidParams of _measure_as_written) or that raises another error."""
+    u = rng.uniform(-1.0, 3.0, 2)
+    kind = int(rng.integers(4 if depth < 2 else 2))
+    if kind == 0:
+        d = {"type": "uniform_block", "a": u[0], "b": u[0] + rng.uniform(-0.1, 0.6)}
+    elif kind == 1:
+        d = {"type": "bump", "center": u[0], "width": rng.choice(
+            [rng.uniform(-0.2, 0.5), 0.01, math.nan])}
+    elif kind == 2:
+        parts = [_random_spec(rng, depth + 1) for _ in range(int(rng.integers(4)))]
+        d = {"type": "mixture", "parts": [
+            dict(p, weight=rng.uniform(-1.0, 1.0)) for p in parts]}
+    else:
+        d = {"type": "nope"}
+    if kind == 2 and d["parts"] and rng.uniform() < 0.15:
+        d["parts"][-1]["weight"] = "heavy"  # a ValueError
+    if rng.uniform() < 0.02:
+        d.pop("type")  # a KeyError
+    return d
+
+
+def _outcome(build):
+    """The mass bytes of the measure built, or the type and message raised."""
+    try:
+        return build().masses.tobytes()
+    except Exception as e:  # noqa: BLE001 - the type and message are compared
+        return type(e), str(e)
+
+
+def test_measure_from_dict_batch_rows_equal_the_one_spec_build():
+    # one spec gives what it gave before its batch form; in a batch, each
+    # row is bit for bit that spec's measure alone, NaN where that raises
+    # InvalidParams, and the first other error raises, in spec order
+    rng = np.random.default_rng(11)
+    grids = (Grid1D.uniform(0.0, 2.0, 40),
+             Grid1D(np.r_[0.0, np.sort(rng.uniform(0.0, 2.0, 29)), 2.0]))
+    seen = set()
+    for g in grids:
+        specs = [_random_spec(rng) for _ in range(400)]
+        want = [_outcome(lambda d=d: _measure_as_written(g, d)) for d in specs]
+        assert [_outcome(lambda d=d: measure_from_dict(g, d)) for d in specs] == want
+        seen |= {w[1] if isinstance(w, tuple) else "ok" for w in want}
+        others = [w for w in want if isinstance(w, tuple) and w[0] is not InvalidParams]
+        with pytest.raises(others[0][0], match=re.escape(others[0][1])):
+            measure_from_dict(g, specs)
+        kept = [(d, w) for d, w in zip(specs, want) if w not in others]
+        masses = measure_from_dict(g, [d for d, _ in kept])
+        assert masses.shape == (len(kept), g.n)
+        assert [w if isinstance(w, bytes) else True for _, w in kept] == \
+            [np.isnan(row).all() or row.tobytes() for row in masses]
+    assert {"ok", "block needs a < b", "block does not meet the grid",
+            "bump needs width > 0", "bump does not meet the grid", "empty mixture",
+            "mixture weights must be positive", "masses must be finite and nonnegative",
+            "unknown measure type 'nope'", "'type'",
+            "could not convert string to float: 'heavy'"} == seen
+    assert measure_from_dict(grids[0], []).shape == (0, 40)
 
 
 def test_explicit_and_normalized():
