@@ -22,6 +22,7 @@ import numpy as np
 
 from .distortion import _lengths, _times, sigma_kappa_lengths, tau_KN_vec
 from .errors import (
+    CdknLabError,
     DomainError,
     InvalidParams,
     MarginalMismatch,
@@ -458,24 +459,26 @@ def _one_spec(rng: np.random.Generator, intervals: SamplingIntervals,
     return {"type": "mixture", "parts": parts}
 
 
-def _pair_sampler(space: PointedSpace1D, N: float, caps: Sequence[float],
-                  k: Optional[int] = None, kind: Optional[str] = None):
-    """draws(rng, n) -> iterator of (specs, measures, takes), one per drawn
-    pair of `kind` marginals (of shapes drawn from SPEC_KINDS when kind is
-    None) that some cap takes.  Cap c takes a pair, until it has n, when each
-    marginal has a finite S_N <= caps[c] and, given k, lies in R^k; takes[c]
-    says whether it did.  Every cap sees the one stream of pairs, and takes
-    what a loop of redraws at that cap alone would return.  A cap that
-    rejects MAX_TRIES pairs in a row fails: the first failed cap in the
-    order of caps raises once every cap before it has its n pairs, and no
-    pair is yielded after a cap has failed.
+def _pair_rounds(space: PointedSpace1D, N: float, caps: Sequence[float],
+                 k: Optional[int] = None, kind: Optional[str] = None):
+    """rounds(rng, n) -> iterator of (specs, masses, takes), one per round of
+    drawn pairs that yields a pair: the yielded pairs' specs, their
+    (pairs, 2, n) cell masses and (pairs, caps) takes.  A yielded pair is a
+    drawn pair of `kind` marginals (of shapes drawn from SPEC_KINDS when kind
+    is None) that some cap takes.  Cap c takes a pair, until it has n, when
+    each marginal has a finite S_N <= caps[c] and, given k, lies in R^k;
+    takes[p, c] says whether it did.  Every cap sees the one stream of
+    pairs, and takes what a loop of redraws at that cap alone would return.
+    A cap that rejects MAX_TRIES pairs in a row fails: the first failed cap
+    in the order of caps raises once every cap before it has its n pairs,
+    after its round has yielded the pairs taken before the failure, and no
+    pair is yielded after it.
 
     Pairs are drawn in rounds of as many as the neediest cap still needs,
     but of no more than keep the round's masses within PAIR_GROUP_ELEMS, so
     every pair drawn is looked at unless a cap fails.  A round's masses
     come from one measure_from_dict call and its S_N from one renyi_entropy
-    call; the takes are then decided pair by pair, and measures are built
-    only for the pairs yielded."""
+    call; the takes are then decided pair by pair."""
     ivs_k = None if k is None else regular_intervals(space, k)
     ivs = sampling_intervals(space, base=ivs_k)
     # a block near an end of R^k can charge a cell centred outside it, and
@@ -483,7 +486,7 @@ def _pair_sampler(space: PointedSpace1D, N: float, caps: Sequence[float],
     outside = None if k is None else ~_centres_in(space.grid, ivs_k)
     most = max(1, PAIR_GROUP_ELEMS // (2 * space.grid.n))  # pairs a round
 
-    def draws(rng: np.random.Generator, n: int):
+    def rounds(rng: np.random.Generator, n: int):
         got, misses = [0] * len(caps), [0] * len(caps)
         while any(g < n for g in got):
             # a kind drawn as rng.choice(SPEC_KINDS) draws it, from one integer
@@ -498,18 +501,39 @@ def _pair_sampler(space: PointedSpace1D, N: float, caps: Sequence[float],
             if outside is not None:
                 s[((masses > 0) & outside).any(axis=-1)] = math.nan
             fits = (np.isfinite(s)[:, None] & (s[:, None] <= np.array(caps, dtype=float)))
+            kept, kept_takes, failed = [], [], None  # the round's yielded pairs
             for p, fit in enumerate(fits.reshape(-1, 2, len(caps)).all(axis=1).tolist()):
                 first = next(c for c, g in enumerate(got) if g < n)
                 if misses[first] >= MAX_TRIES:
-                    raise SamplerEntropyViolation(
-                        f"default sampler cannot satisfy S_N <= {caps[first]} on this space")
+                    failed = caps[first]
+                    break
                 pending = [g < n and m < MAX_TRIES for g, m in zip(got, misses)]
                 takes = [pd and f for pd, f in zip(pending, fit)]
                 got = [g + tk for g, tk in zip(got, takes)]
                 misses = [0 if tk else m + pd for m, tk, pd in zip(misses, takes, pending)]
                 if any(takes) and max(misses) < MAX_TRIES:
-                    yield specs[p], tuple(DiscreteMeasure(space.grid, w)
-                                          for w in masses[2 * p:2 * p + 2]), np.array(takes)
+                    kept.append(p)
+                    kept_takes.append(takes)
+            if kept:
+                yield ([specs[p] for p in kept], masses.reshape(-1, 2, space.grid.n)[kept],
+                       np.array(kept_takes))
+            if failed is not None:
+                raise SamplerEntropyViolation(
+                    f"default sampler cannot satisfy S_N <= {failed} on this space")
+
+    return rounds
+
+
+def _pair_sampler(space: PointedSpace1D, N: float, caps: Sequence[float],
+                  k: Optional[int] = None, kind: Optional[str] = None):
+    """draws(rng, n) -> iterator of (specs, measures, takes), one per pair
+    that _pair_rounds yields, in order, with its two marginals' measures."""
+    rounds = _pair_rounds(space, N, caps, k, kind)
+
+    def draws(rng: np.random.Generator, n: int):
+        for specs, masses, takes in rounds(rng, n):
+            for pair, m, tk in zip(specs, masses, takes):
+                yield pair, tuple(DiscreteMeasure(space.grid, w) for w in m), tk
 
     return draws
 
@@ -728,6 +752,9 @@ def estimate_omega(space: PointedSpace1D, k: int, h: Union[int, Sequence[int]],
     Pairs are measured in groups of at most PAIR_GROUP_ELEMS block ends, by
     one mass_in_intervals call each, padded to the group's most segments (see
     blocks_cdf); a group is measured before a later pair's error raises.
+    Each sampler round's pairs are mapped by one monotone_map call on their
+    masses, and a group's padded block ends are one broadcast over its
+    pairs' segments.
     """
     scalar_h, scalar_M = np.ndim(h) == 0, np.ndim(M) == 0
     hs = [h] if scalar_h else list(h)
@@ -738,36 +765,72 @@ def estimate_omega(space: PointedSpace1D, k: int, h: Union[int, Sequence[int]],
         raise InvalidParams("need at least one entropy cap M")
     if n_samples < 1:
         raise InvalidParams("need at least one sampled pair")
-    pairs = _pair_sampler(space, N, Ms, k, "uniform_block")(
+    rounds = _pair_rounds(space, N, Ms, k, "uniform_block")(
         np.random.default_rng(seed), n_samples)
     ivs_h = [regular_intervals(space, hh) for hh in hs]
     ts = np.linspace(0.0, 1.0, OMEGA_T_GRID)
+    t = ts[:, None]
     worst = np.zeros((len(Ms), len(hs)))
-    group, widest = [], 0  # (map, takes) of the pairs not yet measured
+    group = []  # (map, its pairs' segment offsets, takes) of the pairs not yet measured
+    count = widest = 0  # the group's pairs, and their most segments
 
     def measure():
-        if group:
-            maps, takes = zip(*group)
-            group.clear()
-            u0, u1 = np.empty((2, len(maps), ts.size, max(m.w.size for m in maps)))
-            w = np.zeros((len(maps), u0.shape[-1]))
-            for p, m in enumerate(maps):
-                a, b, wp = m.interpolate_blocks(ts)
-                u0[p, :, :wp.size], u1[p, :, :wp.size], w[p, :wp.size] = a, b, wp
-                u0[p, :, wp.size:] = u1[p, :, wp.size:] = b[:, -1:]
-            totals = np.array([np.sum(m.w) for m in maps])[:, None, None]
-            out = 1.0 - mass_in_intervals(u0, u1, w, ivs_h) / totals
-            taken = np.where(np.array(takes)[:, :, None],  # over time, then each cap's pairs
+        nonlocal count
+        parts, n_pairs = group[:], count
+        group.clear()
+        count = 0
+        if n_pairs:
+            sizes = np.concatenate([np.diff(offs) for _, offs, _ in parts])
+            a0, a1, b0, b1, w = (np.concatenate([getattr(m, f)[offs[0]:offs[-1]]
+                                                 for m, offs, _ in parts])
+                                 for f in ("a0", "a1", "b0", "b1", "w"))
+            ends = np.cumsum(sizes)
+            totals = np.array([np.sum(w[e - n:e])  # each pair's own sum, as np.sum(map.w)
+                               for n, e in zip(sizes.tolist(), ends.tolist())])
+            # (pair, segment) picks, a pair's padding its last segment again
+            # as a zero-mass, zero-width block at that segment's end
+            col = np.arange(sizes.max())
+            at = np.minimum((ends - sizes)[:, None] + col, ends[:, None] - 1)
+            pad = col >= sizes[:, None]
+            a1, b1 = a1[at], b1[at]
+            a0, b0 = np.where(pad, a1, a0[at]), np.where(pad, b1, b0[at])
+            # the ends as interpolate_blocks(ts) forms them, in two buffers
+            shape = (n_pairs, ts.size, col.size)
+            u, tmp = np.empty((2,) + shape), np.empty(shape)
+            for side, (a, b) in zip(u, ((a0, b0), (a1, b1))):
+                np.multiply(1.0 - t, a[:, None], out=side)
+                side += np.multiply(t, b[:, None], out=tmp)
+            w = np.where(pad, 0.0, w[at])
+            del a0, a1, b0, b1, tmp  # held by no one during the block-CDF call
+            out = 1.0 - mass_in_intervals(u[0], u[1], w, ivs_h) / totals[:, None, None]
+            takes = np.concatenate([tk for _, _, tk in parts])
+            taken = np.where(takes[:, :, None],  # over time, then each cap's pairs
                              np.fmax.reduce(out, axis=1)[:, None], -np.inf)
             np.fmax(worst, np.fmax.reduce(taken, axis=0), out=worst)
 
-    try:
-        for _, (mu0, mu1), takes in pairs:
-            tmap = monotone_map(mu0, mu1)
-            if (len(group) + 1) * ts.size * max(widest, tmap.w.size) > PAIR_GROUP_ELEMS:
+    def add(tmap, takes):
+        nonlocal count, widest
+        start, offs = 0, tmap.offsets
+        for p, size in enumerate(np.diff(offs).tolist()):
+            if (count + 1) * ts.size * max(widest, size) > PAIR_GROUP_ELEMS:
+                group.append((tmap, offs[start:p + 1], takes[start:p]))
+                start = p
                 measure()
-            widest = max(widest if group else 0, tmap.w.size)
-            group.append((tmap, takes))
+            widest = max(widest if count else 0, size)
+            count += 1
+        group.append((tmap, offs[start:], takes[start:]))
+
+    grids = (space.grid, space.grid)
+    try:
+        for _, masses, takes in rounds:
+            try:
+                maps = [(monotone_map(masses[:, 0], masses[:, 1], grids), takes)]
+            except CdknLabError:  # one pair at a time, so that the pairs
+                # before the refused one are measured before it raises
+                maps = ((monotone_map(masses[p:p + 1, 0], masses[p:p + 1, 1], grids),
+                         takes[p:p + 1]) for p in range(len(takes)))
+            for tmap, tk in maps:
+                add(tmap, tk)
     except Exception:  # the pairs before it raise first, as one at a time
         measure()
         raise

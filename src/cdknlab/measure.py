@@ -103,6 +103,12 @@ def renyi_entropy(mu, space: PointedSpace1D, N):
                                space.cell_masses, N)
 
 
+# Cells x N' up to which entropy_from_masses forms every row's terms in one
+# pass; past it a row's own work outweighs the per-row calls, and a row at a
+# time keeps the working set of one row.
+ENTROPY_BATCH_ELEMS = 1 << 15
+
+
 def entropy_from_masses(w: np.ndarray, m: np.ndarray, N):
     """Entropy from raw mass vectors (same convention as renyi_entropy).
 
@@ -112,22 +118,34 @@ def entropy_from_masses(w: np.ndarray, m: np.ndarray, N):
     (T, N') entropies, each row equal to the 1-D call on that row.
 
     Each charged cell contributes w^(1-1/N) m^(1/N) = exp(lw + (lm - lw)/N),
-    exact when w == m (rho = 1 cells).  log m is taken once (at the charged
-    cells only for 1-D w); each row's terms are then built in place and
-    summed with np.sum, so the working memory is that of one row.
+    exact when w == m (rho = 1 cells).  log m is taken at the charged cells
+    for 1-D w, and once for (T, n) w.  Up to ENTROPY_BATCH_ELEMS cells x N',
+    the terms of every row's charged cells are formed in one pass, and each
+    row is summed by its own np.sum over its own cells, as the 1-D call sums
+    it; past it, each row's terms are built in place and summed in turn.
     """
     w, m = np.asarray(w, float), np.asarray(m, float)
     many = isinstance(N, np.ndarray) and N.ndim == 1
     nc = N[:, None] if many else N
-    out = []
+    rows = w.reshape(-1, w.shape[-1])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        lm = np.log(m) if w.ndim > 1 else None
-        for row in w.reshape(-1, w.shape[-1]):
-            on = row > 0  # the charged cells
-            lw = np.log(row[on])
-            terms = np.subtract(np.log(m[on]) if lm is None else lm[on], lw) / nc
+        if rows.size * (N.size if many else 1) <= ENTROPY_BATCH_ELEMS:
+            on = rows > 0  # the charged cells
+            lw = np.log(rows[on])
+            terms = np.subtract(np.log(m[on[0]]) if w.ndim == 1 else
+                                np.broadcast_to(np.log(m), rows.shape)[on], lw) / nc
             terms += lw
-            out.append(np.sum(np.exp(terms, out=terms), axis=-1))
+            np.exp(terms, out=terms)
+            ends = np.cumsum(np.count_nonzero(on, axis=-1)).tolist()
+            out = [np.sum(terms[..., a:b], axis=-1) for a, b in zip([0] + ends, ends)]
+        else:
+            lm, out = (np.log(m) if w.ndim > 1 else None), []
+            for row in rows:
+                on = row > 0
+                lw = np.log(row[on])
+                terms = np.subtract(np.log(m[on]) if lm is None else lm[on], lw) / nc
+                terms += lw
+                out.append(np.sum(np.exp(terms, out=terms), axis=-1))
     if w.ndim == 1:
         return out[0] if many else float(out[0])
     return np.array(out).reshape(w.shape[:-1] + N.shape if many else w.shape[:-1])

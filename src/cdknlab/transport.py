@@ -74,7 +74,10 @@ class MonotoneMap:
 
     Segment s carries mass w[s] from the source sub-interval [a0, a1] of cell
     i[s] onto the target sub-interval [b0, b1] of cell j[s]; the map is affine
-    on each segment, so quantile functions are matched exactly.
+    on each segment, so quantile functions are matched exactly.  A map from
+    the batch form of monotone_map holds several pairs' segments in pair
+    order, pair p's at offsets[p]:offsets[p + 1]; offsets is None for one
+    pair's map.
     """
 
     i: np.ndarray
@@ -86,6 +89,7 @@ class MonotoneMap:
     b1: np.ndarray
     src_grid: Grid1D
     dst_grid: Grid1D
+    offsets: Optional[np.ndarray] = None
 
     @property
     def x_mid(self) -> np.ndarray:
@@ -112,8 +116,9 @@ class MonotoneMap:
                         dst_grid=self.dst_grid)
 
 
-def _check_balanced(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
-    wu, wv = mu.total_mass, nu.total_mass
+def _check_balanced(wu: float, wv: float) -> float:
+    """Refuse transport between total masses wu and wv unless both are
+    positive and they agree; return wu."""
     if wu <= 0 or wv <= 0:
         raise InvalidParams("transport endpoints must carry positive mass")
     if abs(wu - wv) > _BALANCE_TOL * max(1.0, wu, wv):
@@ -121,9 +126,21 @@ def _check_balanced(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     return wu
 
 
-def monotone_map(mu: DiscreteMeasure, nu: DiscreteMeasure) -> MonotoneMap:
-    """Quantile matching of mu onto nu with blocks spread across cells."""
-    W = _check_balanced(mu, nu)
+def monotone_map(mu, nu, grids: Optional[tuple[Grid1D, Grid1D]] = None):
+    """Quantile matching of mu onto nu with blocks spread across cells.
+
+    mu and nu are one pair's measures, which give a MonotoneMap.  Given
+    grids = (source grid, target grid), they are instead equal-length
+    sequences of cell masses on those grids, one pair per row, such as two
+    (P, n) arrays: the result is one MonotoneMap over every pair's segments
+    in pair order, with the (P + 1,) offsets of each pair's segments.  Each
+    pair's segments are bit for bit those of the call on its two measures,
+    and the first pair whose measures or map would be refused raises what
+    that refusal raises (see _monotone_maps).
+    """
+    if grids is not None:
+        return _monotone_maps(mu, nu, *grids)
+    W = _check_balanced(mu.total_mass, nu.total_mass)
     si = mu.support
     sj = nu.support
     cu = np.concatenate([[0.0], np.cumsum(mu.masses[si])])
@@ -148,6 +165,88 @@ def monotone_map(mu: DiscreteMeasure, nu: DiscreteMeasure) -> MonotoneMap:
     b1 = ev_lo + ev_w * (hi - cv[kt]) / dv
     return MonotoneMap(i=i, j=jdx, w=hi - lo, a0=a0, a1=a1, b0=b0, b1=b1,
                        src_grid=mu.grid, dst_grid=nu.grid)
+
+
+def _monotone_maps(mu, nu, src: Grid1D, dst: Grid1D):
+    """monotone_map over pairs of mass rows, in flat array passes.
+
+    Each pair's cumulative masses cu and cv (cv rescaled to end where cu
+    ends) are summed along one zero-padded row each, as the one-pair call
+    sums them, padded with +inf, and merged by one stable sort of the
+    (cu, cv) row, which keeps a cu entry before an equal cv entry.  The
+    last place of each run of equal values is a level of the union, and
+    the cu (cv) entries up to it are the count of cu (cv) values at or
+    below it.  A segment's midpoint lies in [lo, hi] with no knot between,
+    so searchsorted(cu, mid, "right") is lo's count, or hi's when the
+    midpoint rounds onto hi.
+    """
+    mu, nu = np.asarray(mu, dtype=float), np.asarray(nu, dtype=float)
+    if mu.ndim != 2 or mu.shape[1] != src.n or nu.shape != (len(mu), dst.n):
+        raise InvalidParams("need as many mass rows of mu as of nu, one value per cell")
+    P = len(mu)
+    # what DiscreteMeasure refuses: a NaN, negative or infinite mass
+    refused = ~((mu.min(axis=1) >= 0) & (mu.max(axis=1) < np.inf)
+                & (nu.min(axis=1) >= 0) & (nu.max(axis=1) < np.inf))
+    wu, wv = mu.sum(axis=1), nu.sum(axis=1)  # each row's sum, as DiscreteMeasure takes it
+    with np.errstate(invalid="ignore"):
+        ok = ~refused & (wu > 0) & (wv > 0) & (
+            np.abs(wu - wv) <= _BALANCE_TOL * np.maximum(np.maximum(wu, wv), 1.0))
+    if not ok.all():  # the first bad pair raises, as in a loop of one-pair calls
+        for p in range(P):
+            if refused[p]:
+                raise InvalidParams("masses must be finite and nonnegative")
+            _check_balanced(float(wu[p]), float(wv[p]))
+    sides = []
+    for m in (mu, nu):  # per side: support cells, their row offsets, cumulative sums
+        on = np.flatnonzero(m > 0)
+        r, cells = np.divmod(on, m.shape[1])
+        ns = np.bincount(r, minlength=P)
+        off = np.concatenate(([0], np.cumsum(ns)))
+        cum = np.zeros((P, int(ns.max(initial=0)) + 1))
+        cum[r, np.arange(on.size) - off[r] + 1] = m.ravel()[on]
+        np.cumsum(cum, axis=1, out=cum)
+        sides.append((cells, ns, off, cum))
+    (si, nsu, ou, cu), (sj, nsv, ov, cv) = sides
+    lu = cu.shape[1]
+    L = lu + cv.shape[1]
+    cv *= (cu[:, -1] / cv[:, -1])[:, None]
+    cv[np.arange(P), nsv] = cu[:, -1]
+    knots = np.concatenate([cu, cv], axis=1)
+    knots[:, :lu][np.arange(lu) > nsu[:, None]] = np.inf
+    knots[:, lu:][np.arange(L - lu) > nsv[:, None]] = np.inf
+    order = np.argsort(knots, axis=1, kind="stable")
+    from_u = np.cumsum(order < lu)  # each row holds lu cu entries
+    order += np.arange(0, P * L, L)[:, None]
+    knots = knots.ravel()
+    merged = knots[order.ravel()]
+    last = np.append(merged[1:] != merged[:-1], True)  # a row's end differs from the next row's 0
+    at = np.flatnonzero(last & (merged < np.inf))
+    rows = at // L
+    ku = from_u[at] - rows * lu
+    kv = at - rows * L + 1 - ku
+    levels = merged[at]
+    keep = (rows[1:] == rows[:-1]) & (levels[1:] - levels[:-1] > 1e-18 * wu[rows[:-1]])
+    k = np.flatnonzero(keep)
+    lo, hi, p = levels[k], levels[k + 1], rows[k]
+    k += 0.5 * (lo + hi) == hi
+    ks = np.minimum(ku[k] - 1, nsu[p] - 1)  # ku, kv >= 1: each row's first level is 0
+    kt = np.minimum(kv[k] - 1, nsv[p] - 1)
+    i, jdx = si[ou[p] + ks], sj[ov[p] + kt]
+    at = p * L + ks
+    cu_k, du = knots[at], knots[at + 1]
+    du -= cu_k
+    at += lu + kt - ks
+    cv_k, dv = knots[at], knots[at + 1]
+    dv -= cv_k
+    eu_lo, eu_w = src.edges[i], src.widths[i]
+    ev_lo, ev_w = dst.edges[jdx], dst.widths[jdx]
+    a0 = eu_lo + eu_w * (lo - cu_k) / du
+    a1 = eu_lo + eu_w * (hi - cu_k) / du
+    b0 = ev_lo + ev_w * (lo - cv_k) / dv
+    b1 = ev_lo + ev_w * (hi - cv_k) / dv
+    return MonotoneMap(i=i, j=jdx, w=hi - lo, a0=a0, a1=a1, b0=b0, b1=b1,
+                       src_grid=src, dst_grid=dst,
+                       offsets=np.concatenate(([0], np.cumsum(np.bincount(p, minlength=P)))))
 
 
 def w2_quantile_1d(mu: DiscreteMeasure, nu: DiscreteMeasure):
@@ -193,7 +292,7 @@ def optimal_coupling_lp(mu: DiscreteMeasure, nu: DiscreteMeasure,
                         cost: Optional[CostSpec] = None):
     """Transportation LP on the measure supports: (value, Coupling)."""
     cost = cost or CostSpec("w2")
-    _check_balanced(mu, nu)
+    _check_balanced(mu.total_mass, nu.total_mass)
     si, sj = mu.support, nu.support
     if si.size > MAX_LP_SUPPORT or sj.size > MAX_LP_SUPPORT:
         raise SizeCap(f"support sizes {si.size} x {sj.size} exceed {MAX_LP_SUPPORT}")
@@ -219,7 +318,7 @@ def wc_distance(mu: DiscreteMeasure, nu: DiscreteMeasure,
     """
     if not cost.is_metric:
         raise InvalidParams("wc_distance needs a concave metric cost")
-    _check_balanced(mu, nu)
+    _check_balanced(mu.total_mass, nu.total_mass)
     if mu.grid.n == nu.grid.n and np.array_equal(mu.grid.edges, nu.grid.edges):
         resid = mu.masses - nu.masses
         pos = np.maximum(resid, 0.0)

@@ -1,6 +1,7 @@
 """Inequality verifier: statuses, report bookkeeping, hierarchy, convexity
 of weights, and the regular-region escape estimates."""
 
+import dataclasses
 import itertools
 import math
 import re
@@ -1813,18 +1814,12 @@ def test_omega_batch_equals_the_per_pair_loop(monkeypatch, group_elems):
         assert got[0][1] > 0  # h = k still loses mass across the joints
 
 
-class _OverlappingMap:
-    """A monotone map whose slices put its second block inside its first."""
-
-    def __init__(self, tmap):
-        self.w = tmap.w
-        self._map = tmap
-
-    def interpolate_blocks(self, t):
-        u0, u1, w = self._map.interpolate_blocks(t)
-        u0 = u0.copy()
-        u0[..., 1] = u0[..., 0]
-        return u0, u1, w
+def _overlapping(tmap, s):
+    """tmap with its segment after s starting where s starts, so that its
+    slices put that block inside s's."""
+    a0, b0 = tmap.a0.copy(), tmap.b0.copy()
+    a0[s + 1], b0[s + 1] = a0[s], b0[s]
+    return dataclasses.replace(tmap, a0=a0, b0=b0)
 
 
 @pytest.mark.parametrize("group_elems", [1, cdcheck.PAIR_GROUP_ELEMS])
@@ -1833,24 +1828,43 @@ def test_omega_batch_raises_what_the_overlapping_pair_raises(monkeypatch,
     sp = build_model_space(ModelSpec(kind="glued_cos_n", K=-2.0, N=-2.0, J=2,
                                      grid_n=256))
     monkeypatch.setattr(cdcheck, "PAIR_GROUP_ELEMS", group_elems)
-    real, count = monotone_map, itertools.count()
+    stream = list(_pair_sampler(sp, -2.0, [10.0], 2, "uniform_block")(
+        np.random.default_rng(0), 6))
+    key = [mus[0].masses.tobytes() + mus[1].masses.tobytes() for _, mus, _ in stream]
+    real, overlap = monotone_map, [True]
 
-    def mapped(mu0, mu1):  # the third pair overlaps, the fifth fails outright
-        i = next(count)
-        if i == 4:
+    def mapped(mu0, mu1, grids=None):
+        # by its masses, the third pair overlaps and the fifth fails outright,
+        # in a batch as in a one-pair call
+        pairs = ([(mu0.masses, mu1.masses)] if grids is None else zip(mu0, mu1))
+        at = [key.index(a.tobytes() + b.tobytes()) for a, b in pairs]
+        if 4 in at:
             raise MarginalMismatch("a later pair's own error")
-        return _OverlappingMap(real(mu0, mu1)) if i == 2 else real(mu0, mu1)
+        tmap = real(mu0, mu1) if grids is None else real(mu0, mu1, grids)
+        if overlap[0] and 2 in at:
+            return _overlapping(tmap, 0 if grids is None else tmap.offsets[at.index(2)])
+        return tmap
 
     monkeypatch.setattr(cdcheck, "monotone_map", mapped)
+    calls, real_mass = [], cdcheck.mass_in_intervals
+    monkeypatch.setattr(cdcheck, "mass_in_intervals",
+                        lambda *a: calls.append(a[0].shape) or real_mass(*a))
+    estimates = (lambda: _omega_per_pair(sp, 2, [2, 3], [10.0], 6, -2.0, 0),
+                 lambda: estimate_omega(sp, 2, [2, 3], [10.0], n_samples=6,
+                                        N=-2.0, seed=0))
     errors = []
-    for estimate in (lambda: _omega_per_pair(sp, 2, [2, 3], [10.0], 6, -2.0, 0),
-                     lambda: estimate_omega(sp, 2, [2, 3], [10.0], n_samples=6,
-                                            N=-2.0, seed=0)):
-        count = itertools.count()
+    for estimate in estimates:
         with pytest.raises(InvalidParams, match="ordered and disjoint") as err:
             estimate()
         errors.append((type(err.value), str(err.value)))
     assert errors[0] == errors[1]
+    # with no overlap, the fifth pair's error raises after the groups of the
+    # four pairs before it are measured, as one at a time
+    overlap[0] = False
+    calls.clear()
+    with pytest.raises(MarginalMismatch, match="a later pair's own error"):
+        estimates[1]()
+    assert [c[0] for c in calls] == ([1] * 4 if group_elems == 1 else [4])  # pairs per call
 
 
 # (space, k, caps): at each M only some of the candidates pass, and at the

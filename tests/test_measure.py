@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy import optimize
 
+from cdknlab import measure
 from cdknlab.errors import DomainError, InvalidParams, InvalidTestFunction
 from cdknlab.measure import (
     DiscreteMeasure,
@@ -188,6 +189,24 @@ def test_entropy_over_slices_equals_one_slice_at_a_time(rng):
     assert got[1].tolist() == [math.inf] * 5 and got[2].tolist() == [0.0] * 5
     assert np.isinf(got[3]).tolist() == [False] * 4 + [True]
     assert np.isfinite(got[[0, 4, 5], :4]).all()
+
+
+def test_entropy_rows_in_one_pass_equal_a_row_at_a_time(rng, monkeypatch):
+    # the one-pass form of small inputs and the row-at-a-time form of large
+    # ones give the same bits, on rows of unequal charged counts, a charged
+    # zero-mass cell, an infinite reference cell and an all-zero row
+    m = rng.uniform(0.1, 3.0, 512)
+    m[7], m[11] = math.inf, 0.0
+    w = rng.uniform(size=(40, 512)) * (rng.uniform(size=(40, 512)) < rng.uniform(size=(40, 1)))
+    w[3] = 0.0
+    w[5, 11] = w[6, 7] = 0.5
+    for N in (np.array([-2.0, -0.37, -0.05, -1e-3]), -0.37):
+        got = {}
+        for elems in (1 << 40, 0):
+            monkeypatch.setattr(measure, "ENTROPY_BATCH_ELEMS", elems)
+            got[elems] = [np.asarray(entropy_from_masses(x, m, N)).tobytes()
+                          for x in (w, w[0], w[3], w[5])]
+        assert got[1 << 40] == got[0]
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from cdknlab.errors import (
     SizeCap,
     UnbalancedMasses,
 )
+from cdknlab.ikrw import glued_drift_space
 from cdknlab.measure import DiscreteMeasure, uniform_block
 from cdknlab.mmspace import Grid1D
 from cdknlab.transport import (
@@ -153,6 +154,98 @@ def test_unbalanced_inputs_raise():
         monotone_map(mu, nu)
     with pytest.raises(InvalidParams):
         monotone_map(mu, DiscreteMeasure(g, np.zeros(4)))
+
+
+_MAP_FIELDS = ("i", "j", "w", "a0", "a1", "b0", "b1")
+
+
+def _assert_batch_is_one_pair_calls(g0, g1, m0, m1):
+    """The batch map of the rows m0 -> m1 holds each pair's one-pair map bit
+    for bit, at its offsets."""
+    tmap = monotone_map(m0, m1, (g0, g1))
+    offsets = tmap.offsets
+    assert tmap.src_grid is g0 and tmap.dst_grid is g1
+    sizes = []
+    for p, (a, b) in enumerate(zip(m0, m1)):
+        one = monotone_map(DiscreteMeasure(g0, a), DiscreteMeasure(g1, b))
+        for f in _MAP_FIELDS:
+            got, want = getattr(tmap, f)[offsets[p]:offsets[p + 1]], getattr(one, f)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (p, f)
+        sizes.append(one.w.size)
+    assert tmap.w.size == sum(sizes) == offsets[-1]
+    assert all(getattr(tmap, f).size == tmap.w.size for f in _MAP_FIELDS)
+
+
+def _rows(rng, P, n, charged):
+    """P rows of n masses, each normalised, charging about a share `charged`
+    of its cells (at least one), so zero masses lie inside supports."""
+    m = rng.random((P, n)) * (rng.random((P, n)) < charged)
+    m[np.arange(P), rng.integers(n, size=P)] += rng.random(P) + 0.01
+    return m / m.sum(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("grids", ["uniform", "glued_drift"])
+def test_monotone_map_batch_equals_one_pair_calls(rng, grids):
+    if grids == "uniform":
+        g0, g1 = Grid1D.uniform(0.0, 1.0, 64), Grid1D.uniform(-1.0, 2.0, 48)
+    else:
+        g0 = g1 = glued_drift_space(2, grid_n=128).grid
+        assert np.ptp(g0.widths) > 1e-6
+    for _ in range(40):  # supports of unequal sizes, from one cell to all
+        P = int(rng.integers(1, 9))
+        _assert_batch_is_one_pair_calls(g0, g1, _rows(rng, P, g0.n, rng.random()),
+                                        _rows(rng, P, g1.n, rng.random()))
+    single = np.eye(g0.n)[[3, 0, g0.n - 1]]  # single-cell supports
+    _assert_batch_is_one_pair_calls(g0, g1, single, _rows(rng, 3, g1.n, 0.3))
+    _assert_batch_is_one_pair_calls(g0, g1, single, np.eye(g1.n)[[g1.n - 1, 5, 0]])
+    blocks = np.zeros((2, g0.n))
+    blocks[:, 10:30] = 1.0
+    blocks[0, 15:18] = blocks[1, 29] = 0.0  # zero masses inside a block
+    _assert_batch_is_one_pair_calls(g0, g1, blocks / blocks.sum(axis=1, keepdims=True),
+                                    _rows(rng, 2, g1.n, 0.5))
+
+
+def test_monotone_map_batch_at_a_midpoint_rounded_onto_a_knot():
+    # cu = [0, 1/2 + u, 1/2 + 2u, 1] and cv = [0, 1/2 + 2u, 1], u = ulp(1/2):
+    # the levels 1/2 + u and 1/2 + 2u are one ulp apart, and their midpoint
+    # rounds onto 1/2 + 2u, a knot of cu, so the segment between them is
+    # mapped from the cell after its own
+    u = 2.0 ** -53
+    lo, hi = 0.5 + u, 0.5 + 2 * u
+    assert hi - lo == u and 0.5 * (lo + hi) == hi
+    g = Grid1D.uniform(0.0, 1.0, 4)
+    mu = np.array([[0.5 + u, u, 0.5 - 2 * u, 0.0], [0.5 + 2 * u, 0.5 - 2 * u, 0.0, 0.0]])
+    nu = mu[::-1].copy()
+    one = monotone_map(DiscreteMeasure(g, mu[0]), DiscreteMeasure(g, nu[0]))
+    assert one.i.tolist() == [0, 2, 2]
+    _assert_batch_is_one_pair_calls(g, g, mu, nu)
+
+
+def _first_error(call):
+    try:
+        call()
+    except Exception as e:
+        return type(e), str(e)
+    return None
+
+
+def test_monotone_map_batch_raises_the_first_bad_pairs_error(rng):
+    g = Grid1D.uniform(0.0, 1.0, 8)
+    good = _rows(rng, 4, g.n, 0.5)
+    cases = {"unbalanced": 2.0, "null": 0.0, "negative": -1.0, "nan": np.nan, "inf": np.inf}
+    for name, bad in cases.items():
+        m0, m1 = good.copy(), _rows(rng, 4, g.n, 0.5)
+        if name in ("unbalanced", "null"):
+            m1[1] *= bad
+        else:
+            m1[1, 3] = bad
+        m0[3] *= 3.0  # a later pair is unbalanced too
+        loop = _first_error(lambda: [monotone_map(DiscreteMeasure(g, a), DiscreteMeasure(g, b))
+                                     for a, b in zip(m0, m1)])
+        assert loop is not None and loop == _first_error(lambda: monotone_map(m0, m1, (g, g)))
+        assert loop[0] is (UnbalancedMasses if name == "unbalanced" else InvalidParams)
+    with pytest.raises(InvalidParams, match="mass rows"):
+        monotone_map(good, good[:3], (g, g))
 
 
 def test_size_cap():
