@@ -22,7 +22,6 @@ import numpy as np
 
 from .distortion import _lengths, _times, sigma_kappa_lengths, tau_KN_vec
 from .errors import (
-    CdknLabError,
     DomainError,
     InvalidParams,
     MarginalMismatch,
@@ -39,7 +38,7 @@ from .measure import (
     renyi_entropy,
 )
 from .mmspace import Grid1D, PointedSpace1D, carve, check_level
-from .transport import Coupling, monotone_map
+from .transport import Coupling, _check_balanced, monotone_map
 
 STATUS_OK = "ok"
 STATUS_VIOLATED = "violated"
@@ -332,13 +331,15 @@ def verify_cd(space: PointedSpace1D, mu0, mu1, K: float, N: float,
     mu0 and mu1 are one marginal pair's measures, which give a CdReport, or
     equal-length sequences of them, which give a SuiteReport over the pairs
     in order (with no specs), each pair's report equal to the call on that
-    pair alone.  Only the densities, the support check, the monotone map and
-    the binning of the interior slices are per pair, in pair order, so that
-    the first bad pair raises what it raises alone.  The rest is one pass
-    over all pairs: one entropy call for every endpoint marginal, one
-    t_functional over every pair, N' and time, one entropy call over every
-    interior slice (none when there is no interior time), and statuses on
-    (pair, t, N') arrays, from which the rows are built in one pass.
+    pair alone.  Every pair is validated first, in pair order: its
+    densities, its support in R^k and its balance; the first bad pair
+    raises.  Only then are the pairs mapped, by one monotone_map call on
+    the space's grid, and checked in one pass: one entropy call for every
+    endpoint marginal, one t_functional over every pair, N' and time, the
+    interior slices binned pair by pair into one (pair, time, refined cell)
+    array, one entropy call over them (none when there is no interior
+    time), and statuses on (pair, t, N') arrays, from which the rows are
+    built in one pass.
 
     setup holds the grids, the refined reference and R^k that these
     arguments give; cd_suite builds it once for all its pairs, and it is
@@ -351,8 +352,8 @@ def verify_cd(space: PointedSpace1D, mu0, mu1, K: float, N: float,
     if not mu0s or len(mu0s) != len(mu1s):
         raise InvalidParams("need as many measures mu0 as mu1, and at least one")
     P = len(mu0s)
-    rhos, maps, slices = [], [], None
-    for k, (a, b) in enumerate(zip(mu0s, mu1s)):
+    rhos = []
+    for a, b in zip(mu0s, mu1s):
         rhos.append((radon_nikodym(a, space), radon_nikodym(b, space)))
         if setup is None:  # after the first densities, so their errors come first
             setup = _cd_setup(space, N, t_grid, nprime_grid, restrict_to_regular_k)
@@ -360,13 +361,11 @@ def verify_cd(space: PointedSpace1D, mu0, mu1, K: float, N: float,
                                               and _support_in_intervals(b, setup.regular)):
             raise SupportViolation(
                 f"marginal support leaves the regular region k={restrict_to_regular_k}")
-        maps.append(monotone_map(a, b))
-        if setup.inner.any():
-            if slices is None:  # (pair, interior time, refined cell) masses
-                slices = np.empty((P, np.count_nonzero(setup.inner), setup.rgrid.n))
-            u0s, u1s, w = maps[-1].interpolate_blocks(setup.ts[setup.inner])
-            slices[k] = bin_blocks(u0s, u1s, w, setup.rgrid)
+        _check_balanced(a.total_mass, b.total_mass)
     ts, inner, nps = setup.ts, setup.inner, setup.nps
+    tmap = monotone_map([a.masses for a in mu0s], [b.masses for b in mu1s],
+                        (space.grid, space.grid))
+    maps = [tmap.pair(k) for k in range(P)]
     # (pair, t, N') arrays: one block per pair, one row per time, one column per N'
     s0, s1 = entropy_from_masses(np.stack([mu.masses for mu in mu0s + mu1s]),
                                  space.cell_masses, nps).reshape(2, P, 1, nps.size)
@@ -375,7 +374,10 @@ def verify_cd(space: PointedSpace1D, mu0, mu1, K: float, N: float,
     t_vals = t_vals.transpose(0, 2, 1)
     s_ts = np.empty(t_vals.shape)
     s_ts[:, ts == 0.0], s_ts[:, ts == 1.0] = s0, s1
-    if slices is not None:
+    if inner.any():
+        slices = np.empty((P, np.count_nonzero(inner), setup.rgrid.n))
+        for k, m in enumerate(maps):
+            slices[k] = bin_blocks(*m.interpolate_blocks(ts[inner]), setup.rgrid)
         s_ts[:, inner] = entropy_from_masses(slices, setup.rmass, nps)
     vacuous, blown = ~np.isfinite(t_vals), ~np.isfinite(s_ts)
     with np.errstate(invalid="ignore"):
@@ -556,7 +558,9 @@ def cd_suite(space: PointedSpace1D, K: float, N: float, n_samples: int,
     every pair.  The pairs are checked in consecutive groups, one verify_cd
     call each, of as many pairs as keep their interior slices' refined-cell
     masses within PAIR_GROUP_ELEMS (at least one pair), so the memory held
-    does not grow with the number of pairs."""
+    does not grow with the number of pairs.  A group's specs are built by
+    one measure_from_dict call before it is checked, and the first spec that
+    makes no measure raises its own error."""
     if pair_specs is None:
         pair_specs = sample_pair_specs(space, N, n_samples, seed,
                                        restrict_to_regular_k)
@@ -566,32 +570,16 @@ def cd_suite(space: PointedSpace1D, K: float, N: float, n_samples: int,
     per_pair = max(np.count_nonzero(setup.inner), 1) * setup.rgrid.n
     size = max(1, PAIR_GROUP_ELEMS // per_pair)
 
-    def check(mus):
-        return verify_cd(space, *zip(*mus), K, N, tol=tol, setup=setup,
-                         restrict_to_regular_k=restrict_to_regular_k).reports
-
     reports = []
     for g in range(0, len(pair_specs), size):
-        group = pair_specs[g:g + size]
-        try:
-            masses = measure_from_dict(space.grid, [s for pair in group for s in pair])
-        except Exception:
-            masses = None
-        if masses is not None and not np.isnan(masses[:, 0]).any():
-            mus = [tuple(DiscreteMeasure(space.grid, w) for w in masses[2 * p:2 * p + 2])
-                   for p in range(len(group))]
-        else:  # some spec makes no measure: one pair at a time, so that the
-            # pairs before it raise first
-            mus = []
-            for spec0, spec1 in group:
-                try:
-                    mus.append((measure_from_dict(space.grid, spec0),
-                                measure_from_dict(space.grid, spec1)))
-                except Exception:
-                    if mus:
-                        check(mus)
-                    raise
-        reports.extend(check(mus))
+        specs = [s for pair in pair_specs[g:g + size] for s in pair]
+        masses = measure_from_dict(space.grid, specs)
+        bad = np.flatnonzero(np.isnan(masses[:, 0]))
+        if bad.size:  # its NaN row: built alone, that spec raises its error
+            measure_from_dict(space.grid, specs[bad[0]])
+        mus = [DiscreteMeasure(space.grid, w) for w in masses]
+        reports.extend(verify_cd(space, mus[0::2], mus[1::2], K, N, tol=tol, setup=setup,
+                                 restrict_to_regular_k=restrict_to_regular_k).reports)
     return SuiteReport(rows=tuple(r for rep in reports for r in rep.rows),
                        K=K, N=N, grid_n=space.grid.n, tol=tol,
                        reports=tuple(reports), pair_specs=tuple(pair_specs))
@@ -749,12 +737,12 @@ def estimate_omega(space: PointedSpace1D, k: int, h: Union[int, Sequence[int]],
     candidate pairs of uniform blocks in R^k, each drawn, checked and mapped
     once; a cap keeps the first n_samples pairs with S_N at most that cap,
     and when several caps fail, the first in the order of `M` raises.
-    Pairs are measured in groups of at most PAIR_GROUP_ELEMS block ends, by
-    one mass_in_intervals call each, padded to the group's most segments (see
-    blocks_cdf); a group is measured before a later pair's error raises.
     Each sampler round's pairs are mapped by one monotone_map call on their
-    masses, and a group's padded block ends are one broadcast over its
-    pairs' segments.
+    masses and measured in chunks of PAIR_GROUP_ELEMS // (OMEGA_T_GRID * 2n)
+    pairs on an n-cell grid, by one mass_in_intervals call each; a pair has
+    fewer than 2n segments, so a chunk's block ends, padded to its most
+    segments (see blocks_cdf), are at most PAIR_GROUP_ELEMS.  A chunk's
+    padded ends are one broadcast over its pairs' segments.
     """
     scalar_h, scalar_M = np.ndim(h) == 0, np.ndim(M) == 0
     hs = [h] if scalar_h else list(h)
@@ -771,70 +759,34 @@ def estimate_omega(space: PointedSpace1D, k: int, h: Union[int, Sequence[int]],
     ts = np.linspace(0.0, 1.0, OMEGA_T_GRID)
     t = ts[:, None]
     worst = np.zeros((len(Ms), len(hs)))
-    group = []  # (map, its pairs' segment offsets, takes) of the pairs not yet measured
-    count = widest = 0  # the group's pairs, and their most segments
-
-    def measure():
-        nonlocal count
-        parts, n_pairs = group[:], count
-        group.clear()
-        count = 0
-        if n_pairs:
-            sizes = np.concatenate([np.diff(offs) for _, offs, _ in parts])
-            a0, a1, b0, b1, w = (np.concatenate([getattr(m, f)[offs[0]:offs[-1]]
-                                                 for m, offs, _ in parts])
-                                 for f in ("a0", "a1", "b0", "b1", "w"))
-            ends = np.cumsum(sizes)
-            totals = np.array([np.sum(w[e - n:e])  # each pair's own sum, as np.sum(map.w)
-                               for n, e in zip(sizes.tolist(), ends.tolist())])
+    chunk = max(1, PAIR_GROUP_ELEMS // (OMEGA_T_GRID * 2 * space.grid.n))
+    for _, masses, takes in rounds:
+        tmap = monotone_map(masses[:, 0], masses[:, 1], (space.grid, space.grid))
+        for c in range(0, len(takes), chunk):
+            offs = tmap.offsets[c:c + chunk + 1]
+            starts, ends = offs[:-1], offs[1:]
+            sizes = ends - starts
+            totals = np.array([np.sum(tmap.w[a:b])  # each pair's own sum, as np.sum(map.w)
+                               for a, b in zip(starts.tolist(), ends.tolist())])
             # (pair, segment) picks, a pair's padding its last segment again
             # as a zero-mass, zero-width block at that segment's end
             col = np.arange(sizes.max())
-            at = np.minimum((ends - sizes)[:, None] + col, ends[:, None] - 1)
+            at = np.minimum(starts[:, None] + col, ends[:, None] - 1)
             pad = col >= sizes[:, None]
-            a1, b1 = a1[at], b1[at]
-            a0, b0 = np.where(pad, a1, a0[at]), np.where(pad, b1, b0[at])
+            a1, b1 = tmap.a1[at], tmap.b1[at]
+            a0, b0 = np.where(pad, a1, tmap.a0[at]), np.where(pad, b1, tmap.b0[at])
             # the ends as interpolate_blocks(ts) forms them, in two buffers
-            shape = (n_pairs, ts.size, col.size)
+            shape = (sizes.size, ts.size, col.size)
             u, tmp = np.empty((2,) + shape), np.empty(shape)
             for side, (a, b) in zip(u, ((a0, b0), (a1, b1))):
                 np.multiply(1.0 - t, a[:, None], out=side)
                 side += np.multiply(t, b[:, None], out=tmp)
-            w = np.where(pad, 0.0, w[at])
+            w = np.where(pad, 0.0, tmap.w[at])
             del a0, a1, b0, b1, tmp  # held by no one during the block-CDF call
             out = 1.0 - mass_in_intervals(u[0], u[1], w, ivs_h) / totals[:, None, None]
-            takes = np.concatenate([tk for _, _, tk in parts])
-            taken = np.where(takes[:, :, None],  # over time, then each cap's pairs
+            taken = np.where(takes[c:c + chunk, :, None],  # over time, then each cap's pairs
                              np.fmax.reduce(out, axis=1)[:, None], -np.inf)
             np.fmax(worst, np.fmax.reduce(taken, axis=0), out=worst)
-
-    def add(tmap, takes):
-        nonlocal count, widest
-        start, offs = 0, tmap.offsets
-        for p, size in enumerate(np.diff(offs).tolist()):
-            if (count + 1) * ts.size * max(widest, size) > PAIR_GROUP_ELEMS:
-                group.append((tmap, offs[start:p + 1], takes[start:p]))
-                start = p
-                measure()
-            widest = max(widest if count else 0, size)
-            count += 1
-        group.append((tmap, offs[start:], takes[start:]))
-
-    grids = (space.grid, space.grid)
-    try:
-        for _, masses, takes in rounds:
-            try:
-                maps = [(monotone_map(masses[:, 0], masses[:, 1], grids), takes)]
-            except CdknLabError:  # one pair at a time, so that the pairs
-                # before the refused one are measured before it raises
-                maps = ((monotone_map(masses[p:p + 1, 0], masses[p:p + 1, 1], grids),
-                         takes[p:p + 1]) for p in range(len(takes)))
-            for tmap, tk in maps:
-                add(tmap, tk)
-    except Exception:  # the pairs before it raise first, as one at a time
-        measure()
-        raise
-    measure()
     per_cap = [row[0] if scalar_h else row
                for row in np.clip(worst, 0.0, 1.0).tolist()]
     return per_cap[0] if scalar_M else per_cap

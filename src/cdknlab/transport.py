@@ -70,14 +70,13 @@ class Coupling:
 
 @dataclass(frozen=True)
 class MonotoneMap:
-    """Piecewise-affine monotone rearrangement between block measures.
+    """Piecewise-affine monotone rearrangements between block measures.
 
     Segment s carries mass w[s] from the source sub-interval [a0, a1] of cell
     i[s] onto the target sub-interval [b0, b1] of cell j[s]; the map is affine
-    on each segment, so quantile functions are matched exactly.  A map from
-    the batch form of monotone_map holds several pairs' segments in pair
-    order, pair p's at offsets[p]:offsets[p + 1]; offsets is None for one
-    pair's map.
+    on each segment, so quantile functions are matched exactly.  The map
+    holds one or more pairs' segments in pair order, pair p's at
+    offsets[p]:offsets[p + 1] (see pair).
     """
 
     i: np.ndarray
@@ -89,7 +88,14 @@ class MonotoneMap:
     b1: np.ndarray
     src_grid: Grid1D
     dst_grid: Grid1D
-    offsets: Optional[np.ndarray] = None
+    offsets: np.ndarray
+
+    def pair(self, p: int) -> "MonotoneMap":
+        """Pair p's own map, over views of its segments."""
+        a, b = self.offsets[p:p + 2].tolist()
+        return MonotoneMap(self.i[a:b], self.j[a:b], self.w[a:b], self.a0[a:b],
+                           self.a1[a:b], self.b0[a:b], self.b1[a:b], self.src_grid,
+                           self.dst_grid, np.array([0, b - a]))
 
     @property
     def x_mid(self) -> np.ndarray:
@@ -118,68 +124,37 @@ class MonotoneMap:
 
 def _check_balanced(wu: float, wv: float) -> float:
     """Refuse transport between total masses wu and wv unless both are
-    positive and they agree; return wu."""
-    if wu <= 0 or wv <= 0:
-        raise InvalidParams("transport endpoints must carry positive mass")
+    finite and positive (not NaN) and they agree; return wu."""
+    if not (0 < wu < math.inf and 0 < wv < math.inf):
+        raise InvalidParams("transport endpoints must carry finite positive mass")
     if abs(wu - wv) > _BALANCE_TOL * max(1.0, wu, wv):
         raise UnbalancedMasses(f"total masses {wu} vs {wv}")
     return wu
 
 
-def monotone_map(mu, nu, grids: Optional[tuple[Grid1D, Grid1D]] = None):
+def monotone_map(mu, nu, grids: Optional[tuple[Grid1D, Grid1D]] = None) -> MonotoneMap:
     """Quantile matching of mu onto nu with blocks spread across cells.
 
-    mu and nu are one pair's measures, which give a MonotoneMap.  Given
-    grids = (source grid, target grid), they are instead equal-length
-    sequences of cell masses on those grids, one pair per row, such as two
-    (P, n) arrays: the result is one MonotoneMap over every pair's segments
-    in pair order, with the (P + 1,) offsets of each pair's segments.  Each
-    pair's segments are bit for bit those of the call on its two measures,
-    and the first pair whose measures or map would be refused raises what
-    that refusal raises (see _monotone_maps).
-    """
-    if grids is not None:
-        return _monotone_maps(mu, nu, *grids)
-    W = _check_balanced(mu.total_mass, nu.total_mass)
-    si = mu.support
-    sj = nu.support
-    cu = np.concatenate([[0.0], np.cumsum(mu.masses[si])])
-    cv = np.concatenate([[0.0], np.cumsum(nu.masses[sj])])
-    cv *= cu[-1] / cv[-1]
-    cv[-1] = cu[-1]
-    levels = np.union1d(cu, cv)
-    lo, hi = levels[:-1], levels[1:]
-    keep = hi - lo > 1e-18 * W
-    lo, hi = lo[keep], hi[keep]
-    mid = 0.5 * (lo + hi)
-    ks = np.clip(np.searchsorted(cu, mid, side="right") - 1, 0, si.size - 1)
-    kt = np.clip(np.searchsorted(cv, mid, side="right") - 1, 0, sj.size - 1)
-    i, jdx = si[ks], sj[kt]
-    eu_lo, eu_w = mu.grid.edges[i], mu.grid.widths[i]
-    ev_lo, ev_w = nu.grid.edges[jdx], nu.grid.widths[jdx]
-    du = cu[ks + 1] - cu[ks]
-    dv = cv[kt + 1] - cv[kt]
-    a0 = eu_lo + eu_w * (lo - cu[ks]) / du
-    a1 = eu_lo + eu_w * (hi - cu[ks]) / du
-    b0 = ev_lo + ev_w * (lo - cv[kt]) / dv
-    b1 = ev_lo + ev_w * (hi - cv[kt]) / dv
-    return MonotoneMap(i=i, j=jdx, w=hi - lo, a0=a0, a1=a1, b0=b0, b1=b1,
-                       src_grid=mu.grid, dst_grid=nu.grid)
-
-
-def _monotone_maps(mu, nu, src: Grid1D, dst: Grid1D):
-    """monotone_map over pairs of mass rows, in flat array passes.
+    mu and nu are one pair's measures, or, given grids = (source grid,
+    target grid), equal-length sequences of cell masses on those grids, one
+    pair per row, such as two (P, n) arrays.  The result is one MonotoneMap
+    over every pair's segments in pair order, each pair's the same whatever
+    the other rows.  Every pair is validated before any is mapped, and the
+    first whose masses DiscreteMeasure or _check_balanced would refuse
+    raises that refusal.
 
     Each pair's cumulative masses cu and cv (cv rescaled to end where cu
-    ends) are summed along one zero-padded row each, as the one-pair call
-    sums them, padded with +inf, and merged by one stable sort of the
-    (cu, cv) row, which keeps a cu entry before an equal cv entry.  The
-    last place of each run of equal values is a level of the union, and
-    the cu (cv) entries up to it are the count of cu (cv) values at or
-    below it.  A segment's midpoint lies in [lo, hi] with no knot between,
-    so searchsorted(cu, mid, "right") is lo's count, or hi's when the
-    midpoint rounds onto hi.
+    ends) are summed along one zero-padded row each, padded with +inf, and
+    merged by one stable sort of the (cu, cv) row, which keeps a cu entry
+    before an equal cv entry.  The last place of each run of equal values
+    is a level of the union, and the cu (cv) entries up to it are the count
+    of cu (cv) values at or below it.  A segment's midpoint lies in
+    [lo, hi] with no knot between, so searchsorted(cu, mid, "right") is
+    lo's count, or hi's when the midpoint rounds onto hi.
     """
+    if grids is None:
+        mu, nu, grids = [mu.masses], [nu.masses], (mu.grid, nu.grid)
+    src, dst = grids
     mu, nu = np.asarray(mu, dtype=float), np.asarray(nu, dtype=float)
     if mu.ndim != 2 or mu.shape[1] != src.n or nu.shape != (len(mu), dst.n):
         raise InvalidParams("need as many mass rows of mu as of nu, one value per cell")
@@ -187,15 +162,15 @@ def _monotone_maps(mu, nu, src: Grid1D, dst: Grid1D):
     # what DiscreteMeasure refuses: a NaN, negative or infinite mass
     refused = ~((mu.min(axis=1) >= 0) & (mu.max(axis=1) < np.inf)
                 & (nu.min(axis=1) >= 0) & (nu.max(axis=1) < np.inf))
-    wu, wv = mu.sum(axis=1), nu.sum(axis=1)  # each row's sum, as DiscreteMeasure takes it
-    with np.errstate(invalid="ignore"):
-        ok = ~refused & (wu > 0) & (wv > 0) & (
+    with np.errstate(over="ignore", invalid="ignore"):  # what _check_balanced refuses
+        wu, wv = mu.sum(axis=1), nu.sum(axis=1)  # each row's sum, as DiscreteMeasure takes it
+        ok = ~refused & (wu > 0) & (wv > 0) & (wu < np.inf) & (wv < np.inf) & (
             np.abs(wu - wv) <= _BALANCE_TOL * np.maximum(np.maximum(wu, wv), 1.0))
-    if not ok.all():  # the first bad pair raises, as in a loop of one-pair calls
-        for p in range(P):
-            if refused[p]:
-                raise InvalidParams("masses must be finite and nonnegative")
-            _check_balanced(float(wu[p]), float(wv[p]))
+    if not ok.all():
+        p = int(np.argmin(ok))  # the first bad pair
+        if refused[p]:
+            raise InvalidParams("masses must be finite and nonnegative")
+        _check_balanced(float(wu[p]), float(wv[p]))
     sides = []
     for m in (mu, nu):  # per side: support cells, their row offsets, cumulative sums
         on = np.flatnonzero(m > 0)

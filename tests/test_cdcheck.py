@@ -25,6 +25,7 @@ from cdknlab.cdcheck import (
     CdReport,
     CdRow,
     _one_spec,
+    _pair_rounds,
     _pair_sampler,
     _support_in_intervals,
     cd_suite,
@@ -1157,9 +1158,12 @@ def test_pairs_in_one_call_equal_one_pair_at_a_time(monkeypatch):
     assert {STATUS_OK, STATUS_SKIPPED} <= statuses
 
 
-def test_first_bad_pair_raises_what_it_raises_alone():
-    # the per-pair steps run in pair order, so a sequence of pairs raises
-    # the exception, with its message, of its first bad pair alone
+def test_first_bad_pair_raises_what_it_raises_alone(monkeypatch):
+    # verify_cd validates its pairs in pair order before it checks any, so a
+    # sequence of pairs raises the exception, with its message, of its first
+    # bad pair alone; cd_suite builds a group's specs first, so there the
+    # first spec that makes no measure raises its own error, and no pair of
+    # that group is checked
     g = Grid1D.uniform(0.0, 2.0, 64)
     dens = np.ones(64)
     dens[40:44] = 0.0  # a null corridor: charging it is not absolutely continuous
@@ -1185,9 +1189,16 @@ def test_first_bad_pair_raises_what_it_raises_alone():
     kw = dict(t_grid=5, nprime_grid=3, restrict_to_regular_k=0)
     alone = {name: outcome(lambda p=pair: verify_cd(sp, *measures(p), 0.0, -1.0, **kw))
              for name, pair in (("null", null), ("outside", outside))}
+    unbuilt = {name: outcome(lambda p=pair: measures(p))
+               for name, pair in (("broken", broken), ("malformed", malformed))}
     assert alone["null"][0] is NotAbsolutelyContinuous
     assert alone["outside"][0] is SupportViolation
+    assert unbuilt["broken"][0] is InvalidParams
+    assert unbuilt["malformed"] == (KeyError, "'b'")
     assert outcome(lambda: verify_cd(sp, *measures(good), 0.0, -1.0, **kw)) is None
+    checks, real_verify = [], verify_cd
+    monkeypatch.setattr(cdcheck, "verify_cd",
+                        lambda *a, **k: checks.append(len(a[1])) or real_verify(*a, **k))
     for order in (("good", "null", "outside", "good"), ("outside", "null"),
                   ("good", "good", "null"), ("good", "outside", "broken"),
                   ("good", "outside", "malformed")):
@@ -1197,9 +1208,18 @@ def test_first_bad_pair_raises_what_it_raises_alone():
         got = outcome(lambda: verify_cd(sp, *zip(*[measures(p) for p in pairs[:order.index(first) + 1]]),
                                         0.0, -1.0, **kw))
         assert got == alone[first]
-        # cd_suite, in one group, also with a spec that fails to build after it
-        assert outcome(lambda: cd_suite(sp, 0.0, -1.0, len(pairs), 0,
-                                        pair_specs=pairs, **kw)) == alone[first]
+        # cd_suite in one group: a spec that fails to build raises first,
+        # wherever it stands, and no pair is checked
+        fails = [n for n in order if n in unbuilt]
+        checks.clear()
+        assert outcome(lambda: cd_suite(sp, 0.0, -1.0, len(pairs), 0, pair_specs=pairs,
+                                        **kw)) == (unbuilt[fails[0]] if fails else alone[first])
+        assert checks == ([] if fails else [len(pairs)])
+        # one pair a group: the first bad pair raises, as it does alone
+        with monkeypatch.context() as m:
+            m.setattr(cdcheck, "PAIR_GROUP_ELEMS", 1)
+            assert outcome(lambda: cd_suite(sp, 0.0, -1.0, len(pairs), 0,
+                                            pair_specs=pairs, **kw)) == alone[first]
     assert outcome(lambda: cd_suite(sp, 0.0, -1.0, 2, 0, pair_specs=[broken, null],
                                     **kw))[0] is InvalidParams
     assert outcome(lambda: cd_suite(sp, 0.0, -1.0, 2, 0, pair_specs=[malformed, null],
@@ -1806,11 +1826,20 @@ def test_omega_batch_equals_the_per_pair_loop(monkeypatch, group_elems):
         assert takes[:, 0].sum() == takes[:, 1].sum() == n and len(takes) > n
         segments = {monotone_map(*mus).w.size for _, mus, _ in stream}
         assert len(segments) > 1  # padded pairs in every multi-pair group
-        # one call per group, of (pairs, times, widest segment count)
+        # one call per sampler round, of (pairs, times, widest segment count),
+        # when its pairs fit PAIR_GROUP_ELEMS; one call per pair when one does
+        rounds = [[monotone_map(*(DiscreteMeasure(sp.grid, m) for m in pair)).w.size
+                   for pair in masses]
+                  for _, masses, _ in _pair_rounds(sp, N, caps, 2, "uniform_block")(
+                      np.random.default_rng(seed), n)]
+        assert sum(map(len, rounds)) == len(stream)
         if group_elems == 1:
             assert [c[0] for c in groups] == [1] * len(stream)
-        elif group_elems > OMEGA_T_GRID * max(segments) * len(stream):
-            assert groups == [(len(stream), OMEGA_T_GRID, max(segments))]
+        else:
+            assert len(rounds) > 1  # rounds that no call spans
+            assert groups == [(len(r), OMEGA_T_GRID, max(r)) for r in rounds]
+            if seed == 0:
+                assert groups == [(7, OMEGA_T_GRID, 70), (1, OMEGA_T_GRID, 75)]
         assert got[0][1] > 0  # h = k still loses mass across the joints
 
 
@@ -1852,19 +1881,24 @@ def test_omega_batch_raises_what_the_overlapping_pair_raises(monkeypatch,
     estimates = (lambda: _omega_per_pair(sp, 2, [2, 3], [10.0], 6, -2.0, 0),
                  lambda: estimate_omega(sp, 2, [2, 3], [10.0], n_samples=6,
                                         N=-2.0, seed=0))
+    # in rounds of one pair, the pairs are mapped and measured in turn, so
+    # the third pair's overlap raises as in the per-pair loop; in one round
+    # of all six, the round's batch map meets the fifth pair's error first,
+    # and no pair is measured
     errors = []
-    for estimate in estimates:
+    for estimate in estimates[:1] if group_elems > 1 else estimates:
         with pytest.raises(InvalidParams, match="ordered and disjoint") as err:
             estimate()
         errors.append((type(err.value), str(err.value)))
-    assert errors[0] == errors[1]
-    # with no overlap, the fifth pair's error raises after the groups of the
-    # four pairs before it are measured, as one at a time
-    overlap[0] = False
-    calls.clear()
-    with pytest.raises(MarginalMismatch, match="a later pair's own error"):
-        estimates[1]()
-    assert [c[0] for c in calls] == ([1] * 4 if group_elems == 1 else [4])  # pairs per call
+    assert errors[0] == errors[-1]
+    for overlaps in ((True, False) if group_elems > 1 else (False,)):
+        overlap[0] = overlaps
+        calls.clear()
+        with pytest.raises(MarginalMismatch, match="a later pair's own error"):
+            estimates[1]()
+        # pairs per call: with no overlap, the four pairs before the fifth
+        # are measured before its error raises, when they are mapped first
+        assert [c[0] for c in calls] == ([1] * 4 if group_elems == 1 else [])
 
 
 # (space, k, caps): at each M only some of the candidates pass, and at the

@@ -19,6 +19,7 @@ from cdknlab.mmspace import Grid1D
 from cdknlab.transport import (
     MAX_LP_SUPPORT,
     CostSpec,
+    MonotoneMap,
     monotone_map,
     optimal_coupling_lp,
     w2_block_1d,
@@ -156,22 +157,66 @@ def test_unbalanced_inputs_raise():
         monotone_map(mu, DiscreteMeasure(g, np.zeros(4)))
 
 
+def test_monotone_map_refuses_a_total_mass_past_the_doubles():
+    # each total overflows to inf, and inf - inf is NaN: the map must refuse
+    # the pair, not return one with no segments
+    g = Grid1D.uniform(0.0, 1.0, 4)
+    m0, m1 = np.array([[1e308, 1e308, 0.0, 0.0]]), np.array([[0.0, 0.0, 1e308, 1e308]])
+    with np.errstate(over="ignore"):  # DiscreteMeasure's own total overflows too
+        mu, nu = DiscreteMeasure(g, m0[0]), DiscreteMeasure(g, m1[0])
+    for call in (lambda: monotone_map(mu, nu), lambda: monotone_map(m0, m1, (g, g))):
+        with pytest.raises(InvalidParams, match="finite positive mass"):
+            call()
+
+
 _MAP_FIELDS = ("i", "j", "w", "a0", "a1", "b0", "b1")
 
 
+def _one_pair_map(mu, nu):
+    """The monotone map of one balanced pair of measures, from the union of
+    its two cumulative-mass knot sets and a searchsorted of each segment's
+    midpoint: the oracle that monotone_map matches bit for bit."""
+    si, sj = mu.support, nu.support
+    cu = np.concatenate([[0.0], np.cumsum(mu.masses[si])])
+    cv = np.concatenate([[0.0], np.cumsum(nu.masses[sj])])
+    cv *= cu[-1] / cv[-1]
+    cv[-1] = cu[-1]
+    levels = np.union1d(cu, cv)
+    lo, hi = levels[:-1], levels[1:]
+    keep = hi - lo > 1e-18 * mu.total_mass
+    lo, hi = lo[keep], hi[keep]
+    mid = 0.5 * (lo + hi)
+    ks = np.clip(np.searchsorted(cu, mid, side="right") - 1, 0, si.size - 1)
+    kt = np.clip(np.searchsorted(cv, mid, side="right") - 1, 0, sj.size - 1)
+    i, jdx = si[ks], sj[kt]
+    eu_lo, eu_w = mu.grid.edges[i], mu.grid.widths[i]
+    ev_lo, ev_w = nu.grid.edges[jdx], nu.grid.widths[jdx]
+    du = cu[ks + 1] - cu[ks]
+    dv = cv[kt + 1] - cv[kt]
+    a0 = eu_lo + eu_w * (lo - cu[ks]) / du
+    a1 = eu_lo + eu_w * (hi - cu[ks]) / du
+    b0 = ev_lo + ev_w * (lo - cv[kt]) / dv
+    b1 = ev_lo + ev_w * (hi - cv[kt]) / dv
+    return MonotoneMap(i=i, j=jdx, w=hi - lo, a0=a0, a1=a1, b0=b0, b1=b1,
+                       src_grid=mu.grid, dst_grid=nu.grid, offsets=np.array([0, lo.size]))
+
+
 def _assert_batch_is_one_pair_calls(g0, g1, m0, m1):
-    """The batch map of the rows m0 -> m1 holds each pair's one-pair map bit
-    for bit, at its offsets."""
+    """The batch map of the rows m0 -> m1, and each pair's one-pair call,
+    hold that pair's oracle map bit for bit, at its offsets."""
     tmap = monotone_map(m0, m1, (g0, g1))
     offsets = tmap.offsets
     assert tmap.src_grid is g0 and tmap.dst_grid is g1
     sizes = []
     for p, (a, b) in enumerate(zip(m0, m1)):
-        one = monotone_map(DiscreteMeasure(g0, a), DiscreteMeasure(g1, b))
-        for f in _MAP_FIELDS:
-            got, want = getattr(tmap, f)[offsets[p]:offsets[p + 1]], getattr(one, f)
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (p, f)
-        sizes.append(one.w.size)
+        mu, nu = DiscreteMeasure(g0, a), DiscreteMeasure(g1, b)
+        want_map = _one_pair_map(mu, nu)
+        for got_map in (tmap.pair(p), monotone_map(mu, nu)):
+            assert got_map.offsets.tolist() == want_map.offsets.tolist()
+            for f in _MAP_FIELDS:
+                got, want = getattr(got_map, f), getattr(want_map, f)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (p, f)
+        sizes.append(want_map.w.size)
     assert tmap.w.size == sum(sizes) == offsets[-1]
     assert all(getattr(tmap, f).size == tmap.w.size for f in _MAP_FIELDS)
 
@@ -216,7 +261,7 @@ def test_monotone_map_batch_at_a_midpoint_rounded_onto_a_knot():
     g = Grid1D.uniform(0.0, 1.0, 4)
     mu = np.array([[0.5 + u, u, 0.5 - 2 * u, 0.0], [0.5 + 2 * u, 0.5 - 2 * u, 0.0, 0.0]])
     nu = mu[::-1].copy()
-    one = monotone_map(DiscreteMeasure(g, mu[0]), DiscreteMeasure(g, nu[0]))
+    one = _one_pair_map(DiscreteMeasure(g, mu[0]), DiscreteMeasure(g, nu[0]))
     assert one.i.tolist() == [0, 2, 2]
     _assert_batch_is_one_pair_calls(g, g, mu, nu)
 
